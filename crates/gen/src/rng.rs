@@ -25,7 +25,10 @@ impl SplitMix64 {
     /// `--seed S` is identical whatever `--count` is — shrinking or
     /// re-generating a single problem never re-draws its neighbours.
     pub fn derive(seed: u64, index: u64) -> SplitMix64 {
-        let salt = SplitMix64::from_seed(index.wrapping_add(0xa076_1d64_78bd_642f)).next_u64();
+        // Hash the raw index: `from_seed`'s forced low bit would fold index
+        // pairs onto one stream, since the odd offset makes 2k+1 and 2k+2
+        // differ only in that bit.
+        let salt = SplitMix64(index.wrapping_add(0xa076_1d64_78bd_642f)).next_u64();
         // Hash the raw (unfolded) seed so adjacent even/odd seeds — which
         // `from_seed`'s forced low bit would otherwise collapse — still name
         // distinct batches.
@@ -93,6 +96,20 @@ mod tests {
         assert_ne!(first, second);
         // Re-deriving the same index reproduces the same stream.
         assert_eq!(first, SplitMix64::derive(7, 0).next_u64());
+    }
+
+    #[test]
+    fn derived_streams_have_distinct_first_draws() {
+        for seed in [0, 1, 7, 42, 7919] {
+            let mut seen = std::collections::HashSet::new();
+            for index in 0..10_000 {
+                let first = SplitMix64::derive(seed, index).next_u64();
+                assert!(
+                    seen.insert(first),
+                    "seed {seed}: index {index} repeats an earlier stream"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! evaluation over a small domain: whenever the solver claims a formula is
 //! unsatisfiable, no assignment over a small integer domain satisfies it, and
 //! whenever it returns a model, the model really satisfies the formula.
+//! Validity-shaped queries (a long conjunction of premise atoms and a
+//! disjunctive conclusion, the shape type checking issues) get their own
+//! strategy: they are what the DPLL search's unit propagation and early
+//! theory pruning act on, and `arb_formula` rarely builds them.
 
 use proptest::prelude::*;
 
 use resyn_logic::{Model, Sort, SortingEnv, Term, Value};
 
-use crate::smt::{SatResult, Solver};
+use crate::smt::{SatResult, Solver, ValidityResult};
 
 const VARS: [&str; 3] = ["x", "y", "z"];
 
@@ -47,6 +51,35 @@ fn arb_formula() -> impl Strategy<Value = Term> {
             inner.clone().prop_map(Term::not),
         ]
     })
+}
+
+/// A validity query `premises ⊨ conclusion` shaped like a typing obligation:
+/// 8–13 premise literals and a conclusion that is a disjunction of 2–4
+/// atoms. Random atoms this many are almost always jointly inconsistent, so
+/// in three of four queries each premise is negated where needed to hold at
+/// a random point, as a path condition holds on the inputs that reach it.
+fn arb_validity_query() -> impl Strategy<Value = (Vec<Term>, Term)> {
+    (
+        proptest::collection::vec(arb_atom(), 8..14),
+        proptest::collection::vec(arb_atom(), 2..5),
+        (-2i64..4, -2i64..4, -2i64..4),
+        0usize..4,
+    )
+        .prop_map(|(premises, alternatives, (x, y, z), raw)| {
+            let mut point = Model::new();
+            point
+                .insert("x", Value::Int(x))
+                .insert("y", Value::Int(y))
+                .insert("z", Value::Int(z));
+            let premises = premises
+                .into_iter()
+                .map(|p| match p.eval_bool(&point) {
+                    Ok(false) if raw != 0 => p.not(),
+                    _ => p,
+                })
+                .collect();
+            (premises, Term::or_all(alternatives))
+        })
 }
 
 /// Brute-force satisfiability over the domain `[-2, 3]³`.
@@ -132,6 +165,29 @@ proptest! {
         let solver = Solver::new(env());
         if solver.is_valid(&[], &f) {
             prop_assert!(solver.is_valid(&[], &g.implies(f)));
+        }
+    }
+
+    /// Premise-heavy validity agrees with brute force: `Valid` means no
+    /// small-domain point satisfies the premises and falsifies the
+    /// conclusion, an `Invalid` model really is a counterexample, and every
+    /// counterexample brute force finds makes the query `Invalid`.
+    #[test]
+    fn premise_heavy_validity_agrees_with_brute_force(
+        (premises, conclusion) in arb_validity_query()
+    ) {
+        let solver = Solver::new(env());
+        let query = Term::and_all(premises.iter().cloned()).and(conclusion.clone().not());
+        match solver.check_valid(&premises, &conclusion) {
+            ValidityResult::Valid => prop_assert!(
+                !brute_force_sat(&query),
+                "claimed valid, but brute force falsifies {query}"
+            ),
+            ValidityResult::Invalid(m) => prop_assert!(
+                query.eval_bool(&m).unwrap(),
+                "model {m:?} is not a counterexample to {query}"
+            ),
+            other => panic!("linear validity query left undecided ({other:?}): {query}"),
         }
     }
 }

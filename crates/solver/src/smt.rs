@@ -155,12 +155,14 @@ impl Solver {
         }
     }
 
-    /// Fingerprint of the work limits a verdict may depend on (a raised
-    /// limit can turn `Unknown` into a definite answer, so solvers with
-    /// different limits must not alias in a shared cache).
+    /// Fingerprint of the work limits and search revision a verdict may
+    /// depend on (a raised limit or a stronger search can turn `Unknown`
+    /// into a definite answer, so solvers that differ in either must not
+    /// alias in a shared or persisted cache).
     fn config_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
+        dpll::SEARCH_REVISION.hash(&mut h);
         self.dpll.decision_limit.hash(&mut h);
         self.lia.branch_limit.hash(&mut h);
         self.lia.constraint_limit.hash(&mut h);
@@ -248,10 +250,7 @@ impl Solver {
         }
 
         // 7. DPLL(T) with the LIA oracle, over interned atoms.
-        let theory = ArithTheory {
-            lia: &self.lia,
-            lin_cache: std::cell::RefCell::new(HashMap::new()),
-        };
+        let theory = ArithTheory::new(&self.lia);
         match dpll::solve(&mut arena, formula, &theory, &self.dpll) {
             DpllResult::Unsat => SatResult::Unsat,
             DpllResult::Cancelled => SatResult::Cancelled,
@@ -414,17 +413,25 @@ impl Solver {
 /// linear constraints and handed to the Fourier–Motzkin / branch-and-bound
 /// solver. Boolean variables and opaque boolean applications carry no
 /// arithmetic content.
-struct ArithTheory<'a> {
+pub(crate) struct ArithTheory<'a> {
     lia: &'a LiaSolver,
     /// Per-query memo of operand linearizations (`None` = non-linear).
     lin_cache: std::cell::RefCell<HashMap<TermId, Option<LinExpr>>>,
 }
 
-impl ArithTheory<'_> {
+impl<'a> ArithTheory<'a> {
+    /// An oracle for one query, deciding with `lia`.
+    pub(crate) fn new(lia: &'a LiaSolver) -> Self {
+        ArithTheory {
+            lia,
+            lin_cache: std::cell::RefCell::new(HashMap::new()),
+        }
+    }
+
     /// Linearize an interned operand, memoized per id: DPLL consults the
-    /// theory once per candidate assignment, and the same atoms reappear on
-    /// every trail, so each operand is converted (and its tree reconstructed)
-    /// at most once per query. `None` marks a non-linearizable operand.
+    /// theory many times per query, and the same atoms reappear on every
+    /// trail, so each operand is converted (and its tree reconstructed) at
+    /// most once per query. `None` marks a non-linearizable operand.
     fn linearize(&self, arena: &TermArena, id: TermId) -> Option<LinExpr> {
         if let Some(r) = self.lin_cache.borrow().get(&id) {
             return r.clone();
@@ -432,6 +439,60 @@ impl ArithTheory<'_> {
         let r = LinExpr::from_term(&arena.term(id)).ok();
         self.lin_cache.borrow_mut().insert(id, r.clone());
         r
+    }
+
+    /// Append the linear constraints a literal asserts to `out` (none for a
+    /// literal without arithmetic content). `Err` explains a literal the
+    /// oracle cannot interpret.
+    fn constraints_of(
+        &self,
+        arena: &TermArena,
+        atom_id: TermId,
+        value: bool,
+        out: &mut Vec<LinConstraint>,
+    ) -> Result<(), String> {
+        match arena.node(atom_id) {
+            Node::Var(_) | Node::App(_, _) | Node::Unknown(_, _) => {}
+            Node::Binary(op, a, b) if op.is_arith_comparison() => {
+                let (op, a, b) = (*op, *a, *b);
+                let (ea, eb) = match (self.linearize(arena, a), self.linearize(arena, b)) {
+                    (Some(ea), Some(eb)) => (ea, eb),
+                    _ => {
+                        return Err(format!(
+                            "non-linear arithmetic atom: {}",
+                            arena.term(atom_id)
+                        ))
+                    }
+                };
+                out.push(arith_constraint(op, value, &ea, &eb));
+            }
+            Node::Binary(BinOp::Eq, a, b) => {
+                // Residual equalities (e.g. between uninterpreted-sorted
+                // terms) are treated as integer equalities.
+                let (a, b) = (*a, *b);
+                let (ea, eb) = match (self.linearize(arena, a), self.linearize(arena, b)) {
+                    (Some(ea), Some(eb)) => (ea, eb),
+                    _ => {
+                        return Err(format!(
+                            "cannot interpret equality atom: {}",
+                            arena.term(atom_id)
+                        ))
+                    }
+                };
+                if !value {
+                    // A negated equality is non-convex; it should have been
+                    // normalized away.
+                    return Err(format!(
+                        "unnormalized disequality atom: {}",
+                        arena.term(atom_id)
+                    ));
+                }
+                out.push(LinConstraint::ge0(ea.sub(&eb)));
+                out.push(LinConstraint::ge0(eb.sub(&ea)));
+            }
+            _ => return Err(format!("unsupported theory atom: {}", arena.term(atom_id))),
+        }
+        Ok(())
     }
 }
 
@@ -441,53 +502,8 @@ impl<'a> Theory for ArithTheory<'a> {
     fn check(&self, arena: &TermArena, literals: &[(TermId, bool)]) -> TheoryResult<Self::Model> {
         let mut constraints: Vec<LinConstraint> = Vec::new();
         for (atom_id, value) in literals {
-            match arena.node(*atom_id) {
-                Node::Var(_) | Node::App(_, _) | Node::Unknown(_, _) => {}
-                Node::Binary(op, a, b) if op.is_arith_comparison() => {
-                    let (op, a, b) = (*op, *a, *b);
-                    let (ea, eb) = match (self.linearize(arena, a), self.linearize(arena, b)) {
-                        (Some(ea), Some(eb)) => (ea, eb),
-                        _ => {
-                            return TheoryResult::Unknown(format!(
-                                "non-linear arithmetic atom: {}",
-                                arena.term(*atom_id)
-                            ))
-                        }
-                    };
-                    let c = arith_constraint(op, *value, &ea, &eb);
-                    constraints.push(c);
-                }
-                Node::Binary(BinOp::Eq, a, b) => {
-                    // Residual equalities (e.g. between uninterpreted-sorted
-                    // terms) are treated as integer equalities.
-                    let (a, b) = (*a, *b);
-                    let (ea, eb) = match (self.linearize(arena, a), self.linearize(arena, b)) {
-                        (Some(ea), Some(eb)) => (ea, eb),
-                        _ => {
-                            return TheoryResult::Unknown(format!(
-                                "cannot interpret equality atom: {}",
-                                arena.term(*atom_id)
-                            ))
-                        }
-                    };
-                    if *value {
-                        constraints.push(LinConstraint::ge0(ea.sub(&eb)));
-                        constraints.push(LinConstraint::ge0(eb.sub(&ea)));
-                    } else {
-                        // A negated equality is non-convex; it should have
-                        // been normalized away.
-                        return TheoryResult::Unknown(format!(
-                            "unnormalized disequality atom: {}",
-                            arena.term(*atom_id)
-                        ));
-                    }
-                }
-                _ => {
-                    return TheoryResult::Unknown(format!(
-                        "unsupported theory atom: {}",
-                        arena.term(*atom_id)
-                    ))
-                }
+            if let Err(msg) = self.constraints_of(arena, *atom_id, *value, &mut constraints) {
+                return TheoryResult::Unknown(msg);
             }
         }
         // Every variable occurring in an arithmetic constraint is integer-sorted.
@@ -500,6 +516,25 @@ impl<'a> Theory for ArithTheory<'a> {
             LiaResult::Unsat => TheoryResult::Inconsistent,
             LiaResult::Unknown => TheoryResult::Unknown("arithmetic work limit exceeded".into()),
         }
+    }
+
+    /// A model from [`check`](Theory::check) is integer-valued on every
+    /// variable of its constraints, and a variable it does not bind
+    /// evaluates to 0, so if it satisfies the new constraints it is an
+    /// integer model of the whole extended trail.
+    fn satisfied_by(
+        &self,
+        arena: &TermArena,
+        literals: &[(TermId, bool)],
+        model: &Self::Model,
+    ) -> bool {
+        let mut constraints = Vec::new();
+        literals.iter().all(|(atom_id, value)| {
+            constraints.clear();
+            self.constraints_of(arena, *atom_id, *value, &mut constraints)
+                .is_ok()
+                && constraints.iter().all(|c| c.holds(model))
+        })
     }
 }
 
