@@ -242,7 +242,7 @@ pub fn lint_structural(decls: &[Decl], datatypes: &Datatypes) -> Vec<Diagnostic>
         }
     }
 
-    // Components unreachable for every goal (the pruner's complement).
+    // Components the reachability analysis drops for every goal.
     if !goals.is_empty() && !components.is_empty() {
         let library: std::collections::BTreeMap<String, Schema> = components
             .iter()

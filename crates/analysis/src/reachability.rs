@@ -1,4 +1,4 @@
-//! Shape-reachability pruning of component libraries.
+//! Shape-reachability analysis of component libraries.
 //!
 //! The enumerator (`resyn-synth`) builds candidate E-terms from a fixed
 //! repertoire of syntactic positions, each of which constrains where values
@@ -28,9 +28,8 @@
 //! generation code paths in `resyn_synth::enumerate` — each condition is
 //! necessary for that site to emit at least one candidate mentioning the
 //! component. A dropped component therefore contributes zero candidates to
-//! every hole and every guard, so removing it from the library leaves the
-//! candidate sequence (and hence the synthesized program and verdict)
-//! bit-identical; only the per-candidate enumeration overhead shrinks.
+//! every hole and every guard: no synthesized program can call it, which is
+//! what makes `resyn lint`'s `unreachable-component` warning trustworthy.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -38,7 +37,7 @@ use resyn_ty::datatypes::Datatypes;
 use resyn_ty::shape::Shape;
 use resyn_ty::types::Schema;
 
-/// Why a component was pruned.
+/// Why the analysis drops a component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// The component's signature has no base-type shape (a higher-order
@@ -71,18 +70,18 @@ impl DropReason {
 /// The result of the reachability analysis over one goal's library.
 #[derive(Debug, Clone)]
 pub struct PruneReport {
-    /// Number of components in the unpruned library.
+    /// Number of components in the library.
     pub library_size: usize,
     /// Names of the components that survive.
     pub kept: BTreeSet<String>,
-    /// Pruned components with the reason each was dropped.
+    /// Dropped components with the reason each was dropped.
     pub dropped: Vec<(String, DropReason)>,
     /// The forward fixpoint: every shape producible as a scope atom.
     pub scope_shapes: BTreeSet<Shape>,
 }
 
 impl PruneReport {
-    /// Number of components after pruning.
+    /// Number of components that survive.
     pub fn pruned_size(&self) -> usize {
         self.kept.len()
     }
@@ -90,11 +89,6 @@ impl PruneReport {
     /// Whether the named component survives.
     pub fn is_kept(&self, name: &str) -> bool {
         self.kept.contains(name)
-    }
-
-    /// Whether the analysis removed anything.
-    pub fn prunes_anything(&self) -> bool {
-        !self.dropped.is_empty()
     }
 }
 
@@ -294,7 +288,7 @@ mod tests {
         ]);
         let report = analyze(&list_goal(), &components, &Datatypes::standard());
         assert_eq!(report.kept.len(), 3, "dropped: {:?}", report.dropped);
-        assert!(!report.prunes_anything());
+        assert!(report.dropped.is_empty());
     }
 
     #[test]

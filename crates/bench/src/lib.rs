@@ -1,13 +1,9 @@
 //! Criterion benchmarks for ReSyn-rs.
 //!
 //! This crate has no library code of its own; its `benches/` directory hosts
-//! one Criterion group per artifact of the paper's evaluation plus the
-//! ablations called out in `DESIGN.md`:
+//! the ablations called out in `DESIGN.md` and microbenchmarks of the layers
+//! below the synthesizer:
 //!
-//! * `table1` — ReSyn vs Synquid synthesis time on a fast subset of the
-//!   Table 1 suite,
-//! * `table2` — the case-study modes (ReSyn, Synquid, EAC, non-incremental)
-//!   on a fast subset of Table 2,
 //! * `cegis_ablation` — incremental vs from-scratch CEGIS on growing systems
 //!   of resource constraints,
 //! * `solver` — the bespoke SMT solver on representative refinement-logic
@@ -16,6 +12,6 @@
 //!   with the hash-consed solver query cache on vs. off,
 //! * `surface` — the surface-syntax parser and printer.
 //!
-//! Run everything with `cargo bench --workspace`; the full tables (with the
-//! paper's 10-minute timeouts) are regenerated by the `table1`/`table2`
-//! binaries in `resyn-eval` instead, as documented in `EXPERIMENTS.md`.
+//! Run everything with `cargo bench --workspace`; the paper's tables are
+//! regenerated by `resyn eval --table 1|2` instead, as documented in
+//! `EXPERIMENTS.md`.

@@ -143,8 +143,7 @@ pub struct Options {
     /// path (`--out PATH`).
     pub out: Option<String>,
     /// `fuzz`: which invariant to check per problem (`--check
-    /// modes|prune|lint`); defaults to `modes` (the cross-mode
-    /// differential).
+    /// modes|lint`); defaults to `modes` (the cross-mode differential).
     pub check: Option<String>,
     /// `synth`/`eval`/`serve`: approximate byte budget for the solver cache
     /// (`--cache-budget BYTES`); over it, cold entries are evicted.
@@ -158,10 +157,6 @@ pub struct Options {
     /// `client`: read a snapshot from this path and seed the server's cache
     /// with it (`--import-cache PATH`).
     pub import_cache: Option<String>,
-    /// `synth`/`eval`: disable reachability pruning of component libraries
-    /// (`--no-prune`). Pruning never changes the outcome — this escape hatch
-    /// exists for differential runs and for measuring the pruner's effect.
-    pub no_prune: bool,
     /// `lint`: output format (`--format human|json`); human by default.
     pub format: Option<String>,
     /// Flags seen on the command line, for per-subcommand scope checking
@@ -195,7 +190,6 @@ impl Default for Options {
             cache_file: None,
             export_cache: None,
             import_cache: None,
-            no_prune: false,
             format: None,
             seen_flags: Vec::new(),
         }
@@ -221,7 +215,6 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--goal-jobs",
             "--cache-budget",
             "--cache-file",
-            "--no-prune",
         ],
         "check" => &["--mode", "--timeout", "--goal"],
         "measure" => &["--goal"],
@@ -234,7 +227,6 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--goal-jobs",
             "--cache-budget",
             "--cache-file",
-            "--no-prune",
         ],
         "serve" => &[
             "--addr",
@@ -417,9 +409,6 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
             "--stream" => {
                 opts.stream = true;
             }
-            "--no-prune" => {
-                opts.no_prune = true;
-            }
             "--format" => {
                 let value = it
                     .next()
@@ -475,10 +464,10 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                     .next()
                     .ok_or_else(|| CliError::Usage("--check needs a value".to_string()))?;
                 match value.as_str() {
-                    "modes" | "prune" | "lint" => opts.check = Some(value.clone()),
+                    "modes" | "lint" => opts.check = Some(value.clone()),
                     other => {
                         return Err(CliError::Usage(format!(
-                            "unknown check `{other}` (expected modes, prune or lint)"
+                            "unknown check `{other}` (expected modes or lint)"
                         )))
                     }
                 }
@@ -658,10 +647,9 @@ pub fn run_lint(files: &[(String, String)], opts: &Options) -> Result<LintOutput
 pub fn run_synth(problem_text: &str, opts: &Options) -> Result<String, CliError> {
     let goals = load_goals(problem_text, opts)?;
     let (cache, loaded) = build_cache(opts)?;
-    let mut synthesizer = Synthesizer::with_timeout(opts.timeout)
+    let synthesizer = Synthesizer::with_timeout(opts.timeout)
         .with_goal_jobs(opts.goal_jobs.unwrap_or(1))
         .with_cache(cache);
-    synthesizer.prune = !opts.no_prune;
     let mut out = String::new();
     if let Some(loaded) = loaded {
         let _ = writeln!(
@@ -690,11 +678,6 @@ pub fn run_synth(problem_text: &str, opts: &Options) -> Result<String, CliError>
                 outcome.stats.solver_cache_hits,
                 outcome.stats.solver_cache_misses,
                 outcome.stats.interned_terms
-            );
-            let _ = writeln!(
-                out,
-                "-- component library: {} of {} components reachable",
-                outcome.stats.pruned_library_size, outcome.stats.library_size
             );
         }
         let _ = writeln!(out, "{}", expr_to_surface(&program));
@@ -769,7 +752,7 @@ pub fn run_measure(
 }
 
 /// The output of `resyn eval`: the rendered text table and, when `--json`
-/// was given, the serialized `resyn-bench-eval/3` report (the caller writes
+/// was given, the serialized `resyn-bench-eval/4` report (the caller writes
 /// it to the requested path — this library does no I/O).
 #[derive(Debug, Clone)]
 pub struct EvalOutput {
@@ -786,7 +769,7 @@ pub struct EvalOutput {
 /// whatever the worker count, except for benchmarks running right at the
 /// wall-clock timeout boundary, which core contention can tip over),
 /// `--timeout` bounds each synthesis mode, and `--json` additionally
-/// serializes the run to the `resyn-bench-eval/3` schema (see
+/// serializes the run to the `resyn-bench-eval/4` schema (see
 /// [`resyn_eval::report`]).
 ///
 /// # Errors
@@ -805,7 +788,6 @@ pub fn run_eval(opts: &Options) -> Result<EvalOutput, CliError> {
         ablations: true,
         progress: true,
         goal_jobs: opts.goal_jobs.unwrap_or(1),
-        prune: !opts.no_prune,
     };
     let (cache, loaded) = build_cache(opts)?;
     let run = resyn_eval::run_suite_cached(&benches, &config, cache);
@@ -1055,18 +1037,13 @@ pub struct FuzzFailure {
 
 /// One `resyn fuzz --check` pass over a single generated spec: the
 /// complaint if the invariant fails, plus whether any run timed out (only
-/// the cross-mode differential reports timeouts — the prune differential
-/// skips timed-out goals internally and lint does no synthesis).
+/// the cross-mode differential reports timeouts — lint does no synthesis).
 fn fuzz_complaint(
     check: &str,
     spec: &resyn_gen::ProblemSpec,
     timeout: Duration,
 ) -> (Option<String>, bool) {
     match check {
-        "prune" => (
-            resyn_gen::run_prune_differential(&spec.problem(), timeout),
-            false,
-        ),
         "lint" => {
             let budget = Budget::with_timeout(timeout);
             match resyn_parse::lint_source(&spec.render(), None, &budget) {
@@ -1101,10 +1078,9 @@ fn fuzz_complaint(
 /// reproducer. `--check` picks the invariant:
 ///
 /// * `modes` (default) — the cross-mode differential: ReSyn vs. EAC vs.
-///   NoInc under one budget, plus a warm-cache replay, must agree;
-/// * `prune` — reachability pruning must not change the verdict or the
-///   synthesized program, and must never drop a component the synthesized
-///   program calls;
+///   NoInc under one budget, plus a warm-cache replay, must agree, and the
+///   reachability analysis must not mark a component the ReSyn program
+///   calls as unreachable;
 /// * `lint` — every generated problem must lint without deny-level
 ///   findings (the generator's output is well-formed by construction, so a
 ///   deny here is a bug in one side or the other).
@@ -1164,13 +1140,6 @@ pub fn run_fuzz(opts: &Options) -> FuzzOutput {
         }
     }
     match check {
-        "prune" => {
-            let _ = writeln!(
-                report,
-                "{passed}/{} problems agree pruned vs unpruned",
-                config.count
-            );
-        }
         "lint" => {
             let _ = writeln!(
                 report,
@@ -1200,7 +1169,6 @@ resyn — resource-guided program synthesis
 USAGE:
     resyn synth <problem-file> [--mode MODE] [--timeout SECS] [--goal NAME] [--stats]
                 [--goal-jobs N] [--cache-budget BYTES] [--cache-file PATH]
-                [--no-prune]
     resyn check <problem-file> <program-file> [--mode MODE] [--goal NAME]
     resyn measure <problem-file> <program-file> [--goal NAME]
     resyn parse <problem-file>
@@ -1208,7 +1176,7 @@ USAGE:
                [--cache-budget BYTES] [--cache-file PATH]
     resyn eval [--table 1|2] [--jobs N] [--timeout SECS] [--filter SUBSTR,...]
                [--json PATH] [--goal-jobs N] [--cache-budget BYTES]
-               [--cache-file PATH] [--no-prune]
+               [--cache-file PATH]
     resyn serve [--addr HOST:PORT] [--jobs N] [--timeout SECS] [--queue N]
                 [--io-threads N] [--max-conns N] [--goal-jobs N]
                 [--cache-budget BYTES] [--cache-file PATH]
@@ -1219,7 +1187,7 @@ USAGE:
     resyn client --import-cache PATH [--addr HOST:PORT]
     resyn gen [--seed N] [--count N] [--size N]
     resyn fuzz [--seed N] [--count N] [--size N] [--timeout SECS] [--out PATH]
-               [--check modes|prune|lint]
+               [--check modes|lint]
 
 MODES: resyn (default), synquid, eac, noinc, ct
 
@@ -1233,15 +1201,9 @@ first-win worker threads (deterministic winner: the same program a
 sequential search returns, found faster on hard goals).
 
 `--stats` additionally reports, per goal, the solver query-cache hit/miss
-counters, the size of the term intern table and how many library components
-survived reachability pruning.
+counters and the size of the term intern table.
 
-Component libraries are pruned by a shape-reachability analysis before each
-search: components the enumerator could never apply are dropped. Pruning
-never changes the synthesized program or the verdict, only the search cost;
-`--no-prune` (synth, eval) disables it for differential runs.
-
-`lint` runs the pre-synthesis diagnostics pass over one problem file or
+`lint` runs the static diagnostics pass over one problem file or
 every `.re` file in a directory: duplicate and shadowed declarations,
 components unreachable for every goal, goals that cannot recurse, ill-sorted
 refinements and trivially-unsatisfiable refinements (a budgeted solver
@@ -1253,7 +1215,7 @@ declaration on the same or the next line.
 `eval` runs a paper benchmark suite through the parallel batch harness
 (workers share one solver query cache; results are row-for-row identical
 whatever `--jobs` is, modulo rows right at the wall-clock timeout boundary)
-and with `--json` writes the machine-readable `resyn-bench-eval/3` report
+and with `--json` writes the machine-readable `resyn-bench-eval/4` report
 to PATH.
 
 `gen` prints a seeded batch of generated, well-typed synthesis problems —
@@ -1262,10 +1224,9 @@ byte-identical across runs for the same `--seed`/`--count`/`--size`
 invariant checker, shrinks the first failing problem to a minimal
 reproducer, writes it to `--out` if given, and exits nonzero. `--check`
 picks the invariant: `modes` (default) demands ReSyn vs. EAC vs. NoInc
-agreement under one per-run `--timeout` plus a bit-identical warm-cache
-replay; `prune` demands that reachability pruning changes neither the
-verdict nor the synthesized program and never drops a component the
-program calls; `lint` demands that every generated problem is free of
+agreement under one per-run `--timeout`, a bit-identical warm-cache replay,
+and that `lint` never calls a component of the ReSyn program unreachable;
+`lint` demands that every generated problem is free of
 deny-level lint findings.
 
 `--cache-budget BYTES` bounds the solver query cache: past the budget, cold
@@ -1559,7 +1520,7 @@ mod tests {
         let parsed = resyn_eval::parse_json(&json).expect("report must be valid JSON");
         assert_eq!(
             parsed.get("schema").and_then(resyn_eval::Json::as_str),
-            Some("resyn-bench-eval/3")
+            Some("resyn-bench-eval/4")
         );
         assert_eq!(
             parsed.get("suite").and_then(resyn_eval::Json::as_str),
@@ -1639,23 +1600,6 @@ mod tests {
         ));
         let bad: Vec<String> = ["--format", "xml"].iter().map(|s| s.to_string()).collect();
         assert!(matches!(parse_flags(&bad), Err(CliError::Usage(_))));
-    }
-
-    #[test]
-    fn no_prune_flag_is_parsed_and_scoped() {
-        let args: Vec<String> = ["file.re", "--no-prune"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        assert!(opts.no_prune);
-        assert!(!Options::default().no_prune);
-        assert!(check_flag_scope("synth", &opts).is_ok());
-        assert!(check_flag_scope("eval", &opts).is_ok());
-        assert!(matches!(
-            check_flag_scope("check", &opts),
-            Err(CliError::Usage(msg)) if msg.contains("--no-prune")
-        ));
     }
 
     #[test]
@@ -2128,9 +2072,9 @@ mod tests {
     #[test]
     fn fuzz_check_flag_selects_the_invariant() {
         // `--check` parses, validates its value, and is fuzz-only.
-        let args: Vec<String> = ["--check", "prune"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["--check", "lint"].iter().map(|s| s.to_string()).collect();
         let (_, opts) = parse_flags(&args).unwrap();
-        assert_eq!(opts.check.as_deref(), Some("prune"));
+        assert_eq!(opts.check.as_deref(), Some("lint"));
         assert!(check_flag_scope("fuzz", &opts).is_ok());
         assert!(matches!(
             check_flag_scope("gen", &opts),
@@ -2139,28 +2083,13 @@ mod tests {
         let bad: Vec<String> = ["--check", "vibes"].iter().map(|s| s.to_string()).collect();
         assert!(matches!(parse_flags(&bad), Err(CliError::Usage(_))));
 
-        // The prune differential passes on a small generated batch and
-        // labels its summary accordingly.
-        let opts = Options {
-            seed: Some(42),
-            count: Some(2),
-            timeout: Duration::from_secs(60),
-            check: Some("prune".to_string()),
-            ..Options::default()
-        };
-        let out = run_fuzz(&opts);
-        assert!(out.failure.is_none(), "{}", out.report);
-        assert!(
-            out.report.contains("2/2 problems agree pruned vs unpruned"),
-            "{}",
-            out.report
-        );
-
         // Every generated problem lints clean of deny-level findings.
         let out = run_fuzz(&Options {
-            check: Some("lint".to_string()),
+            seed: Some(42),
             count: Some(5),
-            ..opts
+            timeout: Duration::from_secs(60),
+            check: Some("lint".to_string()),
+            ..Options::default()
         });
         assert!(out.failure.is_none(), "{}", out.report);
         assert!(

@@ -205,10 +205,6 @@ pub struct Harness {
     /// Threads fanned across the skeletons of each goal (the synthesizer's
     /// first-win pool); `1` keeps each mode's search sequential.
     pub goal_jobs: usize,
-    /// Whether synthesizers prune component libraries by reachability before
-    /// searching (on by default; `--no-prune` turns it off for differential
-    /// runs and pruner measurements).
-    pub prune: bool,
     /// The solver query cache shared by every mode and every clone.
     cache: SolverCache,
 }
@@ -219,7 +215,6 @@ impl Default for Harness {
             timeout: Duration::from_secs(600),
             ablations: true,
             goal_jobs: 1,
-            prune: true,
             cache: SolverCache::new(),
         }
     }
@@ -251,11 +246,10 @@ impl Harness {
     /// cache is the harness's shared one, so a second mode of the same goal
     /// starts with every obligation the first mode already discharged.
     pub fn run_mode(&self, bench: &Benchmark, mode: Mode) -> SynthOutcome {
-        let mut synthesizer = Synthesizer::with_timeout(self.timeout)
+        Synthesizer::with_timeout(self.timeout)
             .with_cache(self.cache.clone())
-            .with_goal_jobs(self.goal_jobs);
-        synthesizer.prune = self.prune;
-        synthesizer.synthesize(&bench.goal, mode)
+            .with_goal_jobs(self.goal_jobs)
+            .synthesize(&bench.goal, mode)
     }
 }
 

@@ -14,7 +14,7 @@
 //! [`parallel`] worker pool shards a suite over threads that share one solver
 //! query cache (deterministic row order, per-benchmark panic isolation), and
 //! [`report`] serializes runs to the stable machine-readable
-//! `resyn-bench-eval/3` JSON schema (`BENCH_eval.json`).
+//! `resyn-bench-eval/4` JSON schema (`BENCH_eval.json`).
 
 pub mod components;
 pub mod harness;

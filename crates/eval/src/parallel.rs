@@ -50,10 +50,6 @@ pub struct ParallelConfig {
     /// benchmark mode (the synthesizer's first-win pool); results are
     /// identical to `1` by construction, only faster on hard goals.
     pub goal_jobs: usize,
-    /// Whether synthesizers prune component libraries by reachability before
-    /// searching (`--no-prune` turns it off); verdicts and programs are
-    /// identical either way.
-    pub prune: bool,
 }
 
 impl Default for ParallelConfig {
@@ -64,7 +60,6 @@ impl Default for ParallelConfig {
             ablations: true,
             progress: false,
             goal_jobs: 1,
-            prune: true,
         }
     }
 }
@@ -118,7 +113,6 @@ pub fn run_suite_cached(
     let mut harness = Harness::with_timeout(config.timeout).with_cache(cache);
     harness.ablations = config.ablations;
     harness.goal_jobs = config.goal_jobs;
-    harness.prune = config.prune;
     let jobs = config.jobs.clamp(1, benches.len().max(1));
     let start = Instant::now();
     let rows = run_suite_with(benches, jobs, |_, bench| {

@@ -7,11 +7,11 @@
 //! the parser ([`parse_json`]) is re-exported here so the schema can be
 //! round-trip-tested and so existing consumers keep their import paths.
 //!
-//! # Schema (`resyn-bench-eval/3`)
+//! # Schema (`resyn-bench-eval/4`)
 //!
 //! ```json
 //! {
-//!   "schema": "resyn-bench-eval/3",
+//!   "schema": "resyn-bench-eval/4",
 //!   "suite": "table1",
 //!   "jobs": 4,
 //!   "timeout_secs": 60.0,
@@ -21,11 +21,9 @@
 //!       "id": "list-append", "group": "List", "code": 10,
 //!       "modes": {
 //!         "resyn":   {"time_secs": 0.11, "timed_out": false,
-//!                     "candidates": 42, "cache_hits": 7, "cache_misses": 3,
-//!                     "library": 12, "pruned_library": 7},
+//!                     "candidates": 42, "cache_hits": 7, "cache_misses": 3},
 //!         "synquid": {"time_secs": null, "timed_out": true,
-//!                     "candidates": 9000, "cache_hits": 1, "cache_misses": 2,
-//!                     "library": 12, "pruned_library": 7},
+//!                     "candidates": 9000, "cache_hits": 1, "cache_misses": 2},
 //!         "eac":   {"time_secs": 0.52, "timed_out": false, "...": "..."},
 //!         "noinc": {"time_secs": 0.31, "timed_out": false, "...": "..."}
 //!       },
@@ -45,14 +43,14 @@
 //! }
 //! ```
 //!
-//! Version history: `/3` appends the per-mode `"library"` and
-//! `"pruned_library"` counts — how many components the goal declared and how
-//! many survived shape-reachability pruning (equal when pruning is disabled
-//! with `--no-prune`). `/2` appends the per-row `"speedup_noinc"` (NoInc time
-//! over ReSyn time, `null` unless both solved) and the aggregate
-//! `"median_speedup_noinc"`, and populates the ablation columns on *every*
-//! row rather than Table 2 only. Earlier documents are strict subsets, so a
-//! `/3` consumer that indexes by key reads them unchanged —
+//! Version history: `/4` drops the two per-mode library-size counts that
+//! `/3` appended (declared and reachability-pruned; the synthesizer no
+//! longer prunes its library, so the second always equalled the first).
+//! `/2` appends the per-row `"speedup_noinc"` (NoInc time over ReSyn time,
+//! `null` unless both solved) and the aggregate `"median_speedup_noinc"`,
+//! and populates the ablation columns on *every* row rather than Table 2
+//! only. A consumer that indexes by key reads `/2` and `/4` documents alike
+//! (a `/3` document merely carries two extra keys) —
 //! [`schema_version`] distinguishes the versions where it matters.
 //!
 //! Encoding rules downstream tooling may rely on:
@@ -127,11 +125,11 @@ pub fn schema_version(report: &Json) -> Option<u64> {
         .ok()
 }
 
-/// Serialize a report to the `resyn-bench-eval/3` JSON schema.
+/// Serialize a report to the `resyn-bench-eval/4` JSON schema.
 pub fn render_json(report: &EvalReport<'_>) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"resyn-bench-eval/3\",");
+    let _ = writeln!(out, "  \"schema\": \"resyn-bench-eval/4\",");
     let _ = writeln!(out, "  \"suite\": {},", json_str(report.suite));
     let _ = writeln!(out, "  \"jobs\": {},", report.jobs);
     let _ = writeln!(
@@ -192,15 +190,12 @@ fn mode_json(mode: Option<&ModeOutcome>) -> String {
     };
     format!(
         "{{\"time_secs\": {}, \"timed_out\": {}, \"candidates\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \
-         \"library\": {}, \"pruned_library\": {}}}",
+         \"cache_hits\": {}, \"cache_misses\": {}}}",
         mode.time.map_or("null".to_string(), json_num),
         mode.timed_out,
         mode.stats.candidates_checked,
         mode.stats.solver_cache_hits,
         mode.stats.solver_cache_misses,
-        mode.stats.library_size,
-        mode.stats.pruned_library_size,
     )
 }
 
@@ -280,8 +275,6 @@ mod tests {
         };
         solved.resyn.stats.solver_cache_hits = 5;
         solved.resyn.stats.solver_cache_misses = 2;
-        solved.resyn.stats.library_size = 12;
-        solved.resyn.stats.pruned_library_size = 7;
         solved.synquid = ModeOutcome {
             time: None,
             timed_out: true,
@@ -328,9 +321,9 @@ mod tests {
         }
         assert_eq!(
             parsed.get("schema").and_then(Json::as_str),
-            Some("resyn-bench-eval/3")
+            Some("resyn-bench-eval/4")
         );
-        assert_eq!(schema_version(&parsed), Some(3));
+        assert_eq!(schema_version(&parsed), Some(4));
         assert_eq!(parsed.get("jobs").and_then(Json::as_num), Some(4.0));
         assert_eq!(
             parsed.get("rows").and_then(Json::as_arr).map(<[_]>::len),
@@ -362,11 +355,22 @@ mod tests {
         let resyn = modes.get("resyn").unwrap();
         assert_eq!(resyn.get("time_secs").and_then(Json::as_num), Some(0.25));
         assert_eq!(resyn.get("timed_out"), Some(&Json::Bool(false)));
-        // `/3`: the declared library and what survived pruning, per mode.
-        assert_eq!(resyn.get("library").and_then(Json::as_num), Some(12.0));
+        // `/4` dropped the per-mode library counts `/3` carried.
+        let keys: Vec<&str> = resyn
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(
-            resyn.get("pruned_library").and_then(Json::as_num),
-            Some(7.0)
+            keys,
+            [
+                "time_secs",
+                "timed_out",
+                "candidates",
+                "cache_hits",
+                "cache_misses"
+            ]
         );
         // Synquid found nothing *because it timed out*: null time + true flag.
         let synquid = modes.get("synquid").unwrap();

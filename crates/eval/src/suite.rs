@@ -84,9 +84,8 @@ fn poly(params: Vec<(&str, Ty)>, ret: Ty) -> Schema {
 }
 
 /// Keep the benchmarks whose id contains any of the given substrings; an
-/// empty filter list keeps everything. The single definition of the filter
-/// semantics shared by `resyn eval` and the `table1`/`table2` binaries.
-pub fn filter_by_id(benches: Vec<Benchmark>, filters: &[String]) -> Vec<Benchmark> {
+/// empty filter list keeps everything.
+fn filter_by_id(benches: Vec<Benchmark>, filters: &[String]) -> Vec<Benchmark> {
     if filters.is_empty() {
         return benches;
     }
@@ -96,11 +95,12 @@ pub fn filter_by_id(benches: Vec<Benchmark>, filters: &[String]) -> Vec<Benchmar
         .collect()
 }
 
-/// Like [`filter_by_id`], but *every* filter must select at least one
-/// benchmark. A filter that matches nothing is almost always a typo or a
-/// renamed row, and silently running an empty (or smaller-than-intended)
-/// slice reads as success — `resyn eval` and the `table1`/`table2`
-/// criterion benches both gate on this instead.
+/// Keep the benchmarks whose id contains any of the given substrings (an
+/// empty filter list keeps everything), but only if *every* filter selects
+/// at least one benchmark. A filter that matches nothing is almost always a
+/// typo or a renamed row, and silently running an empty (or
+/// smaller-than-intended) slice reads as success — `resyn eval` gates on
+/// this instead.
 ///
 /// # Errors
 ///

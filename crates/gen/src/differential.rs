@@ -10,7 +10,9 @@
 //! (ReSyn and NoInc walk the identical candidate order) must produce the
 //! *same program*. On top, the runner replays ReSyn against the now-warm
 //! cache and demands a bit-identical outcome: a cache that changes a verdict
-//! or a program is unsound.
+//! or a program is unsound. Finally, no component the ReSyn program calls may
+//! be one the reachability analysis marks unreachable — the property that
+//! makes `resyn lint`'s `unreachable-component` warning trustworthy.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -59,6 +61,9 @@ pub struct GoalDiff {
     /// Set when the warm-cache ReSyn replay was not bit-identical to the
     /// cold run.
     pub cache_mismatch: Option<String>,
+    /// A component the ReSyn program calls although the reachability
+    /// analysis marks it unreachable.
+    pub unreachable_callee: Option<String>,
 }
 
 impl GoalDiff {
@@ -79,6 +84,12 @@ impl GoalDiff {
         }
         if let Some(msg) = &self.cache_mismatch {
             return Some(format!("goal `{}`: cache unsoundness: {msg}", self.goal));
+        }
+        if let Some(name) = &self.unreachable_callee {
+            return Some(format!(
+                "goal `{}`: the analysis marks `{name}` unreachable, but the resyn program calls it",
+                self.goal
+            ));
         }
         // Timeouts make a mode incomparable, not wrong.
         let decided: Vec<&ModeRun> = self
@@ -152,20 +163,10 @@ fn synthesize_caught(
     cache: &SolverCache,
     timeout: Duration,
 ) -> (Verdict, Option<String>) {
-    synthesize_caught_pruned(goal, mode, cache, timeout, true)
-}
-
-fn synthesize_caught_pruned(
-    goal: &Goal,
-    mode: Mode,
-    cache: &SolverCache,
-    timeout: Duration,
-    prune: bool,
-) -> (Verdict, Option<String>) {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut synthesizer = Synthesizer::with_timeout(timeout).with_cache(cache.clone());
-        synthesizer.prune = prune;
-        synthesizer.synthesize_with_budget(goal, mode, &Budget::with_timeout(timeout))
+        Synthesizer::with_timeout(timeout)
+            .with_cache(cache.clone())
+            .synthesize_with_budget(goal, mode, &Budget::with_timeout(timeout))
     }));
     match result {
         Ok(outcome) => match outcome.program {
@@ -184,7 +185,8 @@ fn synthesize_caught_pruned(
     }
 }
 
-/// Run one problem through all of [`DIFF_MODES`] plus the warm-cache replay.
+/// Run one problem through all of [`DIFF_MODES`] plus the warm-cache replay,
+/// and check the ReSyn program's callees against the reachability analysis.
 pub fn run_differential(problem: &ParsedProblem, timeout: Duration) -> DiffOutcome {
     let goals = problem.clone().into_goals();
     let mut out = Vec::new();
@@ -225,10 +227,20 @@ pub fn run_differential(problem: &ParsedProblem, timeout: Duration) -> DiffOutco
                 None
             }
         };
+        let unreachable_callee = cold.program.as_ref().and_then(|program| {
+            let report =
+                resyn_analysis::analyze(&goal.schema, &goal.components, &Datatypes::standard());
+            report
+                .dropped
+                .into_iter()
+                .map(|(name, _)| name)
+                .find(|name| references_ident(program, name))
+        });
         out.push(GoalDiff {
             goal: goal.name.clone(),
             runs,
             cache_mismatch,
+            unreachable_callee,
         });
     }
     DiffOutcome { goals: out }
@@ -240,57 +252,6 @@ fn references_ident(program: &str, name: &str) -> bool {
     program
         .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == '\''))
         .any(|tok| tok == name)
-}
-
-/// The prune-vs-no-prune differential: run every goal of a problem under
-/// ReSyn with reachability pruning on and off. Timeouts aside, the two runs
-/// must agree on the verdict and emit the bit-identical program; on top, no
-/// component referenced by the synthesized program may have been dropped by
-/// the pruner (prune soundness, checked against the actual winner).
-///
-/// Returns the first failure, or `None` when the problem passes.
-pub fn run_prune_differential(problem: &ParsedProblem, timeout: Duration) -> Option<String> {
-    for goal in problem.clone().into_goals() {
-        let (pruned_verdict, pruned_program) =
-            synthesize_caught_pruned(&goal, Mode::ReSyn, &SolverCache::new(), timeout, true);
-        let (plain_verdict, plain_program) =
-            synthesize_caught_pruned(&goal, Mode::ReSyn, &SolverCache::new(), timeout, false);
-        for (verdict, label) in [(&pruned_verdict, "pruned"), (&plain_verdict, "unpruned")] {
-            if let Verdict::Panicked(msg) = verdict {
-                return Some(format!("goal `{}`: {label} run panicked: {msg}", goal.name));
-            }
-        }
-        if pruned_verdict == Verdict::TimedOut || plain_verdict == Verdict::TimedOut {
-            continue;
-        }
-        if pruned_verdict != plain_verdict {
-            return Some(format!(
-                "goal `{}`: pruning changes the verdict: pruned {pruned_verdict:?} vs unpruned {plain_verdict:?}",
-                goal.name
-            ));
-        }
-        if pruned_program != plain_program {
-            return Some(format!(
-                "goal `{}`: pruning changes the program:\n  pruned:   {}\n  unpruned: {}",
-                goal.name,
-                pruned_program.as_deref().unwrap_or("<none>"),
-                plain_program.as_deref().unwrap_or("<none>"),
-            ));
-        }
-        if let Some(program) = &plain_program {
-            let report =
-                resyn_analysis::analyze(&goal.schema, &goal.components, &Datatypes::standard());
-            for (name, _) in &report.dropped {
-                if references_ident(program, name) {
-                    return Some(format!(
-                        "goal `{}`: pruner dropped `{name}`, which the synthesized program uses:\n{program}",
-                        goal.name
-                    ));
-                }
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -312,17 +273,19 @@ mod tests {
     }
 
     #[test]
-    fn the_prune_differential_passes_on_a_distractor_heavy_problem() {
-        // `lt`/`leq` are prunable distractors for this goal; the pruned and
-        // unpruned searches must still land on the identical program.
+    fn a_distractor_heavy_problem_agrees_and_calls_no_unreachable_component() {
+        // `tree_eq` is unreachable for this goal (no tree is ever in scope);
+        // `lt`/`leq` are reachable distractors. The differential must pass,
+        // which includes the ReSyn program calling nothing the analysis drops.
         let problem = parse_problem(
             "component lt :: x: a -> y: a -> {Bool | _v <==> x < y}\n\
              component leq :: x: a -> y: a -> {Bool | _v <==> x <= y}\n\
+             component tree_eq :: t: Tree a -> u: Tree a -> Bool\n\
              goal id0 :: xs: List a -> {List a | len _v == len xs}",
         )
         .unwrap();
-        let failure = run_prune_differential(&problem, Duration::from_secs(30));
-        assert!(failure.is_none(), "{failure:?}");
+        let outcome = run_differential(&problem, Duration::from_secs(30));
+        assert!(outcome.ok(), "{:?}", outcome.failure());
     }
 
     #[test]
@@ -354,6 +317,7 @@ mod tests {
                 },
             ],
             cache_mismatch: None,
+            unreachable_callee: None,
         };
         assert!(diff.failure().is_none());
     }
@@ -380,6 +344,7 @@ mod tests {
             goal: "g".to_string(),
             runs: vec![solved.clone(), unsolved, noinc.clone()],
             cache_mismatch: None,
+            unreachable_callee: None,
         };
         assert!(disagree.failure().unwrap().contains("disagreement"));
 
@@ -398,6 +363,7 @@ mod tests {
                 },
             ],
             cache_mismatch: None,
+            unreachable_callee: None,
         };
         assert!(diverge.failure().unwrap().contains("diverge"));
 
@@ -413,6 +379,7 @@ mod tests {
                 noinc.clone(),
             ],
             cache_mismatch: None,
+            unreachable_callee: None,
         };
         assert!(panicked.failure().unwrap().contains("panicked"));
 
@@ -428,7 +395,15 @@ mod tests {
                 noinc,
             ],
             cache_mismatch: Some("cold Solved vs warm Unsolved".to_string()),
+            unreachable_callee: None,
         };
         assert!(cache.failure().unwrap().contains("cache unsoundness"));
+
+        let unreachable = GoalDiff {
+            unreachable_callee: Some("append".to_string()),
+            cache_mismatch: None,
+            ..cache
+        };
+        assert!(unreachable.failure().unwrap().contains("unreachable"));
     }
 }

@@ -16,7 +16,8 @@
 //!   guaranteed through [`resyn_parse::surface`]),
 //! * [`differential`] — run one problem through ReSyn, EAC and NoInc under
 //!   one [`Budget`](resyn_budget::Budget), demanding verdict agreement, no
-//!   panics and a bit-identical warm-cache replay,
+//!   panics, a bit-identical warm-cache replay and no call to a component
+//!   the reachability analysis marks unreachable,
 //! * [`mod@shrink`] — greedy spec-level minimization of failing problems.
 //!
 //! Determinism contract: the rendered output of [`problems`] depends only on
@@ -30,9 +31,7 @@ pub mod rng;
 pub mod shrink;
 pub mod spec;
 
-pub use differential::{
-    run_differential, run_prune_differential, DiffOutcome, GoalDiff, ModeRun, Verdict, DIFF_MODES,
-};
+pub use differential::{run_differential, DiffOutcome, GoalDiff, ModeRun, Verdict, DIFF_MODES};
 pub use rng::SplitMix64;
 pub use shrink::shrink;
 pub use spec::{generate, Component, GoalSpec, ProblemSpec, Template, TEMPLATES};

@@ -28,10 +28,10 @@ proptest! {
         prop_assert_eq!(reparsed.metric, direct.metric);
     }
 
-    /// Prune soundness against the templates' known reference solutions:
-    /// every component a goal's template *requires* (i.e. that its golden
-    /// program calls) must survive reachability pruning, for every
-    /// generated problem. No synthesis needed — required components are
+    /// Reachability soundness against the templates' known reference
+    /// solutions: the analysis must keep every component a goal's template
+    /// *requires* (i.e. that its golden program calls), for every generated
+    /// problem. No synthesis needed — required components are
     /// known statically.
     #[test]
     fn pruning_never_drops_a_template_required_component(
@@ -47,7 +47,7 @@ proptest! {
             for required in goal_spec.template.required_components() {
                 prop_assert!(
                     report.is_kept(required.name()),
-                    "goal `{}` ({:?}): pruner dropped required `{}`: {:?}",
+                    "goal `{}` ({:?}): analysis dropped required `{}`: {:?}",
                     goal.name,
                     goal_spec.template,
                     required.name(),

@@ -14,11 +14,10 @@
 //!   paper's interpretation `I(·)` generalised to user-defined measures).
 //!
 //! The crate also provides sorting (type checking of refinements),
-//! substitution, free-variable computation, evaluation under a [`Model`],
-//! simplification, and qualifier generation for predicate abstraction. The
-//! [`intern`] module adds a hash-consing [`TermArena`]: copyable [`TermId`]
-//! handles with O(1) equality, cached free-variable sets, and memoized
-//! id-based versions of the logic passes.
+//! substitution, free-variable computation, evaluation under a [`Model`] and
+//! simplification. The [`intern`] module adds a hash-consing [`TermArena`]:
+//! copyable [`TermId`] handles with O(1) equality, cached free-variable sets,
+//! and memoized id-based versions of the logic passes.
 //!
 //! # Example
 //!
@@ -37,7 +36,6 @@ pub mod eval;
 pub mod fv;
 pub mod intern;
 pub mod pretty;
-pub mod qualifiers;
 pub mod simplify;
 pub mod sort;
 pub mod subst;
@@ -45,7 +43,6 @@ pub mod term;
 
 pub use eval::{EvalError, Model, Value};
 pub use intern::{InternStats, TermArena, TermId};
-pub use qualifiers::QualifierSpace;
 pub use sort::{Sort, SortError, SortingEnv};
 pub use term::{BinOp, Term, UnOp, VALUE_VAR};
 

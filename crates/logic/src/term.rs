@@ -120,10 +120,10 @@ pub enum Term {
     App(String, Vec<Term>),
     /// An *unknown* predicate or potential placeholder, identified by name.
     ///
-    /// Unknowns stand for refinements to be inferred (`U^Δ_Γ` in the paper):
-    /// boolean unknowns are solved by the Horn solver, numeric unknowns by the
-    /// resource-constraint (CEGIS) solver. The argument list records the
-    /// pending substitution applied to the unknown.
+    /// Unknowns stand for annotations to be inferred (`U^Δ_Γ` in the paper).
+    /// The checker only creates numeric unknowns (potentials), which the
+    /// resource-constraint (CEGIS) solver solves. The argument list records
+    /// the pending substitution applied to the unknown.
     Unknown(String, Vec<(String, Term)>),
 }
 

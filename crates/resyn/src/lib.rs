@@ -8,9 +8,8 @@
 //! * [`solver`] — decision procedures for the refinement logic,
 //! * [`lang`] — the Re² core calculus and its cost-semantics interpreter,
 //! * [`ty`] — the Re² type system (refinements + AARA potential annotations),
-//! * [`analysis`] — pre-synthesis static analysis: shape-reachability pruning
-//!   of component libraries and the `resyn lint` diagnostics pass,
-//! * [`horn`] — Horn-constraint solving by predicate abstraction,
+//! * [`analysis`] — static analysis of problems: shape reachability of
+//!   component libraries and the `resyn lint` diagnostics pass,
 //! * [`rescon`] — resource-constraint solving by (incremental) CEGIS,
 //! * [`synth`] — the resource-guided synthesizer and its baseline modes,
 //! * [`parse`] — the Synquid-style surface syntax for terms, types, programs
@@ -33,7 +32,6 @@ pub use resyn_analysis as analysis;
 pub use resyn_budget as budget;
 pub use resyn_eval as eval;
 pub use resyn_gen as gen;
-pub use resyn_horn as horn;
 pub use resyn_lang as lang;
 pub use resyn_logic as logic;
 pub use resyn_net as net;

@@ -5,9 +5,8 @@
 //! so the same `Γ ⊨ ψ` query is re-proved over and over. A [`SolverCache`]
 //! interns every query into a shared [`TermArena`] and memoizes the solver's
 //! verdict keyed on the interned ids, so a structurally equal query issued by
-//! any later candidate — from the type checker, the Horn solver's fixpoint
-//! iteration, or the CEGIS loop — is answered without touching the decision
-//! procedures.
+//! any later candidate — from the type checker or the CEGIS loop — is
+//! answered without touching the decision procedures.
 //!
 //! # Invariants
 //!

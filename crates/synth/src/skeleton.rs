@@ -10,9 +10,9 @@ use resyn_budget::Budget;
 use resyn_lang::{Expr, MatchArm};
 use resyn_ty::datatypes::Datatypes;
 
-// The shape lattice moved to `resyn-ty` so the pre-synthesis reachability
-// analysis (`resyn-analysis`) can share it without depending on this crate;
-// re-exported here because enumeration is its primary consumer.
+// The shape lattice lives in `resyn-ty` so the reachability analysis
+// (`resyn-analysis`, behind `resyn lint`) can share it without depending on
+// this crate; re-exported here because enumeration is its primary consumer.
 pub use resyn_ty::shape::Shape;
 
 /// A hole in a skeleton: its index and the extra binders in scope at the hole

@@ -59,11 +59,6 @@ pub struct SynthStats {
     pub solver_cache_misses: u64,
     /// Terms newly interned into the cache's hash-consing arena by this run.
     pub interned_terms: usize,
-    /// Components in the goal's library before reachability pruning.
-    pub library_size: usize,
-    /// Components actually handed to the enumerator (equals `library_size`
-    /// when pruning is disabled or removed nothing).
-    pub pruned_library_size: usize,
 }
 
 impl SynthStats {
@@ -80,12 +75,6 @@ impl SynthStats {
         self.solver_cache_hits += other.solver_cache_hits;
         self.solver_cache_misses += other.solver_cache_misses;
         self.interned_terms += other.interned_terms;
-        // Library sizes are per-problem facts, not counters: every
-        // constituent run of one benchmark saw the same library, so take the
-        // largest observed value instead of summing (workers of a first-win
-        // pool report zero — only the top-level run sets these).
-        self.library_size = self.library_size.max(other.library_size);
-        self.pruned_library_size = self.pruned_library_size.max(other.pruned_library_size);
     }
 }
 
@@ -118,11 +107,6 @@ pub struct Synthesizer {
     /// (first-win pool with deterministic lowest-index winner); `1` keeps
     /// the sequential search.
     pub goal_jobs: usize,
-    /// Whether to run the shape-reachability analysis and drop components the
-    /// enumerator could never apply before searching (on by default; the
-    /// pruned components generate zero candidates, so the found program and
-    /// verdict are identical either way — see `resyn_analysis::reachability`).
-    pub prune: bool,
     /// The solver query cache shared by every check issued through this
     /// synthesizer — the round-robin search re-proves nothing twice.
     cache: SolverCache,
@@ -135,7 +119,6 @@ impl Default for Synthesizer {
             timeout: Duration::from_secs(600),
             eterm_cap: 600,
             goal_jobs: 1,
-            prune: true,
             cache: SolverCache::new(),
         }
     }
@@ -175,15 +158,6 @@ impl Synthesizer {
     /// sequential search's — see the module documentation.
     pub fn with_goal_jobs(mut self, jobs: usize) -> Synthesizer {
         self.goal_jobs = jobs.max(1);
-        self
-    }
-
-    /// Disable reachability pruning of the component library (the
-    /// `--no-prune` escape hatch). Pruning never changes the outcome, only
-    /// the time to reach it, so this exists for differential testing and for
-    /// measuring the pruner's effect.
-    pub fn without_prune(mut self) -> Synthesizer {
-        self.prune = false;
         self
     }
 
@@ -316,36 +290,6 @@ impl Synthesizer {
                 program: None,
                 stats,
             };
-        };
-
-        // Reachability pruning: drop components the enumerator could never
-        // apply in this goal's scope. Dropped components generate zero
-        // candidates at every enumeration site, so the search below visits
-        // the same candidates in the same order either way (see
-        // `resyn_analysis::reachability`); only the per-hole enumeration
-        // cost shrinks.
-        stats.library_size = goal.components.len();
-        stats.pruned_library_size = goal.components.len();
-        let pruned_goal;
-        let goal = if self.prune {
-            let report = resyn_analysis::analyze(&goal.schema, &goal.components, &self.datatypes);
-            stats.pruned_library_size = report.pruned_size();
-            if report.prunes_anything() {
-                pruned_goal = Goal {
-                    components: goal
-                        .components
-                        .iter()
-                        .filter(|(name, _)| report.is_kept(name))
-                        .map(|(name, schema)| (name.clone(), schema.clone()))
-                        .collect(),
-                    ..goal.clone()
-                };
-                &pruned_goal
-            } else {
-                goal
-            }
-        } else {
-            goal
         };
 
         let guard_fn = |scope: &[(String, Shape)]| enumerate::guards(goal, scope, budget);

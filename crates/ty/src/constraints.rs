@@ -1,10 +1,10 @@
 //! Typing constraints produced by the checker.
 //!
 //! Following §4.2 of the paper, typing constraints are lowered to validity
-//! constraints of two forms: *Horn constraints* (implications between boolean
-//! refinements, solved by predicate abstraction when they contain unknowns)
-//! and *resource constraints* `ψ ⟹ φ ≥ 0`, where `φ` may contain unknown
-//! numeric annotations. Constraints without unknowns are discharged
+//! constraints of two forms: implications between boolean refinements
+//! (which never contain unknowns here, since refinements are given, not
+//! inferred) and *resource constraints* `ψ ⟹ φ ≥ 0`, where `φ` may contain
+//! unknown numeric annotations. Constraints without unknowns are discharged
 //! immediately by the checker; the rest are returned to the caller, which
 //! hands them to the CEGIS solver in `resyn-rescon`.
 

@@ -1,5 +1,5 @@
 //! Base-type shapes: the coarse abstraction of Re² types used to drive
-//! enumeration and the pre-synthesis reachability analysis.
+//! enumeration and the reachability analysis behind `resyn lint`.
 //!
 //! A [`Shape`] forgets refinements, potentials and element types, keeping only
 //! the information needed to decide whether a value can occupy a syntactic

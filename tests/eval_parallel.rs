@@ -35,7 +35,6 @@ fn config(jobs: usize) -> ParallelConfig {
         ablations: true,
         progress: false,
         goal_jobs: 1,
-        prune: true,
     }
 }
 

@@ -1,4 +1,4 @@
-//! End-to-end shape tests for the `resyn-bench-eval/3` JSON report: a real
+//! End-to-end shape tests for the `resyn-bench-eval/4` JSON report: a real
 //! (small) suite run is serialized and re-parsed, and the schema properties
 //! downstream tooling relies on are asserted on the result. Writer/parser
 //! unit coverage (escaping, null-vs-timeout, v1 backward compatibility,
@@ -24,7 +24,6 @@ fn run_json(benches: &[Benchmark], timeout: Duration) -> Json {
         ablations: true,
         progress: false,
         goal_jobs: 1,
-        prune: true,
     };
     let run = run_suite(benches, &config);
     let json = render_json(&EvalReport::of_run("table1", timeout, &run));
@@ -43,9 +42,9 @@ fn real_runs_serialize_to_the_documented_schema() {
     let report = tiny_run_json();
     assert_eq!(
         report.get("schema").and_then(Json::as_str),
-        Some("resyn-bench-eval/3")
+        Some("resyn-bench-eval/4")
     );
-    assert_eq!(schema_version(&report), Some(3));
+    assert_eq!(schema_version(&report), Some(4));
     assert_eq!(report.get("suite").and_then(Json::as_str), Some("table1"));
     assert_eq!(report.get("jobs").and_then(Json::as_num), Some(2.0));
     assert!(
@@ -83,16 +82,25 @@ fn real_runs_serialize_to_the_documented_schema() {
                 "`{ablation}` must be a run object on a Table-1 row"
             );
         }
-        // Since schema 3 every mode records its library before and after
-        // reachability pruning; the pruned count never exceeds the declared
-        // one.
+        // Schema 4 dropped the per-mode library counts of schema 3.
         for mode in ["resyn", "synquid", "eac", "noinc"] {
-            let run = modes.get(mode).unwrap();
-            let library = run.get("library").and_then(Json::as_num).unwrap();
-            let pruned = run.get("pruned_library").and_then(Json::as_num).unwrap();
-            assert!(
-                pruned <= library,
-                "`{mode}`: pruned_library {pruned} > library {library}"
+            let keys: Vec<&str> = modes
+                .get(mode)
+                .and_then(Json::as_obj)
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(
+                keys,
+                [
+                    "time_secs",
+                    "timed_out",
+                    "candidates",
+                    "cache_hits",
+                    "cache_misses"
+                ],
+                "`{mode}`"
             );
         }
         assert!(row.get("error").unwrap().is_null());

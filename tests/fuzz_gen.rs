@@ -1,7 +1,9 @@
 //! The differential fuzz harness over generated problems: every problem in a
 //! seeded batch must (a) render deterministically, (b) round-trip through the
 //! surface parser, and (c) produce agreeing verdicts across ReSyn, EAC and
-//! NoInc — with no panics and a bit-identical warm-cache replay.
+//! NoInc — with no panics, a bit-identical warm-cache replay, and no call in
+//! the ReSyn program to a component the reachability analysis (and hence
+//! `resyn lint`) marks unreachable.
 //!
 //! This is the acceptance gate of the generator subsystem: 100 problems,
 //! zero disagreements. A failure is shrunk before being reported so the
@@ -9,9 +11,7 @@
 
 use std::time::Duration;
 
-use resyn::gen::{
-    problems, render_batch, run_differential, run_prune_differential, shrink, GenConfig, GenProblem,
-};
+use resyn::gen::{problems, render_batch, run_differential, shrink, GenConfig, GenProblem};
 
 const FUZZ_CONFIG: GenConfig = GenConfig {
     seed: 42,
@@ -59,39 +59,6 @@ fn differential_fuzz_has_zero_disagreements_on_100_problems() {
     assert!(
         failures.is_empty(),
         "{} differential failure(s):\n{}",
-        failures.len(),
-        failures.join("\n---\n")
-    );
-}
-
-/// Pruning is invisible end-to-end: on 200 seeded problems, synthesizing
-/// with the reachability-pruned library and with the full library must give
-/// the same verdict and the bit-identical program, and the pruner must never
-/// have dropped a component the synthesized program calls. Twice the batch
-/// of the cross-mode test, at half the runs per problem (two instead of
-/// four), so the wall-clock cost is comparable.
-#[test]
-fn prune_differential_is_clean_on_200_problems() {
-    let config = GenConfig {
-        count: 200,
-        ..FUZZ_CONFIG
-    };
-    let mut failures = Vec::new();
-    for problem in problems(&config) {
-        if let Some(failure) = run_prune_differential(&problem.problem(), BUDGET) {
-            let shrunk = shrink(&problem.spec, &mut |candidate| {
-                run_prune_differential(&candidate.problem(), BUDGET).is_some()
-            });
-            failures.push(format!(
-                "{}: {failure}\nshrunk reproducer:\n{}",
-                problem.id,
-                shrunk.render()
-            ));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} prune-differential failure(s):\n{}",
         failures.len(),
         failures.join("\n---\n")
     );

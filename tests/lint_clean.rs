@@ -7,7 +7,9 @@
 //! (built programmatically, linted at the declaration level with the
 //! structural check set). The committed known-bad fixture
 //! `tests/fixtures/lint_bad.re` anchors the other direction: the linter must
-//! still *find* deny-level problems, and `resyn lint` exits 2 on them.
+//! still *find* deny-level problems, and `resyn lint` exits 2 on them. The
+//! wide example anchors the `unreachable-component` warning: it must name
+//! exactly that file's tree-shaped distractors.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -110,4 +112,24 @@ fn the_known_bad_fixture_still_denies() {
     // catches it — no solver needed.
     let structural = resyn::parse::lint_source_structural(&source).unwrap();
     assert!(has_deny(&structural));
+}
+
+#[test]
+fn the_wide_example_warns_on_exactly_its_tree_components() {
+    // `t0`…`t5` take or return trees, which the goal's list-only inputs can
+    // never produce or consume; the other 30 components are reachable.
+    let path = repo_root().join("examples/problems/wide_components.re");
+    let source = std::fs::read_to_string(&path).unwrap();
+    let budget = Budget::with_timeout(Duration::from_secs(10));
+    let mut unreachable: Vec<String> = resyn::parse::lint_source(&source, None, &budget)
+        .unwrap()
+        .into_iter()
+        .filter(|d| d.check == "unreachable-component")
+        .map(|d| {
+            assert_eq!(d.level, Level::Warn, "{}", d.render_human("wide"));
+            d.message.split('`').nth(1).unwrap().to_string()
+        })
+        .collect();
+    unreachable.sort();
+    assert_eq!(unreachable, ["t0", "t1", "t2", "t3", "t4", "t5"]);
 }
