@@ -15,7 +15,7 @@ pub type Ident = String;
 
 /// One arm of a pattern match: constructor name, binders for its arguments,
 /// and the arm body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MatchArm {
     /// The constructor this arm matches.
     pub ctor: Ident,
@@ -26,7 +26,7 @@ pub struct MatchArm {
 }
 
 /// An expression of the core calculus.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A variable.
     Var(Ident),

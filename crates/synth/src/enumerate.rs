@@ -4,6 +4,10 @@
 //! from variables, data constructors and component applications in a-normal
 //! form, in order of increasing size.
 
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+
 use resyn_budget::Budget;
 use resyn_lang::Expr;
 use resyn_ty::datatypes::Datatypes;
@@ -143,9 +147,27 @@ pub fn eterms(
     budget: &Budget,
 ) -> Vec<Expr> {
     let mut out: Vec<Expr> = Vec::new();
-    let push = |e: Expr, out: &mut Vec<Expr>| {
-        if !out.contains(&e) && out.len() < cap {
-            out.push(e);
+    // Deduplicate in first-occurrence order. `first` maps a kept term's
+    // hash to its index in `out`, so a duplicate costs one comparison; only a
+    // term whose hash belongs to a different term (a 64-bit collision) falls
+    // back to a scan of `out`. No second copy of the terms is kept.
+    let mut first: HashMap<u64, usize> = HashMap::new();
+    let mut push = |e: Expr, out: &mut Vec<Expr>| {
+        if out.len() >= cap {
+            return;
+        }
+        let mut hasher = DefaultHasher::new();
+        e.hash(&mut hasher);
+        match first.entry(hasher.finish()) {
+            Entry::Vacant(slot) => {
+                slot.insert(out.len());
+                out.push(e);
+            }
+            Entry::Occupied(slot) => {
+                if out[*slot.get()] != e && !out.contains(&e) {
+                    out.push(e);
+                }
+            }
         }
     };
 

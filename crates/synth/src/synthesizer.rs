@@ -31,7 +31,7 @@ use resyn_budget::{Budget, CancelToken};
 use resyn_lang::Expr;
 use resyn_rescon::{CegisSolver, IncrementalCegis, RcResult};
 use resyn_solver::SolverCache;
-use resyn_ty::check::{Checker, CheckerConfig, ResourceMode};
+use resyn_ty::check::{CheckError, CheckOutcome, Checker, CheckerConfig, ResourceMode};
 use resyn_ty::datatypes::Datatypes;
 use resyn_ty::types::Ty;
 
@@ -207,11 +207,21 @@ impl Synthesizer {
         budget: &Budget,
     ) -> bool {
         let checker = self.checker(goal, mode, holes, budget);
-        let outcome =
-            match checker.check_function(&goal.name, program, &goal.schema, &goal.components) {
-                Ok(o) => o,
-                Err(_) => return false,
-            };
+        let outcome = checker.check_function(&goal.name, program, &goal.schema, &goal.components);
+        self.solved(mode, outcome, budget)
+    }
+
+    /// Whether a check succeeded and, in resource modes, its residual
+    /// resource constraints are solved by CEGIS.
+    fn solved(
+        &self,
+        mode: Mode,
+        outcome: Result<CheckOutcome, CheckError>,
+        budget: &Budget,
+    ) -> bool {
+        let Ok(outcome) = outcome else {
+            return false;
+        };
         if outcome.constraints.is_empty() {
             return true;
         }
@@ -474,6 +484,13 @@ impl Synthesizer {
             return None;
         }
 
+        // Every candidate body of this fill is checked in one prepared frame
+        // of the goal's signature, by the partial- or the complete-program
+        // checker; only accepted programs are wrapped.
+        let partial = self.checker(goal, mode, true, budget);
+        let complete = self.checker(goal, mode, false, budget);
+        let frame = partial.prepare(&goal.name, &goal.schema, &goal.components);
+
         // Backtracking over candidate indices.
         let n = skel.holes.len();
         let mut choice = vec![0usize; n];
@@ -485,17 +502,16 @@ impl Synthesizer {
             if level == n {
                 // Complete program: final acceptance.
                 let body = build_partial(skel, &candidates, &choice, n, n);
-                let program = self.wrap(goal, params, body);
                 stats.candidates_checked += 1;
-                let complete_ok = self.accepts(goal, mode, &program, false, budget);
-                let accepted = if complete_ok && matches!(mode, Mode::Eac) {
+                if self.solved(mode, complete.check_body(&frame, &body), budget) {
+                    let program = self.wrap(goal, params, body);
+                    if !matches!(mode, Mode::Eac) {
+                        return Some(program);
+                    }
                     stats.resource_rechecks += 1;
-                    self.resource_accepts(goal, &program, budget)
-                } else {
-                    complete_ok
-                };
-                if accepted {
-                    return Some(program);
+                    if self.resource_accepts(goal, &program, budget) {
+                        return Some(program);
+                    }
                 }
                 // Backtrack: advance the deepest hole.
                 level = n - 1;
@@ -514,9 +530,8 @@ impl Synthesizer {
             }
             // Check the partial program with the current prefix of choices.
             let body = build_partial(skel, &candidates, &choice, level + 1, n);
-            let program = self.wrap(goal, params, body);
             stats.candidates_checked += 1;
-            if self.accepts(goal, mode, &program, true, budget) {
+            if self.solved(mode, partial.check_body(&frame, &body), budget) {
                 level += 1;
             } else {
                 choice[level] += 1;

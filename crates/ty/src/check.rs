@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use resyn_budget::Budget;
 use resyn_lang::{CostMetric, Expr};
-use resyn_logic::{Sort, Term};
+use resyn_logic::{Sort, SortingEnv, Term};
 use resyn_solver::{Solver, SolverCache};
 
 use crate::constraints::ResourceConstraint;
@@ -137,8 +137,12 @@ pub struct CheckOutcome {
 /// The Re² type checker.
 #[derive(Debug, Clone)]
 pub struct Checker {
-    /// The datatype registry.
-    pub datatypes: Datatypes,
+    /// The datatype registry (read it through [`Checker::datatypes`]; it is
+    /// fixed at construction because `measure_env` is derived from it).
+    datatypes: Datatypes,
+    /// The sorting environment of the registry's measures, built once: each
+    /// solver query extends a copy of it with the context's variables.
+    measure_env: SortingEnv,
     /// The configuration.
     pub config: CheckerConfig,
     /// Optional shared solver query cache: every refinement and resource
@@ -152,9 +156,21 @@ pub struct Checker {
     pub budget: Budget,
 }
 
-struct St {
-    outcome: CheckOutcome,
-    counter: usize,
+/// The body-independent part of checking a function against its goal: the
+/// signature peeled into a context (parameters bound, their refinements
+/// assumed and their potential deposited), the return type, the component
+/// table with the goal and its recursive names, and the measure instances
+/// the specification mentions.
+///
+/// Built once by [`Checker::prepare`] and shared by every
+/// [`Checker::check_body`] on the same goal. It depends on the checker's
+/// datatypes and resource mode (not on `allow_holes`), so it may be shared
+/// between checkers that differ only in the latter.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    mode: ResourceMode,
+    ctx: Ctx,
+    ret_ty: Ty,
     components: BTreeMap<String, Schema>,
     recursive: Vec<String>,
     goal_params: Vec<String>,
@@ -165,21 +181,28 @@ struct St {
     measure_instances: BTreeMap<String, Vec<Term>>,
 }
 
-impl St {
-    fn note_measure_instances(&mut self, term: &Term) {
-        for (name, args) in term.measure_apps() {
-            if args.len() >= 2 {
-                let entry = self.measure_instances.entry(name).or_default();
-                let param = args[0].clone();
-                if !entry.contains(&param) {
-                    entry.push(param);
-                }
+/// Add the parameter terms of the parameterized-measure applications in
+/// `term` to `instances`.
+fn note_measure_instances(instances: &mut BTreeMap<String, Vec<Term>>, term: &Term) {
+    for (name, args) in term.measure_apps() {
+        if args.len() >= 2 {
+            let entry = instances.entry(name).or_default();
+            let param = args[0].clone();
+            if !entry.contains(&param) {
+                entry.push(param);
             }
         }
     }
 }
 
-impl St {
+/// The per-body checking state over a borrowed [`Prepared`] frame.
+struct St<'p> {
+    outcome: CheckOutcome,
+    counter: usize,
+    goal: &'p Prepared,
+}
+
+impl St<'_> {
     fn fresh(&mut self, prefix: &str) -> String {
         self.counter += 1;
         format!("_{prefix}{}", self.counter)
@@ -190,6 +213,7 @@ impl Checker {
     /// Create a checker.
     pub fn new(datatypes: Datatypes, config: CheckerConfig) -> Checker {
         Checker {
+            measure_env: datatypes.measure_env(),
             datatypes,
             config,
             cache: None,
@@ -200,6 +224,11 @@ impl Checker {
     /// A checker with the standard datatypes and default (resource) config.
     pub fn standard() -> Checker {
         Checker::new(Datatypes::standard(), CheckerConfig::default())
+    }
+
+    /// The datatype registry.
+    pub fn datatypes(&self) -> &Datatypes {
+        &self.datatypes
     }
 
     /// Attach a shared solver query cache (see [`SolverCache`]).
@@ -224,7 +253,11 @@ impl Checker {
     /// Check a function definition against a goal schema.
     ///
     /// `expr` must be a (possibly `fix`-wrapped) chain of lambdas in ANF; the
-    /// component library maps names to their schemas.
+    /// component library maps names to their schemas. The binders may differ
+    /// from the signature's formal parameters: the signature is renamed to
+    /// them. Like [`prepare`](Checker::prepare) (but under the program's own
+    /// binders and `fix` name) followed by
+    /// [`check_body`](Checker::check_body) on the peeled body.
     ///
     /// # Errors
     ///
@@ -242,85 +275,141 @@ impl Checker {
         if self.budget.is_exceeded() {
             return Err(CheckError::Cancelled);
         }
+        // Peel the fix / lambda chain.
+        let fix = match expr {
+            Expr::Fix(f, _, _) => Some(f.as_str()),
+            _ => None,
+        };
+        let mut binders = Vec::new();
+        let mut body = expr;
+        while let Expr::Fix(_, x, inner) | Expr::Lambda(x, inner) = body {
+            binders.push(x.as_str());
+            body = inner;
+        }
+        let prepared = self.prepare_header(name, fix, &binders, schema, components)?;
+        self.check_body(&prepared, body)
+    }
+
+    /// Prepare the body-independent part of checking `name` against
+    /// `schema`, for bodies written over the signature's own formal
+    /// parameter names and calling the function recursively as `name`.
+    pub fn prepare(
+        &self,
+        name: &str,
+        schema: &Schema,
+        components: &BTreeMap<String, Schema>,
+    ) -> Prepared {
+        let (params, _) = schema.ty.uncurry();
+        let formals: Vec<&str> = params.iter().map(|(n, _, _)| n.as_str()).collect();
+        self.prepare_header(name, None, &formals, schema, components)
+            .expect("the formal parameters match the signature's arity")
+    }
+
+    /// Check a function body against a [`Prepared`] frame: the body is
+    /// checked in a copy of the prepared context, so one frame serves any
+    /// number of bodies.
+    ///
+    /// # Errors
+    ///
+    /// As for [`check_function`](Checker::check_function).
+    pub fn check_body(&self, prepared: &Prepared, body: &Expr) -> Result<CheckOutcome, CheckError> {
+        assert_eq!(
+            prepared.mode, self.config.mode,
+            "a frame is checked in the resource mode it was prepared in"
+        );
+        if self.budget.is_exceeded() {
+            return Err(CheckError::Cancelled);
+        }
+        let mut ctx = prepared.ctx.clone();
+        let mut st = St {
+            outcome: CheckOutcome::default(),
+            counter: 0,
+            goal: prepared,
+        };
+        self.check_expr(&mut ctx, &mut st, body, &prepared.ret_ty)?;
+        Ok(st.outcome)
+    }
+
+    /// Build the frame for a body under the binders `binders` (aligned with
+    /// the signature's parameters and renaming them), recursively callable
+    /// as `name` and, if given, as the `fix` name `fix`.
+    fn prepare_header(
+        &self,
+        name: &str,
+        fix: Option<&str>,
+        binders: &[&str],
+        schema: &Schema,
+        components: &BTreeMap<String, Schema>,
+    ) -> Result<Prepared, CheckError> {
         let goal_ty = if matches!(self.config.mode, ResourceMode::Agnostic) {
             schema.ty.strip_potential()
         } else {
             schema.ty.clone()
         };
-        let mut st = St {
-            outcome: CheckOutcome::default(),
-            counter: 0,
-            components: components.clone(),
-            recursive: vec![name.to_string()],
-            goal_params: Vec::new(),
-            measure_instances: BTreeMap::new(),
+        let (params, mut ret_ty) = goal_ty.uncurry();
+        if binders.len() > params.len() {
+            return Err(CheckError::Shape(
+                "more lambdas than parameters in the goal type".into(),
+            ));
+        }
+        if binders.len() < params.len() {
+            return Err(CheckError::Shape(
+                "fewer lambdas than parameters in the goal type".into(),
+            ));
+        }
+        let goal_schema = Schema {
+            tyvars: schema.tyvars.clone(),
+            ty: goal_ty,
         };
-        st.components.insert(
-            name.to_string(),
-            Schema {
-                tyvars: schema.tyvars.clone(),
-                ty: goal_ty.clone(),
-            },
-        );
+        let mut components = components.clone();
+        let mut recursive = vec![name.to_string()];
+        components.insert(name.to_string(), goal_schema.clone());
+        if let Some(f) = fix {
+            recursive.push(f.to_string());
+            components.insert(f.to_string(), goal_schema);
+        }
 
         let mut ctx = Ctx::new();
         for a in &schema.tyvars {
             ctx.add_tyvar(a.clone());
         }
-
-        // Peel the fix / lambda chain, aligning binders with the signature.
-        let (params, mut ret_ty) = goal_ty.uncurry();
-        let mut body = expr.clone();
-        if let Expr::Fix(f, _, _) = &body {
-            st.recursive.push(f.clone());
-            st.components.insert(
-                f.clone(),
-                Schema {
-                    tyvars: schema.tyvars.clone(),
-                    ty: goal_ty.clone(),
-                },
-            );
-        }
-        let mut remaining_params: Vec<(String, Ty, i64)> = params;
-        while let Expr::Fix(_, x, inner) | Expr::Lambda(x, inner) = body {
-            if remaining_params.is_empty() {
-                return Err(CheckError::Shape(
-                    "more lambdas than parameters in the goal type".into(),
-                ));
-            }
-            let (formal, mut pty, _cost) = remaining_params.remove(0);
+        // Bind the parameters, aligning binders with the signature.
+        let mut remaining_params = params;
+        let mut goal_params = Vec::new();
+        for &x in binders {
+            let (formal, pty, _cost) = remaining_params.remove(0);
             // Rename the formal parameter to the actual binder in the
             // remaining signature.
             if formal != x {
-                let replacement = Term::var(x.clone());
-                pty = pty.clone();
+                let replacement = Term::var(x);
                 remaining_params = remaining_params
                     .into_iter()
                     .map(|(n, t, c)| (n, t.subst_term(&formal, &replacement), c))
                     .collect();
                 ret_ty = ret_ty.subst_term(&formal, &replacement);
             }
-            st.goal_params.push(x.clone());
-            self.bind_with_deposit(&mut ctx, &x, &pty);
-            body = *inner;
-        }
-        if !remaining_params.is_empty() {
-            return Err(CheckError::Shape(
-                "fewer lambdas than parameters in the goal type".into(),
-            ));
+            goal_params.push(x.to_string());
+            self.bind_with_deposit(&mut ctx, x, &pty);
         }
 
         // Record which parameterized-measure instances the specification
         // mentions (they drive axiom instantiation at matches/constructors).
-        st.note_measure_instances(ctx.ledger());
-        st.note_measure_instances(&ret_ty.refinement());
-        st.note_measure_instances(&ret_ty.potential());
+        let mut measure_instances = BTreeMap::new();
+        note_measure_instances(&mut measure_instances, ctx.ledger());
+        note_measure_instances(&mut measure_instances, &ret_ty.refinement());
+        note_measure_instances(&mut measure_instances, &ret_ty.potential());
         for (_, ty) in ctx.scalar_vars() {
-            st.note_measure_instances(&ty.refinement());
+            note_measure_instances(&mut measure_instances, &ty.refinement());
         }
-
-        self.check_expr(&mut ctx, &mut st, &body, &ret_ty)?;
-        Ok(st.outcome)
+        Ok(Prepared {
+            mode: self.config.mode,
+            ctx,
+            ret_ty,
+            components,
+            recursive,
+            goal_params,
+            measure_instances,
+        })
     }
 
     // ----------------------------------------------------------------- //
@@ -374,21 +463,23 @@ impl Checker {
             return Ok(());
         }
         ctx.withdraw(amount);
-        let constraint = ResourceConstraint {
-            premise: ctx.path_condition(),
-            potential: ctx.ledger().clone(),
-            exact,
-            origin: origin.to_string(),
-            env: ctx.sorting_env(&self.datatypes),
-        };
-        let mentions_products = !constraint
-            .potential
+        let premise = ctx.path_condition();
+        let potential = ctx.ledger().clone();
+        let deferred = potential
             .measure_apps()
             .iter()
-            .all(|(n, _)| n != crate::constraints::PROD)
-            || constraint.has_unknowns();
-        if mentions_products {
-            st.outcome.constraints.push(constraint);
+            .any(|(n, _)| n == crate::constraints::PROD)
+            || !premise.unknowns().is_empty()
+            || !potential.unknowns().is_empty();
+        if deferred {
+            // Returned to CEGIS, which needs the context's sorts.
+            st.outcome.constraints.push(ResourceConstraint {
+                premise,
+                potential,
+                exact,
+                origin: origin.to_string(),
+                env: ctx.sorting_env_over(&self.measure_env),
+            });
             return Ok(());
         }
         // Discharge eagerly.
@@ -398,14 +489,14 @@ impl Checker {
         st.outcome.eager_resource_checks += 1;
         let solver = self.solver(ctx);
         let ok_lower = solver.is_valid(
-            std::slice::from_ref(&constraint.premise),
-            &constraint.potential.clone().ge(Term::int(0)),
+            std::slice::from_ref(&premise),
+            &potential.clone().ge(Term::int(0)),
         );
         let ok = if exact {
             ok_lower
                 && solver.is_valid(
-                    std::slice::from_ref(&constraint.premise),
-                    &constraint.potential.clone().le(Term::int(0)),
+                    std::slice::from_ref(&premise),
+                    &potential.clone().le(Term::int(0)),
                 )
         } else {
             ok_lower
@@ -420,28 +511,27 @@ impl Checker {
         } else {
             if std::env::var_os("RESYN_DEBUG").is_some() {
                 eprintln!("--- resource check failed at {origin}");
-                eprintln!("    premise: {}", constraint.premise);
-                eprintln!("    ledger:  {}", constraint.potential);
+                eprintln!("    premise: {premise}");
+                eprintln!("    ledger:  {potential}");
                 eprintln!(
                     "    verdict: {:?}",
                     solver.check_valid(
-                        std::slice::from_ref(&constraint.premise),
-                        &constraint.potential.clone().ge(Term::int(0))
+                        std::slice::from_ref(&premise),
+                        &potential.clone().ge(Term::int(0))
                     )
                 );
             }
             Err(CheckError::Resource {
                 origin: origin.to_string(),
-                ledger: constraint.potential.to_string(),
+                ledger: potential.to_string(),
             })
         }
     }
 
     fn solver(&self, ctx: &Ctx) -> Solver {
-        let env = ctx.sorting_env(&self.datatypes);
-        let solver = Solver::new(env)
-            .with_bindings([("_elem".to_string(), Sort::Int)])
-            .with_budget(self.budget.clone());
+        let mut env = ctx.sorting_env_over(&self.measure_env);
+        env.bind_var("_elem", Sort::Int);
+        let solver = Solver::new(env).with_budget(self.budget.clone());
         match &self.cache {
             Some(cache) => solver.with_cache(cache.clone()),
             None => solver,
@@ -534,12 +624,9 @@ impl Checker {
                     .ok_or_else(|| CheckError::Unbound(scrut.clone()))?;
                 let (decl, elem) = self.datatype_of(&scrut_ty)?;
                 for arm in arms {
-                    let ctor = decl
-                        .ctor(&arm.ctor)
-                        .ok_or_else(|| {
-                            CheckError::Shape(format!("unknown constructor {}", arm.ctor))
-                        })?
-                        .clone();
+                    let ctor = decl.ctor(&arm.ctor).ok_or_else(|| {
+                        CheckError::Shape(format!("unknown constructor {}", arm.ctor))
+                    })?;
                     if ctor.args.len() != arm.binders.len() {
                         return Err(CheckError::Shape(format!(
                             "constructor {} expects {} binders",
@@ -551,8 +638,8 @@ impl Checker {
                     self.open_ctor(
                         &mut arm_ctx,
                         st,
-                        &decl,
-                        &ctor,
+                        decl,
+                        ctor,
                         &elem,
                         &Term::var(scrut.clone()),
                         &arm.binders,
@@ -719,13 +806,12 @@ impl Checker {
         }
     }
 
-    fn datatype_of(&self, ty: &Ty) -> Result<(DataDecl, Ty), CheckError> {
+    fn datatype_of(&self, ty: &Ty) -> Result<(&DataDecl, Ty), CheckError> {
         match ty.base_type() {
             Some(BaseType::Data(name, args)) => {
                 let decl = self
                     .datatypes
                     .get(name)
-                    .cloned()
                     .ok_or_else(|| CheckError::Shape(format!("unknown datatype {name}")))?;
                 let elem = args.first().cloned().unwrap_or_else(|| Ty::tvar("a"));
                 Ok((decl, elem))
@@ -791,7 +877,7 @@ impl Checker {
                 // Parameterized measures (numgt, numlt, …): instantiate the
                 // parameters only for the instances the specification mentions,
                 // keeping validity queries small.
-                let Some(instances) = st.measure_instances.get(&m.name) else {
+                let Some(instances) = st.goal.measure_instances.get(&m.name) else {
                     continue;
                 };
                 for candidate in instances {
@@ -820,9 +906,8 @@ impl Checker {
         let decl = self
             .datatypes
             .owner_of_ctor(name)
-            .cloned()
             .ok_or_else(|| CheckError::Shape(format!("unknown constructor {name}")))?;
-        let ctor = decl.ctor(name).cloned().expect("ctor exists in owner");
+        let ctor = decl.ctor(name).expect("ctor exists in owner");
         if ctor.args.len() != args.len() {
             return Err(CheckError::Shape(format!(
                 "constructor {name} applied to {} arguments, expects {}",
@@ -834,8 +919,8 @@ impl Checker {
         // first argument whose declared type is a datatype or the element
         // variable itself.
         let elem = self
-            .ctor_element_from_expected(&decl, expected)
-            .or_else(|| self.ctor_element_from_args(ctx, &decl, &ctor, args))
+            .ctor_element_from_expected(decl, expected)
+            .or_else(|| self.ctor_element_from_args(ctx, decl, ctor, args))
             .unwrap_or_else(|| Ty::tvar(decl.param.clone().unwrap_or_else(|| "a".into())));
 
         // Interpret the arguments.
@@ -871,7 +956,7 @@ impl Checker {
         // Bind the destination and assume the measure axioms.
         let result_ty = Ty::data(decl.name.clone(), vec![elem.clone()]);
         ctx.bind_raw(dest, result_ty.clone());
-        for axiom in self.measure_axioms(st, &decl, &ctor, &Term::var(dest), &rename) {
+        for axiom in self.measure_axioms(st, decl, ctor, &Term::var(dest), &rename) {
             ctx.assume(axiom);
         }
         Ok(result_ty)
@@ -938,10 +1023,10 @@ impl Checker {
         expected: Option<&Ty>,
     ) -> Result<Ty, CheckError> {
         // Flatten the application spine.
-        let mut args = Vec::new();
+        let mut args: Vec<&Expr> = Vec::new();
         let mut head = expr;
         while let Expr::App(f, a) = head {
-            args.push((**a).clone());
+            args.push(a);
             head = f;
         }
         args.reverse();
@@ -953,11 +1038,12 @@ impl Checker {
                 )))
             }
         };
-        let is_recursive = st.recursive.contains(&fname);
+        let is_recursive = st.goal.recursive.contains(&fname);
 
         // Resolve the callee type.
-        let fun_ty = if let Some(schema) = st.components.get(&fname).cloned() {
-            self.instantiate(ctx, st, &schema, &args, expected, is_recursive)
+        let goal = st.goal;
+        let fun_ty = if let Some(schema) = goal.components.get(&fname) {
+            self.instantiate(ctx, st, schema, &args, expected, is_recursive)
         } else if let Some(ty) = ctx.lookup(&fname).cloned() {
             if ty.is_arrow() {
                 ty
@@ -1003,7 +1089,7 @@ impl Checker {
                 match arg {
                     Expr::Var(v) => {
                         let ok = ctx.lookup(v).map(Ty::is_arrow).unwrap_or(false)
-                            || st.components.contains_key(v);
+                            || st.goal.components.contains_key(v);
                         if !ok {
                             return Err(CheckError::Shape(format!(
                                 "higher-order argument `{v}` of `{fname}` is not a function"
@@ -1053,14 +1139,14 @@ impl Checker {
         ctx: &Ctx,
         st: &St,
         fname: &str,
-        args: &[Expr],
+        args: &[&Expr],
     ) -> Result<(), CheckError> {
         // Synquid's termination metric is the tuple of arguments: a recursive
         // call is allowed when some argument decreases — structurally for
         // datatypes, or as a provably smaller non-negative integer.
         let decreasing = args.iter().enumerate().any(|(i, a)| match a {
             Expr::Var(v) => {
-                let Some(p) = st.goal_params.get(i) else {
+                let Some(p) = st.goal.goal_params.get(i) else {
                     return false;
                 };
                 if ctx.is_structurally_smaller(v, p) {
@@ -1121,7 +1207,7 @@ impl Checker {
         ctx: &Ctx,
         st: &mut St,
         schema: &Schema,
-        args: &[Expr],
+        args: &[&Expr],
         expected: Option<&Ty>,
         is_recursive: bool,
     ) -> Ty {
@@ -1230,7 +1316,7 @@ impl Checker {
         ctx: &Ctx,
         alpha: &str,
         params: &[(String, Ty, i64)],
-        args: &[Expr],
+        args: &[&Expr],
     ) -> Option<Ty> {
         for ((_, pty, _), arg) in params.iter().zip(args) {
             let Expr::Var(v) = arg else { continue };

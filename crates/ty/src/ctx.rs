@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use resyn_logic::{Sort, SortingEnv, Term};
+use resyn_logic::{SortingEnv, Term};
 
 use crate::datatypes::Datatypes;
 use crate::types::{BaseType, Ty};
@@ -145,21 +145,19 @@ impl Ctx {
     /// context: variable sorts from the bindings plus every measure known to
     /// the datatype registry.
     pub fn sorting_env(&self, datatypes: &Datatypes) -> SortingEnv {
-        let mut env = SortingEnv::new();
+        self.sorting_env_over(&datatypes.measure_env())
+    }
+
+    /// `measures` (a [`Datatypes::measure_env`]) extended with the sorts of
+    /// this context's variables. A checker builds the measure part once and
+    /// extends a copy of it per query.
+    pub(crate) fn sorting_env_over(&self, measures: &SortingEnv) -> SortingEnv {
+        let mut env = measures.clone();
         for (name, ty) in &self.vars {
             if let Some(base) = ty.base_type() {
                 env.bind_var(name.clone(), base.sort());
             }
         }
-        for (name, m) in datatypes.all_measures() {
-            env.declare_measure(name, m.arg_sorts(), m.result.clone());
-        }
-        // The pseudo-measure for unknown-coefficient products.
-        env.declare_measure(
-            crate::constraints::PROD,
-            vec![Sort::Int, Sort::Int],
-            Sort::Int,
-        );
         env
     }
 }

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use resyn_logic::{Sort, Term};
+use resyn_logic::{Sort, SortingEnv, Term};
 
 use crate::types::{BaseType, Ty};
 
@@ -136,6 +136,23 @@ impl Datatypes {
     /// Iterate over all declarations.
     pub fn iter(&self) -> impl Iterator<Item = &DataDecl> {
         self.decls.values()
+    }
+
+    /// The sorting environment of the measures alone: every measure of
+    /// [`all_measures`](Datatypes::all_measures) plus the `__prod`
+    /// pseudo-measure for unknown-coefficient products. Contexts extend it
+    /// with their variables (see [`Ctx::sorting_env_over`](crate::Ctx::sorting_env_over)).
+    pub(crate) fn measure_env(&self) -> SortingEnv {
+        let mut env = SortingEnv::new();
+        for (name, m) in self.all_measures() {
+            env.declare_measure(name, m.arg_sorts(), m.result.clone());
+        }
+        env.declare_measure(
+            crate::constraints::PROD,
+            vec![Sort::Int, Sort::Int],
+            Sort::Int,
+        );
+        env
     }
 
     /// All measure definitions across all datatypes (name ↦ definition).
