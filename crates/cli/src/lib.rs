@@ -42,7 +42,7 @@ use resyn_parse::surface::{expr_to_surface, schema_to_surface};
 use resyn_parse::{parse_expr, parse_problem};
 use resyn_server::wire::{Response, SynthRequest};
 use resyn_server::{Client, ServerConfig};
-use resyn_solver::{LoadStats, SolverCache};
+use resyn_solver::SolverCache;
 use resyn_synth::{Mode, Synthesizer};
 
 /// Errors reported by the command-line front end.
@@ -148,15 +148,6 @@ pub struct Options {
     /// `synth`/`eval`/`serve`: approximate byte budget for the solver cache
     /// (`--cache-budget BYTES`); over it, cold entries are evicted.
     pub cache_budget: Option<usize>,
-    /// `synth`/`eval`/`serve`: persist the solver cache to this snapshot
-    /// file and replay it on startup (`--cache-file PATH`).
-    pub cache_file: Option<String>,
-    /// `client`: fetch the server's cache snapshot and write it to this path
-    /// (`--export-cache PATH`).
-    pub export_cache: Option<String>,
-    /// `client`: read a snapshot from this path and seed the server's cache
-    /// with it (`--import-cache PATH`).
-    pub import_cache: Option<String>,
     /// `lint`: output format (`--format human|json`); human by default.
     pub format: Option<String>,
     /// Flags seen on the command line, for per-subcommand scope checking
@@ -187,9 +178,6 @@ impl Default for Options {
             out: None,
             check: None,
             cache_budget: None,
-            cache_file: None,
-            export_cache: None,
-            import_cache: None,
             format: None,
             seen_flags: Vec::new(),
         }
@@ -214,7 +202,6 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--stats",
             "--goal-jobs",
             "--cache-budget",
-            "--cache-file",
         ],
         "check" => &["--mode", "--timeout", "--goal"],
         "measure" => &["--goal"],
@@ -226,7 +213,6 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--json",
             "--goal-jobs",
             "--cache-budget",
-            "--cache-file",
         ],
         "serve" => &[
             "--addr",
@@ -237,7 +223,6 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--max-conns",
             "--goal-jobs",
             "--cache-budget",
-            "--cache-file",
         ],
         "client" => &[
             "--addr",
@@ -246,10 +231,8 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--goal",
             "--stats",
             "--stream",
-            "--export-cache",
-            "--import-cache",
         ],
-        "lint" => &["--format", "--timeout", "--cache-budget", "--cache-file"],
+        "lint" => &["--format", "--timeout", "--cache-budget"],
         "gen" => &["--seed", "--count", "--size"],
         "fuzz" => &[
             "--seed",
@@ -481,24 +464,6 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                 })?;
                 opts.cache_budget = Some(budget);
             }
-            "--cache-file" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--cache-file needs a value".to_string()))?;
-                opts.cache_file = Some(value.clone());
-            }
-            "--export-cache" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--export-cache needs a value".to_string()))?;
-                opts.export_cache = Some(value.clone());
-            }
-            "--import-cache" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--import-cache needs a value".to_string()))?;
-                opts.import_cache = Some(value.clone());
-            }
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown flag `{flag}`")))
             }
@@ -506,28 +471,6 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
         }
     }
     Ok((positional, opts))
-}
-
-/// Build the solver cache requested by `--cache-budget` / `--cache-file`:
-/// unbounded and ephemeral by default, bounded under a budget, and backed by
-/// an append-only snapshot file (replayed now, written through from here on)
-/// when a path is given. The [`LoadStats`] are `Some` iff a snapshot file
-/// was consulted.
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] when the snapshot file exists but cannot be
-/// replayed (I/O failure, stale schema, mid-file corruption). A *missing*
-/// file is not an error — it is created on first write.
-fn build_cache(opts: &Options) -> Result<(SolverCache, Option<LoadStats>), CliError> {
-    match &opts.cache_file {
-        None => Ok((SolverCache::bounded(opts.cache_budget), None)),
-        Some(path) => {
-            let (cache, loaded) = SolverCache::with_snapshot_file(path, opts.cache_budget)
-                .map_err(|e| CliError::Usage(format!("cannot use cache file `{path}`: {e}")))?;
-            Ok((cache, Some(loaded)))
-        }
-    }
 }
 
 fn load_goals(problem_text: &str, opts: &Options) -> Result<Vec<resyn_synth::Goal>, CliError> {
@@ -591,7 +534,7 @@ pub struct LintOutput {
 /// token-level scan to anchor spans; syntactically broken files are the
 /// parser's to report).
 pub fn run_lint(files: &[(String, String)], opts: &Options) -> Result<LintOutput, CliError> {
-    let (cache, _) = build_cache(opts)?;
+    let cache = SolverCache::bounded(opts.cache_budget);
     let mut per_file: Vec<(String, Vec<Diagnostic>)> = Vec::new();
     for (path, text) in files {
         let budget = Budget::with_timeout(opts.timeout);
@@ -646,18 +589,10 @@ pub fn run_lint(files: &[(String, String)], opts: &Options) -> Result<LintOutput
 /// synthesis finds no program within the timeout.
 pub fn run_synth(problem_text: &str, opts: &Options) -> Result<String, CliError> {
     let goals = load_goals(problem_text, opts)?;
-    let (cache, loaded) = build_cache(opts)?;
     let synthesizer = Synthesizer::with_timeout(opts.timeout)
         .with_goal_jobs(opts.goal_jobs.unwrap_or(1))
-        .with_cache(cache);
+        .with_cache(SolverCache::bounded(opts.cache_budget));
     let mut out = String::new();
-    if let Some(loaded) = loaded {
-        let _ = writeln!(
-            out,
-            "-- cache snapshot: {} verdicts replayed",
-            loaded.loaded
-        );
-    }
     for goal in goals {
         let outcome = synthesizer.synthesize(&goal, opts.mode);
         let Some(program) = outcome.program else {
@@ -789,17 +724,10 @@ pub fn run_eval(opts: &Options) -> Result<EvalOutput, CliError> {
         progress: true,
         goal_jobs: opts.goal_jobs.unwrap_or(1),
     };
-    let (cache, loaded) = build_cache(opts)?;
-    let run = resyn_eval::run_suite_cached(&benches, &config, cache);
+    let run =
+        resyn_eval::run_suite_cached(&benches, &config, SolverCache::bounded(opts.cache_budget));
     let suite_name = if opts.table == 2 { "table2" } else { "table1" };
     let mut table = run.render(opts.table == 2);
-    if let Some(loaded) = loaded {
-        let _ = writeln!(
-            table,
-            "\ncache snapshot: {} verdicts replayed",
-            loaded.loaded
-        );
-    }
     let _ = writeln!(
         table,
         "\n{} rows in {:.2}s wall clock ({} jobs); shared solver cache: \
@@ -842,7 +770,6 @@ pub fn server_config(opts: &Options) -> ServerConfig {
         max_conns: opts.max_conns,
         goal_jobs: opts.goal_jobs.unwrap_or(defaults.goal_jobs),
         cache_budget: opts.cache_budget,
-        cache_file: opts.cache_file.clone().map(std::path::PathBuf::from),
         ..defaults
     }
 }
@@ -933,62 +860,6 @@ pub fn run_client_stream(
                 progress.seq, progress.elapsed_secs
             ));
         })
-        .map_err(|e| CliError::Transport(format!("request to `{addr}` failed: {e}")))?;
-    Ok(render_response(&response))
-}
-
-/// The output of `resyn client --export-cache`: the rendered response (the
-/// counters, without the snapshot itself) plus the snapshot document for the
-/// caller to write to the requested path — this library does no I/O.
-#[derive(Debug, Clone)]
-pub struct CacheExportOutput {
-    /// The rendered response: verdict and cache counters.
-    pub report: String,
-    /// The `resyn-cache/1` snapshot document.
-    pub snapshot: String,
-}
-
-/// `resyn client --export-cache`: fetch the server's solver-cache snapshot.
-///
-/// # Errors
-///
-/// Returns [`CliError::Transport`] when the server cannot be reached, breaks
-/// protocol, or answers without a snapshot payload.
-pub fn run_client_export_cache(opts: &Options) -> Result<CacheExportOutput, CliError> {
-    let addr = opts.addr.as_deref().unwrap_or(DEFAULT_ADDR);
-    let mut client = Client::connect(addr)
-        .map_err(|e| CliError::Transport(format!("cannot connect to `{addr}`: {e}")))?;
-    let response = client
-        .cache_export()
-        .map_err(|e| CliError::Transport(format!("request to `{addr}` failed: {e}")))?;
-    let snapshot = response.payload.clone().ok_or_else(|| {
-        CliError::Transport(format!(
-            "`{addr}` answered a cache export without a snapshot payload"
-        ))
-    })?;
-    Ok(CacheExportOutput {
-        report: render_response(&response),
-        snapshot,
-    })
-}
-
-/// `resyn client --import-cache`: seed the server's solver cache with a
-/// snapshot document (the caller has already read it from disk).
-///
-/// A snapshot the *server* rejects (stale schema, mid-file garbage) is not a
-/// transport error: it renders as an `invalid_request` verdict, like any
-/// other server-side verdict.
-///
-/// # Errors
-///
-/// Returns [`CliError::Transport`] when the server cannot be reached or
-/// breaks protocol.
-pub fn run_client_import_cache(snapshot: &str, opts: &Options) -> Result<String, CliError> {
-    let addr = opts.addr.as_deref().unwrap_or(DEFAULT_ADDR);
-    let mut client = Client::connect(addr)
-        .map_err(|e| CliError::Transport(format!("cannot connect to `{addr}`: {e}")))?;
-    let response = client
-        .cache_import(snapshot.to_string())
         .map_err(|e| CliError::Transport(format!("request to `{addr}` failed: {e}")))?;
     Ok(render_response(&response))
 }
@@ -1168,23 +1039,20 @@ resyn — resource-guided program synthesis
 
 USAGE:
     resyn synth <problem-file> [--mode MODE] [--timeout SECS] [--goal NAME] [--stats]
-                [--goal-jobs N] [--cache-budget BYTES] [--cache-file PATH]
+                [--goal-jobs N] [--cache-budget BYTES]
     resyn check <problem-file> <program-file> [--mode MODE] [--goal NAME]
     resyn measure <problem-file> <program-file> [--goal NAME]
     resyn parse <problem-file>
     resyn lint <problem-file-or-dir> [--format human|json] [--timeout SECS]
-               [--cache-budget BYTES] [--cache-file PATH]
+               [--cache-budget BYTES]
     resyn eval [--table 1|2] [--jobs N] [--timeout SECS] [--filter SUBSTR,...]
                [--json PATH] [--goal-jobs N] [--cache-budget BYTES]
-               [--cache-file PATH]
     resyn serve [--addr HOST:PORT] [--jobs N] [--timeout SECS] [--queue N]
                 [--io-threads N] [--max-conns N] [--goal-jobs N]
-                [--cache-budget BYTES] [--cache-file PATH]
+                [--cache-budget BYTES]
     resyn client <problem-file> [--addr HOST:PORT] [--mode MODE]
                  [--timeout SECS] [--goal NAME] [--stream]
     resyn client --stats [--addr HOST:PORT]
-    resyn client --export-cache PATH [--addr HOST:PORT]
-    resyn client --import-cache PATH [--addr HOST:PORT]
     resyn gen [--seed N] [--count N] [--size N]
     resyn fuzz [--seed N] [--count N] [--size N] [--timeout SECS] [--out PATH]
                [--check modes|lint]
@@ -1231,11 +1099,7 @@ deny-level lint findings.
 
 `--cache-budget BYTES` bounds the solver query cache: past the budget, cold
 entries are evicted (approximate second-chance policy; recently-hit entries
-survive a sweep). `--cache-file PATH` makes the cache persistent: verdicts
-are appended to PATH as they are proved and replayed on the next start, so
-a restarted run answers previously-seen queries from the snapshot. The file
-is compacted on load; a truncated final line (e.g. a crash mid-append) is
-tolerated, anything else corrupt is an error.
+survive a sweep). The cache lives in memory for one process.
 
 `serve` starts the persistent synthesis server (newline-delimited
 `resyn-wire/1` and `/2` JSON over TCP; all sessions share one solver query
@@ -1254,9 +1118,6 @@ to a running server; the default address for both is 127.0.0.1:7171.
 rate-limited progress heartbeats while the job runs, printed as they
 arrive, before the unchanged final verdict. `client --stats` reports
 p50/p95/p99 request latency split into queue wait and solve time.
-`client --export-cache PATH` downloads the server's cache snapshot to PATH;
-`--import-cache PATH` seeds a server's cache from such a snapshot (or from
-a `--cache-file`), so warm caches can move between machines.
 ";
 
 #[cfg(test)]
@@ -1801,21 +1662,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_flags_are_parsed_scoped_and_validated() {
-        let args: Vec<String> = ["--cache-budget", "65536", "--cache-file", "warm.cache"]
+    fn cache_budget_flag_is_parsed_scoped_and_validated() {
+        let args: Vec<String> = ["--cache-budget", "65536"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let (positional, opts) = parse_flags(&args).unwrap();
         assert!(positional.is_empty());
         assert_eq!(opts.cache_budget, Some(65536));
-        assert_eq!(opts.cache_file.as_deref(), Some("warm.cache"));
-        // The cache knobs apply wherever a solver cache is owned …
+        // The budget applies wherever a solver cache is owned …
         assert!(check_flag_scope("synth", &opts).is_ok());
         assert!(check_flag_scope("eval", &opts).is_ok());
         assert!(check_flag_scope("serve", &opts).is_ok());
-        // … but not to `check` (no cache worth persisting) or `client`
-        // (the cache lives server-side; use --export-cache/--import-cache).
+        assert!(check_flag_scope("lint", &opts).is_ok());
+        // … but not to `check` or `client` (the cache lives server-side).
         assert!(matches!(
             check_flag_scope("check", &opts),
             Err(CliError::Usage(msg)) if msg.contains("--cache-budget")
@@ -1825,32 +1685,10 @@ mod tests {
             Err(CliError::Usage(_))
         ));
 
-        let args: Vec<String> = ["--export-cache", "snap.cache"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        assert_eq!(opts.export_cache.as_deref(), Some("snap.cache"));
-        assert!(check_flag_scope("client", &opts).is_ok());
-        assert!(matches!(
-            check_flag_scope("serve", &opts),
-            Err(CliError::Usage(msg)) if msg.contains("--export-cache")
-        ));
-        let args: Vec<String> = ["--import-cache", "snap.cache"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        assert_eq!(opts.import_cache.as_deref(), Some("snap.cache"));
-        assert!(check_flag_scope("client", &opts).is_ok());
-
         for bad in [
             vec!["--cache-budget", "0"],
             vec!["--cache-budget", "plenty"],
             vec!["--cache-budget"],
-            vec!["--cache-file"],
-            vec!["--export-cache"],
-            vec!["--import-cache"],
         ] {
             let bad: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(
@@ -1858,111 +1696,19 @@ mod tests {
                 "{bad:?}"
             );
         }
+        // Old cache-snapshot flags are rejected, never silently ignored.
+        for flag in ["--cache-file", "--export-cache", "--import-cache"] {
+            let bad = vec![flag.to_string(), "x".to_string()];
+            assert!(
+                matches!(parse_flags(&bad), Err(CliError::Usage(msg)) if msg.contains("unknown flag")),
+                "{flag}"
+            );
+        }
 
-        // And the knobs reach the server configuration.
-        let args: Vec<String> = ["--cache-budget", "4096", "--cache-file", "s.cache"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        let config = server_config(&opts);
-        assert_eq!(config.cache_budget, Some(4096));
-        assert_eq!(
-            config.cache_file.as_deref(),
-            Some(std::path::Path::new("s.cache"))
-        );
+        // And the budget reaches the server configuration.
+        assert_eq!(server_config(&opts).cache_budget, Some(65536));
         let config = server_config(&parse_flags(&[]).unwrap().1);
         assert_eq!(config.cache_budget, None);
-        assert_eq!(config.cache_file, None);
-    }
-
-    #[test]
-    fn synth_with_a_cache_file_warm_restarts_from_the_snapshot() {
-        let path = std::env::temp_dir().join(format!(
-            "resyn-cli-test-{}-synth-warm.cache",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let problem = r"
-            goal id_list :: xs: List a -> {List a | len _v == len xs}
-        ";
-        let opts = Options {
-            timeout: Duration::from_secs(30),
-            stats: true,
-            cache_file: Some(path.to_string_lossy().into_owned()),
-            ..Options::default()
-        };
-        let misses = |out: &str| -> u64 {
-            // "-- solver cache: N hits, M misses; interner: K new terms"
-            out.lines()
-                .find(|l| l.starts_with("-- solver cache:"))
-                .and_then(|l| l.split_whitespace().nth(5))
-                .and_then(|n| n.parse().ok())
-                .expect("--stats must print a solver-cache line")
-        };
-        let cold = run_synth(problem, &opts).unwrap();
-        assert!(
-            cold.contains("-- cache snapshot: 0 verdicts replayed"),
-            "{cold}"
-        );
-        assert!(path.exists(), "the snapshot log must exist after a run");
-        // A second, fresh invocation replays the snapshot: same program,
-        // almost nothing re-proved.
-        let warm = run_synth(problem, &opts).unwrap();
-        assert!(!warm.contains("snapshot: 0 verdicts replayed"), "{warm}");
-        assert!(
-            misses(&warm) < misses(&cold),
-            "warm run must re-prove less:\ncold:\n{cold}\nwarm:\n{warm}"
-        );
-        let program = |out: &str| {
-            out.lines()
-                .find(|l| !l.starts_with("--"))
-                .map(str::to_string)
-        };
-        assert_eq!(program(&cold), program(&warm), "verdicts must not drift");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn client_export_and_import_round_trip_a_snapshot() {
-        let server = resyn_server::serve(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            jobs: 1,
-            timeout: Duration::from_secs(60),
-            max_request_bytes: 16 << 20,
-            ..ServerConfig::default()
-        })
-        .expect("ephemeral server starts");
-        let opts = Options {
-            addr: Some(server.addr().to_string()),
-            ..Options::default()
-        };
-        let problem = "goal id_list :: xs: List a -> {List a | len _v == len xs}";
-        let out = run_client(Some(problem), &opts).unwrap();
-        assert!(out.starts_with("verdict: solved\n"), "{out}");
-
-        let export = run_client_export_cache(&opts).unwrap();
-        assert!(
-            export.report.starts_with("verdict: ok\n"),
-            "{}",
-            export.report
-        );
-        assert!(
-            export
-                .snapshot
-                .starts_with("{\"schema\": \"resyn-cache/1\"}"),
-            "snapshot must lead with its version header"
-        );
-        // The rendered report is for the terminal; the (large) snapshot
-        // document itself must not leak into it.
-        assert!(!export.report.contains("resyn-cache/1"));
-
-        // Feed it straight back: every record is a duplicate.
-        let report = run_client_import_cache(&export.snapshot, &opts).unwrap();
-        assert!(report.starts_with("verdict: ok\n"), "{report}");
-        assert!(report.contains("imported: 0"), "{report}");
-        assert!(!report.contains("duplicates: 0"), "{report}");
-        server.shutdown();
     }
 
     #[test]

@@ -229,9 +229,9 @@ impl Harness {
         }
     }
 
-    /// Replace the shared solver cache — e.g. with a bounded or
-    /// snapshot-backed one built from the CLI's `--cache-budget` /
-    /// `--cache-file` flags. Clones made afterwards share the new cache.
+    /// Replace the shared solver cache — e.g. with a bounded one built from
+    /// the CLI's `--cache-budget` flag. Clones made afterwards share the new
+    /// cache.
     pub fn with_cache(mut self, cache: SolverCache) -> Harness {
         self.cache = cache;
         self

@@ -102,9 +102,8 @@ pub fn run_suite(benches: &[Benchmark], config: &ParallelConfig) -> SuiteRun {
     run_suite_cached(benches, config, SolverCache::new())
 }
 
-/// [`run_suite`] with a caller-supplied solver cache — a bounded or
-/// snapshot-backed one built from `--cache-budget` / `--cache-file`, or a
-/// warm cache carried over from a previous run.
+/// [`run_suite`] with a caller-supplied solver cache — a bounded one built
+/// from `--cache-budget`, or a warm cache carried over from a previous run.
 pub fn run_suite_cached(
     benches: &[Benchmark],
     config: &ParallelConfig,

@@ -154,47 +154,6 @@ impl Client {
         Ok(response)
     }
 
-    /// Export the server's solver-cache snapshot: the response's `payload`
-    /// carries the `resyn-cache/1` document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ClientError`] on transport or protocol failures.
-    pub fn cache_export(&mut self) -> Result<Response, ClientError> {
-        let mut id = None;
-        let id = self.ensure_id(&mut id);
-        let response = self.roundtrip(
-            &Request::CacheExport {
-                id: Some(id.clone()),
-            }
-            .render(),
-        )?;
-        Self::check_id(&id, &response)?;
-        Ok(response)
-    }
-
-    /// Seed the server's solver cache with a snapshot document (as produced
-    /// by [`cache_export`](Self::cache_export) or written by `--cache-file`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ClientError`] on transport or protocol failures. A
-    /// *rejected* snapshot (stale schema, mid-file garbage) is not an error:
-    /// it comes back as an `invalid_request` verdict on the response.
-    pub fn cache_import(&mut self, snapshot: String) -> Result<Response, ClientError> {
-        let mut id = None;
-        let id = self.ensure_id(&mut id);
-        let response = self.roundtrip(
-            &Request::CacheImport {
-                id: Some(id.clone()),
-                snapshot,
-            }
-            .render(),
-        )?;
-        Self::check_id(&id, &response)?;
-        Ok(response)
-    }
-
     /// Send a raw request line (no trailing newline) and parse the response
     /// line. Used by tests to exercise the server's handling of malformed
     /// input; no correlation check is applied.

@@ -500,30 +500,6 @@ fn handle_line(
             Counters::bump(&shared.counters.stats_requests);
             crate::stats_response(shared, id)
         }
-        Request::CacheExport { .. } => {
-            Counters::bump(&shared.counters.cache_requests);
-            let mut response = crate::stats_response(shared, id);
-            response.payload = Some(shared.cache.export_snapshot());
-            response
-        }
-        Request::CacheImport { snapshot, .. } => {
-            Counters::bump(&shared.counters.cache_requests);
-            match shared.cache.import_snapshot(&snapshot) {
-                Ok(load) => Response {
-                    stats: vec![
-                        ("imported".to_string(), load.loaded as f64),
-                        ("duplicates".to_string(), load.duplicates as f64),
-                        (
-                            "truncated_tail".to_string(),
-                            f64::from(u8::from(load.truncated_tail)),
-                        ),
-                    ],
-                    error: None,
-                    ..Response::failure(id, Verdict::Ok, "")
-                },
-                Err(message) => Response::failure(id, Verdict::InvalidRequest, message),
-            }
-        }
         Request::Synth(synth) => {
             Counters::bump(&shared.counters.synth_requests);
             let stream = synth.stream;

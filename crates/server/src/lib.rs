@@ -88,7 +88,8 @@ pub struct ServerConfig {
     /// Bound on a connection's pending output, in bytes. A client too slow
     /// to drain what it asked for (or asking for a single frame beyond the
     /// bound) is disconnected. Must exceed the largest legitimate frame —
-    /// cache-export payloads in particular — with room for a backlog.
+    /// a long synthesized program or a `stats` response — with room for a
+    /// backlog of them.
     pub max_output_bytes: usize,
     /// Minimum spacing between `resyn-wire/2` progress heartbeats on a
     /// streaming request (ticked from the synthesis budget's checkpoints,
@@ -102,10 +103,6 @@ pub struct ServerConfig {
     /// Approximate byte budget for the shared solver cache's verdict
     /// entries (`--cache-budget`); `None` leaves the cache unbounded.
     pub cache_budget: Option<usize>,
-    /// Snapshot log path (`--cache-file`): replayed on startup so a
-    /// restarted server answers old queries warm, appended to as verdicts
-    /// are stored. `None` keeps the cache in-memory only.
-    pub cache_file: Option<std::path::PathBuf>,
     /// Cap on concurrently-open client connections (`--max-conns`).
     /// Accepts beyond the cap get one immediate `overloaded` response and
     /// are closed, so a fd-exhaustion attack degrades into polite refusals
@@ -126,7 +123,6 @@ impl Default for ServerConfig {
             progress_interval: Duration::from_millis(100),
             goal_jobs: 1,
             cache_budget: None,
-            cache_file: None,
             max_conns: None,
         }
     }
@@ -148,8 +144,6 @@ struct Counters {
     connections: AtomicU64,
     synth_requests: AtomicU64,
     stats_requests: AtomicU64,
-    /// `cache_export` + `cache_import` requests.
-    cache_requests: AtomicU64,
     solved: AtomicU64,
     no_solution: AtomicU64,
     timed_out: AtomicU64,
@@ -263,10 +257,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let cache = match &config.cache_file {
-        Some(path) => SolverCache::with_snapshot_file(path, config.cache_budget)?.0,
-        None => SolverCache::bounded(config.cache_budget),
-    };
+    let cache = SolverCache::bounded(config.cache_budget);
     // Epoll instances, wakers and mailboxes are built up front so setup
     // failures surface here as the bind error would, not on a thread.
     let io_threads = config.io_threads.max(1);
@@ -420,10 +411,6 @@ fn stats_response(shared: &Shared, id: String) -> Response {
                 "stats_requests".to_string(),
                 count(&counters.stats_requests),
             ),
-            (
-                "cache_requests".to_string(),
-                count(&counters.cache_requests),
-            ),
             ("solved".to_string(), count(&counters.solved)),
             ("no_solution".to_string(), count(&counters.no_solution)),
             ("timed_out".to_string(), count(&counters.timed_out)),
@@ -443,7 +430,6 @@ fn stats_response(shared: &Shared, id: String) -> Response {
             ("evictions".to_string(), cache.evictions as f64),
             ("resident_bytes".to_string(), cache.resident_bytes as f64),
         ],
-        payload: None,
         error: None,
     }
 }
@@ -579,7 +565,6 @@ pub fn run_synth_request_with(
         program: (verdict == Verdict::Solved).then_some(programs),
         time_secs: Some(merged.duration.as_secs_f64()),
         stats: synth_stats_pairs(&merged),
-        payload: None,
         error: failed_goal.map(|goal| {
             format!(
                 "synthesis {} for goal `{goal}`",

@@ -319,7 +319,6 @@ mod tests {
             program: None,
             time_secs: None,
             stats: Vec::new(),
-            payload: None,
             error: None,
         }
     }

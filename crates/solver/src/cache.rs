@@ -58,27 +58,14 @@
 //! referenced entries lose their bit and go to the back, unreferenced ones
 //! are evicted. [`CacheStats::evictions`] counts the casualties and
 //! [`CacheStats::resident_bytes`] the surviving footprint.
-//!
-//! # Persistence
-//!
-//! [`with_snapshot_file`](SolverCache::with_snapshot_file) attaches an
-//! append-only on-disk log (see [`crate::persist`]): every stored verdict is
-//! also written as one JSON record line, and on startup the log is replayed
-//! (then compacted) so a restarted process answers its old queries warm.
-//! [`export_snapshot`](SolverCache::export_snapshot) /
-//! [`import_snapshot`](SolverCache::import_snapshot) move the same records
-//! over the wire so one server can seed another.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::io::Write as _;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use resyn_logic::{Model, SortingEnv, Term, TermArena, TermId, Value};
 
-use crate::persist::{self, LoadStats};
 use crate::smt::{SatResult, ValidityResult};
 
 /// Counters describing a cache (see [`SolverCache::stats`]).
@@ -113,21 +100,21 @@ pub const SHARDS: usize = 16;
 /// [`SolverCache::store_valid`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ValidityKey {
-    pub(crate) shard: usize,
-    pub(crate) env_fp: u64,
-    pub(crate) config_fp: u64,
-    pub(crate) premises: Vec<TermId>,
-    pub(crate) conclusion: TermId,
+    shard: usize,
+    env_fp: u64,
+    config_fp: u64,
+    premises: Vec<TermId>,
+    conclusion: TermId,
 }
 
 /// Opaque key for a pending satisfiability query (returned by a miss,
 /// consumed by [`SolverCache::store_sat`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SatKey {
-    pub(crate) shard: usize,
-    pub(crate) env_fp: u64,
-    pub(crate) config_fp: u64,
-    pub(crate) assumptions: Vec<TermId>,
+    shard: usize,
+    env_fp: u64,
+    config_fp: u64,
+    assumptions: Vec<TermId>,
 }
 
 /// A resident verdict plus its clock-eviction bookkeeping.
@@ -225,15 +212,11 @@ struct HandleCounters {
     interned: std::sync::atomic::AtomicU64,
 }
 
-/// A shared, bounded, optionally persistent cache of solver verdicts keyed
+/// A shared, optionally bounded, in-memory cache of solver verdicts keyed
 /// on interned queries.
 #[derive(Debug, Clone)]
 pub struct SolverCache {
     shards: Arc<Vec<Mutex<Inner>>>,
-    /// The append-only snapshot log, when attached; shared by all clones and
-    /// scopes. Locked *after* a shard lock is released, never while holding
-    /// one.
-    log: Option<Arc<Mutex<std::fs::File>>>,
     /// Per-lineage counters: plain clones share them (a solver cloned for
     /// extra bindings keeps attributing to the same run), [`scoped`] clones
     /// get fresh ones.
@@ -252,12 +235,7 @@ impl Default for SolverCache {
 /// selection: individual term hashes are sorted and deduplicated so permuted
 /// or repeated premise lists land in the shard where their canonicalized key
 /// lives. Computed entirely outside the shard locks.
-pub(crate) fn shard_index(
-    env_fp: u64,
-    config_fp: u64,
-    terms: &[Term],
-    conclusion: Option<&Term>,
-) -> usize {
+fn shard_index(env_fp: u64, config_fp: u64, terms: &[Term], conclusion: Option<&Term>) -> usize {
     let mut term_hashes: Vec<u64> = terms
         .iter()
         .map(|t| {
@@ -341,45 +319,8 @@ impl SolverCache {
                     })
                     .collect(),
             ),
-            log: None,
             local: Arc::new(HandleCounters::default()),
         }
-    }
-
-    /// A cache backed by an on-disk snapshot log at `path`: existing records
-    /// are replayed into the (budget-bounded) tables, the log is compacted —
-    /// rewritten from the live entries, dropping duplicates, evicted records
-    /// and any truncated tail — and every later [`store_valid`] /
-    /// [`store_sat`] appends its record.
-    ///
-    /// [`store_valid`]: SolverCache::store_valid
-    /// [`store_sat`]: SolverCache::store_sat
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, and a snapshot whose version header names a schema this
-    /// build does not speak (a truncated or partially written *tail* is not
-    /// an error — replay keeps everything up to the damage).
-    pub fn with_snapshot_file(
-        path: impl AsRef<Path>,
-        budget: Option<usize>,
-    ) -> std::io::Result<(SolverCache, LoadStats)> {
-        let path = path.as_ref();
-        let mut cache = SolverCache::bounded(budget);
-        let stats = match std::fs::read_to_string(path) {
-            Ok(text) => cache
-                .import_snapshot(&text)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => LoadStats::default(),
-            Err(e) => return Err(e),
-        };
-        // Compact: rewrite the log from the live tables, atomically.
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, cache.export_snapshot())?;
-        std::fs::rename(&tmp, path)?;
-        let file = std::fs::OpenOptions::new().append(true).open(path)?;
-        cache.log = Some(Arc::new(Mutex::new(file)));
-        Ok((cache, stats))
     }
 
     /// A handle sharing this cache's tables but with **fresh** per-handle
@@ -393,7 +334,6 @@ impl SolverCache {
     pub fn scoped(&self) -> SolverCache {
         SolverCache {
             shards: Arc::clone(&self.shards),
-            log: self.log.clone(),
             local: Arc::new(HandleCounters::default()),
         }
     }
@@ -430,19 +370,6 @@ impl SolverCache {
         self.local
             .interned
             .fetch_add(interned as u64, Ordering::Relaxed);
-    }
-
-    /// Append one record line to the snapshot log, if one is attached.
-    /// Called with no shard lock held; a write failure disables nothing —
-    /// the record is simply lost from the snapshot (the verdict itself is
-    /// already resident).
-    fn append_log(&self, line: &str) {
-        if let Some(log) = &self.log {
-            let mut file = log
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _ = writeln!(file, "{line}");
-        }
     }
 
     /// Look up a validity query. On a hit the cached verdict is returned; on a
@@ -511,16 +438,8 @@ impl SolverCache {
             inner.resident_bytes -= prev.cost;
         }
         inner.resident_bytes += cost;
-        inner.clock.push_back(ClockRef::Valid(key.clone()));
+        inner.clock.push_back(ClockRef::Valid(key));
         inner.evict_to_budget();
-        let record = self
-            .log
-            .is_some()
-            .then(|| persist::valid_record(&inner.arena, &key, result));
-        drop(inner);
-        if let Some(line) = record {
-            self.append_log(&line);
-        }
     }
 
     /// Look up a satisfiability query; see [`lookup_valid`](Self::lookup_valid).
@@ -585,111 +504,8 @@ impl SolverCache {
             inner.resident_bytes -= prev.cost;
         }
         inner.resident_bytes += cost;
-        inner.clock.push_back(ClockRef::Sat(key.clone()));
+        inner.clock.push_back(ClockRef::Sat(key));
         inner.evict_to_budget();
-        let record = self
-            .log
-            .is_some()
-            .then(|| persist::sat_record(&inner.arena, &key, result));
-        drop(inner);
-        if let Some(line) = record {
-            self.append_log(&line);
-        }
-    }
-
-    /// Insert a validity verdict replayed from a snapshot or an import. An
-    /// existing entry wins (verdicts for one key are unique, so this only
-    /// skips redundant work); returns whether the entry is new. Writes
-    /// through to the attached log like a live store.
-    pub(crate) fn insert_valid_replayed(
-        &self,
-        env_fp: u64,
-        config_fp: u64,
-        premises: &[Term],
-        conclusion: &Term,
-        verdict: &ValidityResult,
-    ) -> bool {
-        let shard = shard_index(env_fp, config_fp, premises, Some(conclusion));
-        let mut inner = self.lock_shard(shard);
-        let mut premise_ids: Vec<TermId> = premises.iter().map(|p| inner.arena.intern(p)).collect();
-        premise_ids.sort_unstable();
-        premise_ids.dedup();
-        let key = ValidityKey {
-            shard,
-            env_fp,
-            config_fp,
-            premises: premise_ids,
-            conclusion: inner.arena.intern(conclusion),
-        };
-        if inner.valid.contains_key(&key) {
-            return false;
-        }
-        drop(inner);
-        self.store_valid(key, verdict);
-        true
-    }
-
-    /// The satisfiability twin of
-    /// [`insert_valid_replayed`](Self::insert_valid_replayed).
-    pub(crate) fn insert_sat_replayed(
-        &self,
-        env_fp: u64,
-        config_fp: u64,
-        assumptions: &[Term],
-        verdict: &SatResult,
-    ) -> bool {
-        let shard = shard_index(env_fp, config_fp, assumptions, None);
-        let mut inner = self.lock_shard(shard);
-        let mut ids: Vec<TermId> = assumptions.iter().map(|a| inner.arena.intern(a)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let key = SatKey {
-            shard,
-            env_fp,
-            config_fp,
-            assumptions: ids,
-        };
-        if inner.sat.contains_key(&key) {
-            return false;
-        }
-        drop(inner);
-        self.store_sat(key, verdict);
-        true
-    }
-
-    /// Serialize every live verdict entry as a snapshot document (version
-    /// header plus one record line per entry) — the format
-    /// [`with_snapshot_file`](Self::with_snapshot_file) reads and the
-    /// `cache_export` wire request returns.
-    pub fn export_snapshot(&self) -> String {
-        let mut out = persist::header_line();
-        out.push('\n');
-        for shard in 0..self.shards.len() {
-            let inner = self.lock_shard(shard);
-            for (key, entry) in &inner.valid {
-                out.push_str(&persist::valid_record(&inner.arena, key, &entry.verdict));
-                out.push('\n');
-            }
-            for (key, entry) in &inner.sat {
-                out.push_str(&persist::sat_record(&inner.arena, key, &entry.verdict));
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Replay a snapshot document into this cache (see [`crate::persist`]
-    /// for tolerance rules). Already-present entries are kept, budget
-    /// enforcement applies, and replayed records write through to the
-    /// attached log, if any.
-    ///
-    /// # Errors
-    ///
-    /// A missing or unsupported version header, or a malformed record body
-    /// before the final line (only a *trailing* partial line is tolerated as
-    /// a crash artifact).
-    pub fn import_snapshot(&self, text: &str) -> Result<LoadStats, String> {
-        persist::replay(self, text)
     }
 
     /// Current counters, aggregated over the shards.

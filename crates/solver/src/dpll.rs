@@ -35,12 +35,6 @@ use resyn_budget::Budget;
 use resyn_logic::intern::Node;
 use resyn_logic::{BinOp, TermArena, TermId, UnOp};
 
-/// Revision of the search's semantics. A change that can settle a query
-/// differently (for instance, answer one that a former search gave up on
-/// under the same [`DpllConfig::decision_limit`]) bumps it, and solver cache
-/// keys include it, so verdicts of an older search are never replayed.
-pub(crate) const SEARCH_REVISION: u64 = 2;
-
 /// Verdict of a theory oracle on a conjunction of literals.
 #[derive(Debug, Clone)]
 pub enum TheoryResult<M> {

@@ -49,7 +49,6 @@ pub mod dpll;
 pub mod euf;
 pub mod lia;
 pub mod linear;
-pub mod persist;
 pub mod rational;
 pub mod sets;
 pub mod smt;
@@ -57,7 +56,6 @@ pub mod smt;
 pub use cache::{CacheStats, HandleStats, SolverCache};
 pub use lia::LiaSolver;
 pub use linear::{LinExpr, LinearizeError};
-pub use persist::LoadStats;
 pub use rational::Rat;
 pub use smt::{SatResult, Solver, ValidityResult};
 

@@ -155,14 +155,12 @@ impl Solver {
         }
     }
 
-    /// Fingerprint of the work limits and search revision a verdict may
-    /// depend on (a raised limit or a stronger search can turn `Unknown`
-    /// into a definite answer, so solvers that differ in either must not
-    /// alias in a shared or persisted cache).
+    /// Fingerprint of the work limits a verdict may depend on (a raised
+    /// limit can turn `Unknown` into a definite answer, so solvers that
+    /// differ in one must not alias in a shared cache).
     fn config_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        dpll::SEARCH_REVISION.hash(&mut h);
         self.dpll.decision_limit.hash(&mut h);
         self.lia.branch_limit.hash(&mut h);
         self.lia.constraint_limit.hash(&mut h);

@@ -509,18 +509,6 @@ impl Checker {
             // never a (wrong) resource error.
             Err(CheckError::Cancelled)
         } else {
-            if std::env::var_os("RESYN_DEBUG").is_some() {
-                eprintln!("--- resource check failed at {origin}");
-                eprintln!("    premise: {premise}");
-                eprintln!("    ledger:  {potential}");
-                eprintln!(
-                    "    verdict: {:?}",
-                    solver.check_valid(
-                        std::slice::from_ref(&premise),
-                        &potential.clone().ge(Term::int(0))
-                    )
-                );
-            }
             Err(CheckError::Resource {
                 origin: origin.to_string(),
                 ledger: potential.to_string(),
@@ -570,13 +558,6 @@ impl Checker {
             // Mid-query cancellation, not a genuine refutation.
             Err(CheckError::Cancelled)
         } else {
-            if std::env::var_os("RESYN_DEBUG").is_some() {
-                eprintln!("--- refinement check failed at {origin}");
-                eprintln!("    premise: {}", premises[0]);
-                eprintln!("    extra:   {}", premises[1]);
-                eprintln!("    goal:    {goal}");
-                eprintln!("    verdict: {:?}", solver.check_valid(&premises, &goal));
-            }
             Err(CheckError::Refinement {
                 origin: origin.to_string(),
                 goal: goal.to_string(),

@@ -55,6 +55,14 @@
 //! `resyn-bench-eval/1`, the schema is versioned by its name: breaking
 //! changes bump the suffix.
 //!
+//! Earlier servers also took `cache_export` and `cache_import` requests,
+//! which moved solver-cache snapshots between processes, and answered the
+//! export with a `payload` response member. Both requests and the member
+//! are gone; the names `resyn-wire/1` and `/2` are kept because every
+//! `synth` and `stats` exchange is unchanged. A `cache_export` or
+//! `cache_import` line now gets the `invalid_request` verdict for an
+//! unknown request type, and the connection stays open.
+//!
 //! # The `resyn-wire/2` streaming extension
 //!
 //! `/2` is a strict superset of `/1`. A synthesis request opts into

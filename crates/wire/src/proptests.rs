@@ -92,7 +92,6 @@ fn arb_stream() -> impl Strategy<Value = Vec<Frame>> {
                 program: program.filter(|_| verdict == Verdict::Solved),
                 time_secs: Some(0.5),
                 stats: vec![("candidates".to_string(), 7.0)],
-                payload: None,
                 error: (verdict != Verdict::Solved).then(|| "nope".to_string()),
             }));
             frames
