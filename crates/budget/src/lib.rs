@@ -181,14 +181,6 @@ impl Budget {
         }
     }
 
-    /// A budget expiring at the given instant.
-    pub fn with_deadline(deadline: Instant) -> Budget {
-        Budget {
-            deadline: Some(deadline),
-            ..Budget::default()
-        }
-    }
-
     /// This budget, additionally cancelled whenever `token` is.
     #[must_use]
     pub fn attach(mut self, token: CancelToken) -> Budget {

@@ -124,9 +124,6 @@ pub struct Options {
     /// `serve`: queue-depth limit before requests bounce with `overloaded`
     /// (`--queue N`).
     pub queue: Option<usize>,
-    /// `serve`: epoll I/O threads (`--io-threads N`); defaults to 1 — one
-    /// readiness loop multiplexes thousands of connections.
-    pub io_threads: Option<usize>,
     /// `serve`: cap on concurrently-open connections (`--max-conns N`);
     /// accepts beyond it get an immediate `overloaded` response and close.
     pub max_conns: Option<usize>,
@@ -145,7 +142,7 @@ pub struct Options {
     /// `fuzz`: which invariant to check per problem (`--check
     /// modes|lint`); defaults to `modes` (the cross-mode differential).
     pub check: Option<String>,
-    /// `synth`/`eval`/`serve`: approximate byte budget for the solver cache
+    /// `synth`/`lint`/`serve`: approximate byte budget for the solver cache
     /// (`--cache-budget BYTES`); over it, cold entries are evicted.
     pub cache_budget: Option<usize>,
     /// `lint`: output format (`--format human|json`); human by default.
@@ -169,7 +166,6 @@ impl Default for Options {
             json: None,
             addr: None,
             queue: None,
-            io_threads: None,
             max_conns: None,
             stream: false,
             seed: None,
@@ -212,14 +208,12 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--filter",
             "--json",
             "--goal-jobs",
-            "--cache-budget",
         ],
         "serve" => &[
             "--addr",
             "--jobs",
             "--timeout",
             "--queue",
-            "--io-threads",
             "--max-conns",
             "--goal-jobs",
             "--cache-budget",
@@ -368,16 +362,6 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| CliError::Usage(format!("invalid queue depth `{value}`")))?;
                 opts.queue = Some(queue);
-            }
-            "--io-threads" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--io-threads needs a value".to_string()))?;
-                let io_threads: usize =
-                    value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CliError::Usage(format!("invalid I/O thread count `{value}`"))
-                    })?;
-                opts.io_threads = Some(io_threads);
             }
             "--max-conns" => {
                 let value = it
@@ -720,25 +704,18 @@ pub fn run_eval(opts: &Options) -> Result<EvalOutput, CliError> {
     let config = ParallelConfig {
         jobs: opts.jobs.unwrap_or_else(default_jobs),
         timeout: opts.timeout,
-        ablations: true,
         progress: true,
         goal_jobs: opts.goal_jobs.unwrap_or(1),
     };
-    let run =
-        resyn_eval::run_suite_cached(&benches, &config, SolverCache::bounded(opts.cache_budget));
+    let run = resyn_eval::run_suite(&benches, &config);
     let suite_name = if opts.table == 2 { "table2" } else { "table1" };
     let mut table = run.render(opts.table == 2);
     let _ = writeln!(
         table,
-        "\n{} rows in {:.2}s wall clock ({} jobs); shared solver cache: \
-         {} hits, {} misses, {} evictions, {} resident bytes",
+        "\n{} rows in {:.2}s wall clock ({} jobs)",
         run.rows.len(),
         run.wall_clock.as_secs_f64(),
         run.jobs,
-        run.cache.hits,
-        run.cache.misses,
-        run.cache.evictions,
-        run.cache.resident_bytes,
     );
     let json = opts
         .json
@@ -766,7 +743,6 @@ pub fn server_config(opts: &Options) -> ServerConfig {
             defaults.timeout
         },
         queue_limit: opts.queue.unwrap_or(defaults.queue_limit),
-        io_threads: opts.io_threads.unwrap_or(defaults.io_threads),
         max_conns: opts.max_conns,
         goal_jobs: opts.goal_jobs.unwrap_or(defaults.goal_jobs),
         cache_budget: opts.cache_budget,
@@ -1046,10 +1022,9 @@ USAGE:
     resyn lint <problem-file-or-dir> [--format human|json] [--timeout SECS]
                [--cache-budget BYTES]
     resyn eval [--table 1|2] [--jobs N] [--timeout SECS] [--filter SUBSTR,...]
-               [--json PATH] [--goal-jobs N] [--cache-budget BYTES]
+               [--json PATH] [--goal-jobs N]
     resyn serve [--addr HOST:PORT] [--jobs N] [--timeout SECS] [--queue N]
-                [--io-threads N] [--max-conns N] [--goal-jobs N]
-                [--cache-budget BYTES]
+                [--max-conns N] [--goal-jobs N] [--cache-budget BYTES]
     resyn client <problem-file> [--addr HOST:PORT] [--mode MODE]
                  [--timeout SECS] [--goal NAME] [--stream]
     resyn client --stats [--addr HOST:PORT]
@@ -1081,8 +1056,9 @@ Inline `-- resyn: allow(check-name)` comments suppress a check for the
 declaration on the same or the next line.
 
 `eval` runs a paper benchmark suite through the parallel batch harness
-(workers share one solver query cache; results are row-for-row identical
-whatever `--jobs` is, modulo rows right at the wall-clock timeout boundary)
+(every benchmark runs each mode on a fresh solver cache; results are
+row-for-row identical whatever `--jobs` is, modulo rows right at the
+wall-clock timeout boundary)
 and with `--json` writes the machine-readable `resyn-bench-eval/4` report
 to PATH.
 
@@ -1105,9 +1081,9 @@ survive a sweep). The cache lives in memory for one process.
 `resyn-wire/1` and `/2` JSON over TCP; all sessions share one solver query
 cache, `--queue` bounds the pending-job backlog before requests bounce
 with `overloaded`, and per-request timeouts are clamped to `--timeout`).
-Connections are multiplexed by `--io-threads` epoll readiness loops
-(default 1 — synthesis dominates, not I/O), so thousands of concurrent
-clients cost registered fds, not threads. `--max-conns N` caps concurrently
+Connections are multiplexed by one epoll readiness loop (synthesis
+dominates, not I/O), so thousands of concurrent clients cost registered
+fds, not threads. `--max-conns N` caps concurrently
 open connections: accepts beyond the cap get one immediate `overloaded`
 response and are closed (unlimited by default). Every synthesis request is
 run through the linter's structural checks first; deny-level findings come
@@ -1550,38 +1526,17 @@ mod tests {
     }
 
     #[test]
-    fn io_threads_and_stream_flags_are_parsed_scoped_and_validated() {
-        let args: Vec<String> = ["--io-threads", "2"]
+    fn stream_flag_is_parsed_and_scoped() {
+        // The server runs one readiness loop; the flag that sized a set of
+        // them is rejected, never silently ignored.
+        let bad: Vec<String> = ["--io-threads", "2"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        assert_eq!(opts.io_threads, Some(2));
-        assert!(check_flag_scope("serve", &opts).is_ok());
-        // `--io-threads` sizes the server's readiness loops; clients have
-        // no use for it.
         assert!(matches!(
-            check_flag_scope("client", &opts),
-            Err(CliError::Usage(msg)) if msg.contains("--io-threads")
+            parse_flags(&bad),
+            Err(CliError::Usage(msg)) if msg.contains("unknown flag")
         ));
-        assert_eq!(server_config(&opts).io_threads, 2);
-        let (_, opts) = parse_flags(&[]).unwrap();
-        assert_eq!(
-            server_config(&opts).io_threads,
-            resyn_server::ServerConfig::default().io_threads
-        );
-
-        for bad in [
-            vec!["--io-threads", "0"],
-            vec!["--io-threads", "many"],
-            vec!["--io-threads"],
-        ] {
-            let bad: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                matches!(parse_flags(&bad), Err(CliError::Usage(_))),
-                "{bad:?}"
-            );
-        }
 
         let args: Vec<String> = ["--stream"].iter().map(|s| s.to_string()).collect();
         let (_, opts) = parse_flags(&args).unwrap();
@@ -1672,14 +1627,16 @@ mod tests {
         assert_eq!(opts.cache_budget, Some(65536));
         // The budget applies wherever a solver cache is owned …
         assert!(check_flag_scope("synth", &opts).is_ok());
-        assert!(check_flag_scope("eval", &opts).is_ok());
         assert!(check_flag_scope("serve", &opts).is_ok());
         assert!(check_flag_scope("lint", &opts).is_ok());
-        // … but not to `check` or `client` (the cache lives server-side).
-        assert!(matches!(
-            check_flag_scope("check", &opts),
-            Err(CliError::Usage(msg)) if msg.contains("--cache-budget")
-        ));
+        // … but not to `check` or `client` (the cache lives server-side),
+        // nor to `eval`, which runs every (row, mode) on a fresh cache.
+        for command in ["check", "eval"] {
+            assert!(matches!(
+                check_flag_scope(command, &opts),
+                Err(CliError::Usage(msg)) if msg.contains("--cache-budget")
+            ));
+        }
         assert!(matches!(
             check_flag_scope("client", &opts),
             Err(CliError::Usage(_))

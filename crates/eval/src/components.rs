@@ -197,11 +197,6 @@ pub fn not_() -> Schema {
     ))
 }
 
-/// `and :: x:Bool → y:Bool → {Bool | ν = x ∧ y}`.
-pub fn and_() -> Schema {
-    bool_binop(|x, y| x.and(y))
-}
-
 /// `or :: x:Bool → y:Bool → {Bool | ν = x ∨ y}`.
 pub fn or_() -> Schema {
     bool_binop(|x, y| x.or(y))

@@ -1,15 +1,14 @@
 //! The evaluation harness: run benchmarks in the paper's modes and render
 //! table rows.
 //!
-//! A [`Harness`] owns a [`SolverCache`] shared by *every* mode it runs: the
-//! ReSyn and Synquid runs of one benchmark (and, through
-//! [`crate::parallel`], every concurrently running benchmark) discharge
-//! largely overlapping solver obligations, so cross-mode sharing converts
-//! repeated queries into cache hits instead of re-proving them.
+//! Every (benchmark, mode) run starts from a fresh solver cache. The modes of
+//! one benchmark discharge largely overlapping obligations, so a shared
+//! cache would let a later mode replay the verdicts an earlier one proved,
+//! and the table would time the order of the cache instead of the
+//! algorithms the paper compares.
 
 use std::time::Duration;
 
-use resyn_solver::SolverCache;
 use resyn_synth::{Mode, SynthOutcome, SynthStats, Synthesizer};
 
 use crate::measure::{classify, BoundClass};
@@ -61,10 +60,10 @@ pub struct BenchmarkRow {
     pub resyn: ModeOutcome,
     /// The Synquid (resource-agnostic) run.
     pub synquid: ModeOutcome,
-    /// Enumerate-and-check ablation (`None` when ablations are disabled).
-    pub eac: Option<ModeOutcome>,
-    /// Non-incremental-CEGIS ablation (`None` when ablations are disabled).
-    pub noinc: Option<ModeOutcome>,
+    /// The enumerate-and-check ablation run.
+    pub eac: ModeOutcome,
+    /// The non-incremental-CEGIS ablation run.
+    pub noinc: ModeOutcome,
     /// Measured bound of the ReSyn-synthesized program.
     pub bound_resyn: BoundClass,
     /// Measured bound of the Synquid-synthesized program.
@@ -84,8 +83,8 @@ impl BenchmarkRow {
             code: 0,
             resyn: ModeOutcome::default(),
             synquid: ModeOutcome::default(),
-            eac: None,
-            noinc: None,
+            eac: ModeOutcome::default(),
+            noinc: ModeOutcome::default(),
             bound_resyn: BoundClass::Unknown,
             bound_synquid: BoundClass::Unknown,
             error: Some(error),
@@ -106,12 +105,8 @@ impl BenchmarkRow {
     pub fn merged_stats(&self) -> SynthStats {
         let mut stats = self.resyn.stats.clone();
         stats.merge(&self.synquid.stats);
-        if let Some(eac) = &self.eac {
-            stats.merge(&eac.stats);
-        }
-        if let Some(noinc) = &self.noinc {
-            stats.merge(&noinc.stats);
-        }
+        stats.merge(&self.eac.stats);
+        stats.merge(&self.noinc.stats);
         stats
     }
 
@@ -120,7 +115,7 @@ impl BenchmarkRow {
     /// constraints from scratch). `None` unless both runs solved.
     pub fn speedup_noinc(&self) -> Option<f64> {
         let resyn = self.t_resyn()?;
-        let noinc = self.noinc.as_ref()?.time?;
+        let noinc = self.noinc.time?;
         if resyn > 0.0 {
             Some(noinc / resyn)
         } else {
@@ -137,20 +132,13 @@ impl BenchmarkRow {
         fn mode_verdict(a: &ModeOutcome, b: &ModeOutcome) -> bool {
             a.solved() == b.solved() && a.timed_out == b.timed_out
         }
-        fn opt_verdict(a: &Option<ModeOutcome>, b: &Option<ModeOutcome>) -> bool {
-            match (a, b) {
-                (Some(a), Some(b)) => mode_verdict(a, b),
-                (None, None) => true,
-                _ => false,
-            }
-        }
         self.id == other.id
             && self.group == other.group
             && self.code == other.code
             && mode_verdict(&self.resyn, &other.resyn)
             && mode_verdict(&self.synquid, &other.synquid)
-            && opt_verdict(&self.eac, &other.eac)
-            && opt_verdict(&self.noinc, &other.noinc)
+            && mode_verdict(&self.eac, &other.eac)
+            && mode_verdict(&self.noinc, &other.noinc)
             && self.bound_resyn == other.bound_resyn
             && self.bound_synquid == other.bound_synquid
             && self.error.is_some() == other.error.is_some()
@@ -184,38 +172,29 @@ impl BenchmarkRow {
             self.id,
             self.fmt_time(self.t_resyn()),
             self.fmt_time(self.t_synquid()),
-            self.fmt_time(self.eac.as_ref().and_then(|o| o.time)),
-            self.fmt_time(self.noinc.as_ref().and_then(|o| o.time)),
+            self.fmt_time(self.eac.time),
+            self.fmt_time(self.noinc.time),
             self.bound_resyn.to_string(),
             self.bound_synquid.to_string(),
         )
     }
 }
 
-/// The harness configuration. Cloning a harness shares its solver cache, so
-/// clones (one per parallel worker) answer each other's repeated queries.
+/// The harness configuration.
 #[derive(Debug, Clone)]
 pub struct Harness {
     /// Per-benchmark, per-mode timeout.
     pub timeout: Duration,
-    /// Whether to run the EAC and non-incremental ablations (every row of
-    /// both tables; the per-row `speedup_noinc` column of the report needs
-    /// the NoInc column populated across the whole suite).
-    pub ablations: bool,
     /// Threads fanned across the skeletons of each goal (the synthesizer's
     /// first-win pool); `1` keeps each mode's search sequential.
     pub goal_jobs: usize,
-    /// The solver query cache shared by every mode and every clone.
-    cache: SolverCache,
 }
 
 impl Default for Harness {
     fn default() -> Self {
         Harness {
             timeout: Duration::from_secs(600),
-            ablations: true,
             goal_jobs: 1,
-            cache: SolverCache::new(),
         }
     }
 }
@@ -229,25 +208,10 @@ impl Harness {
         }
     }
 
-    /// Replace the shared solver cache — e.g. with a bounded one built from
-    /// the CLI's `--cache-budget` flag. Clones made afterwards share the new
-    /// cache.
-    pub fn with_cache(mut self, cache: SolverCache) -> Harness {
-        self.cache = cache;
-        self
-    }
-
-    /// The shared solver query cache (a cheap `Arc` clone).
-    pub fn cache(&self) -> SolverCache {
-        self.cache.clone()
-    }
-
-    /// Run one mode of one benchmark. The synthesizer is fresh but the solver
-    /// cache is the harness's shared one, so a second mode of the same goal
-    /// starts with every obligation the first mode already discharged.
+    /// Run one mode of one benchmark on a fresh synthesizer, and so on a
+    /// fresh solver cache: its time and cache counters are its own.
     pub fn run_mode(&self, bench: &Benchmark, mode: Mode) -> SynthOutcome {
         Synthesizer::with_timeout(self.timeout)
-            .with_cache(self.cache.clone())
             .with_goal_jobs(self.goal_jobs)
             .synthesize(&bench.goal, mode)
     }
@@ -262,15 +226,8 @@ pub fn run_benchmark(harness: &Harness, bench: &Benchmark) -> BenchmarkRow {
     };
     let resyn = harness.run_mode(bench, resyn_mode);
     let synquid = harness.run_mode(bench, Mode::Synquid);
-
-    let (eac, noinc) = if harness.ablations {
-        (
-            Some(harness.run_mode(bench, Mode::Eac)),
-            Some(harness.run_mode(bench, Mode::ReSynNoInc)),
-        )
-    } else {
-        (None, None)
-    };
+    let eac = harness.run_mode(bench, Mode::Eac);
+    let noinc = harness.run_mode(bench, Mode::ReSynNoInc);
 
     let bound = |outcome: &SynthOutcome| match &outcome.program {
         Some(p) => classify(&bench.goal, p),
@@ -285,8 +242,8 @@ pub fn run_benchmark(harness: &Harness, bench: &Benchmark) -> BenchmarkRow {
         bound_synquid: bound(&synquid),
         resyn: ModeOutcome::of(&resyn),
         synquid: ModeOutcome::of(&synquid),
-        eac: eac.as_ref().map(ModeOutcome::of),
-        noinc: noinc.as_ref().map(ModeOutcome::of),
+        eac: ModeOutcome::of(&eac),
+        noinc: ModeOutcome::of(&noinc),
         error: None,
     }
 }
@@ -352,23 +309,30 @@ mod tests {
     }
 
     #[test]
-    fn second_mode_of_a_benchmark_reuses_the_first_modes_cache() {
-        // Regression test: `run_mode` used to construct a fresh synthesizer
-        // *and a fresh cache* per mode, throwing away every obligation the
-        // first mode had already discharged for the same goal.
-        let harness = Harness::with_timeout(Duration::from_secs(60));
-        let bench = fast_bench("list-is-empty");
-        let first = harness.run_mode(&bench, Mode::ReSyn);
-        assert!(first.program.is_some(), "list-is-empty must synthesize");
-        let second = harness.run_mode(&bench, Mode::Synquid);
-        assert!(second.program.is_some());
-        assert!(
-            second.stats.solver_cache_hits > 0,
-            "the second mode must hit the cache populated by the first \
-             (got {} hits, {} misses)",
-            second.stats.solver_cache_hits,
-            second.stats.solver_cache_misses,
-        );
+    fn every_mode_of_a_row_counts_the_misses_of_a_standalone_cold_run() {
+        // Each mode must run cold: on a cache shared across the row, EAC and
+        // NoInc would replay the verdicts ReSyn and Synquid proved, record
+        // no misses, and time the order of the modes.
+        let timeout = Duration::from_secs(60);
+        let harness = Harness::with_timeout(timeout);
+        for id in ["list-append", "list-length"] {
+            let bench = fast_bench(id);
+            let row = run_benchmark(&harness, &bench);
+            for (mode, outcome) in [
+                (Mode::ReSyn, &row.resyn),
+                (Mode::Synquid, &row.synquid),
+                (Mode::Eac, &row.eac),
+                (Mode::ReSynNoInc, &row.noinc),
+            ] {
+                assert!(outcome.solved(), "{id} must synthesize in {mode:?}");
+                let standalone = Synthesizer::with_timeout(timeout).synthesize(&bench.goal, mode);
+                assert!(outcome.stats.solver_cache_misses > 0, "{id} in {mode:?}");
+                assert_eq!(
+                    outcome.stats.solver_cache_misses, standalone.stats.solver_cache_misses,
+                    "{id} in {mode:?}: the row's run and a standalone cold run differ"
+                );
+            }
+        }
     }
 
     #[test]

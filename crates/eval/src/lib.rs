@@ -11,8 +11,9 @@
 //! Coverage relative to the paper is documented in `EXPERIMENTS.md`.
 //!
 //! Two subsystems turn the serial harness into an evaluation service: the
-//! [`parallel`] worker pool shards a suite over threads that share one solver
-//! query cache (deterministic row order, per-benchmark panic isolation), and
+//! [`parallel`] worker pool shards a suite over threads, each (benchmark,
+//! mode) run on a fresh solver cache (deterministic row order, per-benchmark
+//! panic isolation), and
 //! [`report`] serializes runs to the stable machine-readable
 //! `resyn-bench-eval/4` JSON schema (`BENCH_eval.json`).
 
@@ -24,6 +25,6 @@ pub mod report;
 pub mod suite;
 
 pub use harness::{run_benchmark, BenchmarkRow, Harness, ModeOutcome};
-pub use parallel::{run_suite, run_suite_cached, ParallelConfig, SuiteRun};
+pub use parallel::{run_suite, ParallelConfig, SuiteRun};
 pub use report::{parse_json, render_json, EvalReport, Json};
 pub use suite::{table1, table2, Benchmark};

@@ -8,7 +8,6 @@
 
 use resyn_lang::{Expr, Interp, Val};
 use resyn_synth::Goal;
-use resyn_ty::types::Ty;
 
 use crate::components;
 use resyn_synth::skeleton::Shape;
@@ -180,17 +179,12 @@ pub fn classify(goal: &Goal, program: &Expr) -> BoundClass {
     }
 }
 
-/// Convenience: shape of a type, re-exported for the harness.
-pub fn shape_of(ty: &Ty) -> Option<Shape> {
-    Shape::of(ty)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use resyn_logic::Term;
     use resyn_synth::Goal;
-    use resyn_ty::types::{BaseType, Schema};
+    use resyn_ty::types::{BaseType, Schema, Ty};
 
     fn length_goal() -> Goal {
         Goal::new(

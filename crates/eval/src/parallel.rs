@@ -3,11 +3,10 @@
 //!
 //! The pool is `std::thread::scope` plus a shared atomic injector index —
 //! each worker repeatedly claims the next unclaimed benchmark and runs all of
-//! its modes through a [`Harness`] clone, so every worker shares one
-//! [`SolverCache`] and the verdicts proved for one
-//! benchmark's obligations are reused by every other in flight.
+//! its modes through the [`Harness`], each mode on a fresh solver cache, so
+//! no run's time or counters depend on what another run proved first.
 //!
-//! Three guarantees the serial harness never had to state become contracts
+//! Two guarantees the serial harness never had to state become contracts
 //! here:
 //!
 //! * **Deterministic ordering** — results are written into a slot per input
@@ -20,17 +19,11 @@
 //! * **Panic isolation** — a benchmark that panics inside the synthesizer
 //!   becomes a [`BenchmarkRow::failed`] row carrying the panic message; the
 //!   remaining benchmarks and workers are unaffected.
-//! * **Verdict stability under sharing** — the shared cache is keyed on
-//!   (environment, configuration, query) and its entries may be evicted but
-//!   never change, so concurrent runs can only *speed up* each other's
-//!   queries (or re-prove an evicted one), never change an answer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use resyn_solver::{CacheStats, SolverCache};
 
 use crate::harness::{render_table, run_benchmark, BenchmarkRow, Harness};
 use crate::suite::Benchmark;
@@ -42,8 +35,6 @@ pub struct ParallelConfig {
     pub jobs: usize,
     /// Per-benchmark, per-mode timeout.
     pub timeout: Duration,
-    /// Whether Table-2 rows run the EAC / non-incremental ablations.
-    pub ablations: bool,
     /// Print a `running <id> ...` line per benchmark to stderr.
     pub progress: bool,
     /// Threads fanned across the skeletons of each goal *within* one
@@ -57,7 +48,6 @@ impl Default for ParallelConfig {
         ParallelConfig {
             jobs: default_jobs(),
             timeout: Duration::from_secs(600),
-            ablations: true,
             progress: false,
             goal_jobs: 1,
         }
@@ -65,8 +55,8 @@ impl Default for ParallelConfig {
 }
 
 /// The default worker count: the machine's available parallelism, capped at 8
-/// (synthesis is memory-bandwidth-hungry; more workers than that contend on
-/// the shared cache lock for no wall-clock gain).
+/// (synthesis is memory-bandwidth-hungry; more workers than that buy no
+/// wall-clock gain).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -82,9 +72,6 @@ pub struct SuiteRun {
     pub rows: Vec<BenchmarkRow>,
     /// Wall-clock time for the whole suite.
     pub wall_clock: Duration,
-    /// Counters of the solver cache shared by all workers, cumulative over
-    /// the run.
-    pub cache: CacheStats,
     /// The worker count actually used.
     pub jobs: usize,
 }
@@ -99,19 +86,10 @@ impl SuiteRun {
 /// Run a suite through the worker pool. `jobs = 1` degenerates to the serial
 /// harness (same code path, same rows).
 pub fn run_suite(benches: &[Benchmark], config: &ParallelConfig) -> SuiteRun {
-    run_suite_cached(benches, config, SolverCache::new())
-}
-
-/// [`run_suite`] with a caller-supplied solver cache — a bounded one built
-/// from `--cache-budget`, or a warm cache carried over from a previous run.
-pub fn run_suite_cached(
-    benches: &[Benchmark],
-    config: &ParallelConfig,
-    cache: SolverCache,
-) -> SuiteRun {
-    let mut harness = Harness::with_timeout(config.timeout).with_cache(cache);
-    harness.ablations = config.ablations;
-    harness.goal_jobs = config.goal_jobs;
+    let harness = Harness {
+        timeout: config.timeout,
+        goal_jobs: config.goal_jobs,
+    };
     let jobs = config.jobs.clamp(1, benches.len().max(1));
     let start = Instant::now();
     let rows = run_suite_with(benches, jobs, |_, bench| {
@@ -123,7 +101,6 @@ pub fn run_suite_cached(
     SuiteRun {
         rows,
         wall_clock: start.elapsed(),
-        cache: harness.cache().stats(),
         jobs,
     }
 }

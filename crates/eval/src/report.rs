@@ -57,24 +57,22 @@
 //!
 //! * A mode that found no program has `"time_secs": null`; its `"timed_out"`
 //!   flag distinguishes a timeout (`true`) from an exhausted search space
-//!   (`false`). A mode that was not run at all (ablations disabled) is
-//!   the literal `null`.
+//!   (`false`). A failed row's modes carry `null` times and zero counters.
 //! * `"error"` is `null` for a clean row and the panic message for a row the
 //!   parallel runner had to fail; failed rows keep their `"id"`/`"group"`.
-//! * Per-mode `"cache_hits"`/`"cache_misses"` count that mode's *own*
-//!   lookups (a scoped cache handle), never concurrent workers' activity;
-//!   note that the hit/miss split of a parallel run still depends on what
-//!   other workers proved first, so only the sum is jobs-invariant.
-//! * `"interned_terms"` in the aggregate is an arena-size total over the
-//!   cache's 16 shards, not a count of globally distinct terms (a subterm
-//!   reaching queries in different shards is interned once per shard).
+//! * Every mode runs on a fresh solver cache, so per-mode
+//!   `"cache_hits"`/`"cache_misses"` are that run's own, whatever the
+//!   worker count and whatever ran before it.
+//! * The aggregate `"cache_hits"`, `"cache_misses"` and `"interned_terms"`
+//!   are sums over every mode of every row. A term interned by two runs
+//!   counts twice.
 //! * Keys are emitted in the order shown above; new keys may be appended in
 //!   later schema versions, so consumers should index by name, not position.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use resyn_solver::CacheStats;
+use resyn_synth::SynthStats;
 
 use crate::harness::{median_ratio, BenchmarkRow, ModeOutcome};
 use crate::parallel::SuiteRun;
@@ -94,8 +92,6 @@ pub struct EvalReport<'a> {
     pub wall_clock: Duration,
     /// The rows, in suite order.
     pub rows: &'a [BenchmarkRow],
-    /// Counters of the shared solver cache at the end of the run.
-    pub cache: CacheStats,
 }
 
 impl<'a> EvalReport<'a> {
@@ -107,7 +103,6 @@ impl<'a> EvalReport<'a> {
             timeout,
             wall_clock: run.wall_clock,
             rows: &run.rows,
-            cache: run.cache,
         }
     }
 }
@@ -167,10 +162,10 @@ fn write_row(out: &mut String, row: &BenchmarkRow) {
         row.code
     );
     out.push_str("\"modes\": {");
-    let _ = write!(out, "\"resyn\": {}, ", mode_json(Some(&row.resyn)));
-    let _ = write!(out, "\"synquid\": {}, ", mode_json(Some(&row.synquid)));
-    let _ = write!(out, "\"eac\": {}, ", mode_json(row.eac.as_ref()));
-    let _ = write!(out, "\"noinc\": {}", mode_json(row.noinc.as_ref()));
+    let _ = write!(out, "\"resyn\": {}, ", mode_json(&row.resyn));
+    let _ = write!(out, "\"synquid\": {}, ", mode_json(&row.synquid));
+    let _ = write!(out, "\"eac\": {}, ", mode_json(&row.eac));
+    let _ = write!(out, "\"noinc\": {}", mode_json(&row.noinc));
     out.push_str("}, ");
     let _ = write!(
         out,
@@ -184,10 +179,7 @@ fn write_row(out: &mut String, row: &BenchmarkRow) {
     out.push('}');
 }
 
-fn mode_json(mode: Option<&ModeOutcome>) -> String {
-    let Some(mode) = mode else {
-        return "null".to_string();
-    };
+fn mode_json(mode: &ModeOutcome) -> String {
     format!(
         "{{\"time_secs\": {}, \"timed_out\": {}, \"candidates\": {}, \
          \"cache_hits\": {}, \"cache_misses\": {}}}",
@@ -206,17 +198,14 @@ fn write_aggregate(out: &mut String, report: &EvalReport<'_>) {
     let timeouts = rows
         .iter()
         .filter(|r| {
-            r.resyn.timed_out
-                || r.synquid.timed_out
-                || r.eac.as_ref().is_some_and(|o| o.timed_out)
-                || r.noinc.as_ref().is_some_and(|o| o.timed_out)
+            r.resyn.timed_out || r.synquid.timed_out || r.eac.timed_out || r.noinc.timed_out
         })
         .count();
     let errors = rows.iter().filter(|r| r.error.is_some()).count();
-    let total_synth_secs: f64 = rows
-        .iter()
-        .map(|r| r.merged_stats().duration.as_secs_f64())
-        .sum();
+    let mut total = SynthStats::default();
+    for row in rows {
+        total.merge(&row.merged_stats());
+    }
     out.push_str("  \"aggregate\": {\n");
     let _ = writeln!(out, "    \"rows\": {},", rows.len());
     let _ = writeln!(out, "    \"solved_resyn\": {solved_resyn},");
@@ -228,17 +217,13 @@ fn write_aggregate(out: &mut String, report: &EvalReport<'_>) {
         "    \"median_resyn_over_synquid\": {},",
         median_ratio(rows).map_or("null".to_string(), json_num)
     );
-    let _ = writeln!(out, "    \"cache_hits\": {},", report.cache.hits);
-    let _ = writeln!(out, "    \"cache_misses\": {},", report.cache.misses);
-    let _ = writeln!(
-        out,
-        "    \"interned_terms\": {},",
-        report.cache.interned_terms
-    );
+    let _ = writeln!(out, "    \"cache_hits\": {},", total.solver_cache_hits);
+    let _ = writeln!(out, "    \"cache_misses\": {},", total.solver_cache_misses);
+    let _ = writeln!(out, "    \"interned_terms\": {},", total.interned_terms);
     let _ = writeln!(
         out,
         "    \"total_synth_secs\": {},",
-        json_num(total_synth_secs)
+        json_num(total.duration.as_secs_f64())
     );
     // A ~0-second ReSyn time makes `speedup_noinc()` overflow to infinity
     // (and a NaN anywhere would panic a `partial_cmp(..).unwrap()` sort), so
@@ -292,15 +277,6 @@ mod tests {
             timeout: Duration::from_secs(60),
             wall_clock: Duration::from_millis(1500),
             rows,
-            cache: CacheStats {
-                hits: 100,
-                misses: 10,
-                interned_terms: 42,
-                validity_entries: 9,
-                sat_entries: 1,
-                evictions: 0,
-                resident_bytes: 0,
-            },
         })
     }
 
@@ -376,19 +352,20 @@ mod tests {
         let synquid = modes.get("synquid").unwrap();
         assert!(synquid.get("time_secs").unwrap().is_null());
         assert_eq!(synquid.get("timed_out"), Some(&Json::Bool(true)));
-        // Ablations that never ran are the literal null, not an object.
-        assert!(modes.get("eac").unwrap().is_null());
-        assert!(modes.get("noinc").unwrap().is_null());
+        // A mode that found nothing without timing out exhausted its search.
+        let eac = modes.get("eac").unwrap();
+        assert!(eac.get("time_secs").unwrap().is_null());
+        assert_eq!(eac.get("timed_out"), Some(&Json::Bool(false)));
     }
 
     #[test]
     fn per_row_noinc_speedup_is_recorded_when_both_runs_solved() {
         let mut rows = sample_rows();
-        rows[0].noinc = Some(ModeOutcome {
+        rows[0].noinc = ModeOutcome {
             time: Some(0.75),
             timed_out: false,
             ..ModeOutcome::default()
-        });
+        };
         let parsed = parse_json(&sample_report(&rows)).unwrap();
         let row0 = &parsed.get("rows").and_then(Json::as_arr).unwrap()[0];
         // resyn solved in 0.25s, noinc in 0.75s: a 3x incrementality win.
@@ -408,11 +385,11 @@ mod tests {
     #[test]
     fn zero_time_rows_do_not_poison_the_median_speedup() {
         let mut rows = sample_rows();
-        rows[0].noinc = Some(ModeOutcome {
+        rows[0].noinc = ModeOutcome {
             time: Some(0.75),
             timed_out: false,
             ..ModeOutcome::default()
-        });
+        };
         // A row whose ReSyn run finished below the clock's resolution: the
         // noinc/resyn ratio overflows to +inf, which used to land in the
         // median (and any NaN used to panic the `partial_cmp` sort).
@@ -423,11 +400,11 @@ mod tests {
             timed_out: false,
             ..ModeOutcome::default()
         };
-        zero.noinc = Some(ModeOutcome {
+        zero.noinc = ModeOutcome {
             time: Some(1.0),
             timed_out: false,
             ..ModeOutcome::default()
-        });
+        };
         assert_eq!(zero.speedup_noinc(), Some(f64::INFINITY));
         rows.push(zero);
         let parsed = parse_json(&sample_report(&rows)).unwrap();
@@ -481,9 +458,14 @@ mod tests {
         let aggregate = parsed.get("aggregate").unwrap();
         assert_eq!(aggregate.get("errors").and_then(Json::as_num), Some(1.0));
         assert_eq!(aggregate.get("timeouts").and_then(Json::as_num), Some(1.0));
+        // The cache counters sum every mode of every row.
         assert_eq!(
             aggregate.get("cache_hits").and_then(Json::as_num),
-            Some(100.0)
+            Some(5.0)
+        );
+        assert_eq!(
+            aggregate.get("cache_misses").and_then(Json::as_num),
+            Some(2.0)
         );
         assert_eq!(aggregate.get("rows").and_then(Json::as_num), Some(2.0));
     }

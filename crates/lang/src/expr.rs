@@ -106,11 +106,6 @@ impl Expr {
         Expr::app(Expr::app(f, a), b)
     }
 
-    /// A ternary application `f a b c`.
-    pub fn app3(f: Expr, a: Expr, b: Expr, c: Expr) -> Expr {
-        Expr::app(Expr::app2(f, a, b), c)
-    }
-
     /// A conditional.
     pub fn ite(cond: Expr, then: Expr, els: Expr) -> Expr {
         Expr::Ite(Box::new(cond), Box::new(then), Box::new(els))

@@ -168,11 +168,6 @@ impl Interp {
         }
     }
 
-    /// Names of all registered native components.
-    pub fn native_names(&self) -> impl Iterator<Item = &Ident> {
-        self.natives.keys()
-    }
-
     /// Evaluate an expression in an environment, tracking resource usage.
     ///
     /// # Errors

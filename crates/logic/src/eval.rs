@@ -42,14 +42,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// View as a set.
-    pub fn as_set(&self) -> Option<&BTreeSet<i64>> {
-        match self {
-            Value::Set(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -144,24 +136,11 @@ impl Model {
         self.vars.is_empty()
     }
 
-    /// Look up the interpretation of a measure application by its printed
-    /// form (the key under which [`Model::insert_app`] stores it).
-    pub(crate) fn app_interpretation(&self, printed: &str) -> Option<&Value> {
-        self.apps.get(printed)
-    }
-
     /// Iterate over the measure-application interpretations, keyed by each
     /// application's printed form (the key [`insert_app`](Self::insert_app)
     /// stores them under).
     pub fn apps(&self) -> impl Iterator<Item = (&String, &Value)> {
         self.apps.iter()
-    }
-
-    /// Give an interpretation to a measure application by its printed form —
-    /// the deserialization-facing twin of [`insert_app`](Self::insert_app).
-    pub fn insert_app_printed(&mut self, printed: impl Into<String>, value: Value) -> &mut Model {
-        self.apps.insert(printed.into(), value);
-        self
     }
 
     /// Merge another model into this one (bindings in `other` win).
@@ -249,12 +228,12 @@ impl Term {
     }
 }
 
-pub(crate) fn boolean(v: Value) -> Result<bool, EvalError> {
+fn boolean(v: Value) -> Result<bool, EvalError> {
     v.as_bool()
         .ok_or_else(|| EvalError::TypeError(format!("expected boolean, got {v}")))
 }
 
-pub(crate) fn int(v: Value) -> Result<i64, EvalError> {
+fn int(v: Value) -> Result<i64, EvalError> {
     v.as_int()
         .ok_or_else(|| EvalError::TypeError(format!("expected integer, got {v}")))
 }
@@ -266,7 +245,7 @@ fn set(v: Value) -> Result<BTreeSet<i64>, EvalError> {
     }
 }
 
-pub(crate) fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
+fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
     use BinOp::*;
     Ok(match op {
         And => Value::Bool(boolean(a)? && boolean(b)?),

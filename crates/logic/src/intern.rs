@@ -6,10 +6,9 @@
 //! structurally equal **iff** their ids are equal, so equality and hashing are
 //! O(1). Every node carries cached metadata (its free-variable set and whether
 //! it contains unknown predicates), and the expensive logic passes —
-//! [`TermArena::subst_all_id`], [`TermArena::simplify_id`],
-//! [`TermArena::eval_id`], [`TermArena::sort_of_id`] — run as memoized
-//! traversals over node ids, so shared subterms are processed once instead of
-//! once per occurrence.
+//! [`TermArena::simplify_id`] and [`TermArena::sort_of_id`] — run as
+//! memoized traversals over node ids, so shared subterms are processed once
+//! instead of once per occurrence.
 //!
 //! The arena is the substrate of the solver's query cache (`resyn-solver`):
 //! the checking pipeline interns every validity/satisfiability query, and
@@ -35,9 +34,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::eval::{self, EvalError, Model, Value};
 use crate::sort::{Sort, SortError, SortingEnv};
-use crate::subst::Subst;
 use crate::term::{BinOp, Term, UnOp};
 
 /// A handle to an interned term. Copyable; equality and hashing are O(1) and
@@ -109,10 +106,6 @@ pub struct TermArena {
     index: HashMap<Node, TermId>,
     empty_fv: Arc<BTreeSet<String>>,
     simplify_memo: HashMap<TermId, TermId>,
-    /// Distinct substitutions seen so far, keyed by their interned form; the
-    /// small integer is used in the `subst_memo` key.
-    subst_keys: HashMap<Vec<(String, TermId)>, u32>,
-    subst_memo: HashMap<(TermId, u32), TermId>,
     sort_memo: HashMap<(TermId, u64), Result<Sort, SortError>>,
     memo_hits: u64,
     memo_misses: u64,
@@ -364,11 +357,6 @@ impl TermArena {
         self.mk(Node::Int(n))
     }
 
-    /// A variable.
-    pub fn var_id(&mut self, name: impl Into<String>) -> TermId {
-        self.mk(Node::Var(name.into()))
-    }
-
     /// Boolean negation with the same shallow simplification as [`Term::not`].
     pub fn not_id(&mut self, t: TermId) -> TermId {
         match self.node(t) {
@@ -378,14 +366,6 @@ impl TermArena {
             }
             Node::Unary(UnOp::Not, inner) => *inner,
             _ => self.mk(Node::Unary(UnOp::Not, t)),
-        }
-    }
-
-    /// Integer negation, mirroring [`Term::neg`].
-    pub fn neg_id(&mut self, t: TermId) -> TermId {
-        match self.as_int(t) {
-            Some(n) => self.int_id(-n),
-            None => self.mk(Node::Unary(UnOp::Neg, t)),
         }
     }
 
@@ -692,182 +672,6 @@ impl TermArena {
         }
     }
 
-    /// Apply a parallel substitution, mirroring [`Term::subst_all`]. Memoized
-    /// across calls per (term, substitution) pair, and subtrees that mention
-    /// neither a substituted variable nor an unknown are returned unchanged
-    /// without traversal (O(1) thanks to the cached free-variable sets).
-    pub fn subst_all_id(&mut self, id: TermId, map: &Subst) -> TermId {
-        if map.is_empty() {
-            return id;
-        }
-        let interned: Vec<(String, TermId)> = map
-            .iter()
-            .map(|(x, t)| (x.clone(), self.intern(t)))
-            .collect();
-        let key = match self.subst_keys.get(&interned) {
-            Some(&k) => k,
-            None => {
-                let k = u32::try_from(self.subst_keys.len()).expect("substitution key overflow");
-                self.subst_keys.insert(interned.clone(), k);
-                k
-            }
-        };
-        self.subst_rec(id, &interned, key)
-    }
-
-    /// Substitute a single variable, mirroring [`Term::subst`].
-    pub fn subst_id(&mut self, id: TermId, var: &str, replacement: &Term) -> TermId {
-        let mut map = Subst::new();
-        map.insert(var.to_string(), replacement.clone());
-        self.subst_all_id(id, &map)
-    }
-
-    fn subst_rec(&mut self, id: TermId, map: &[(String, TermId)], key: u32) -> TermId {
-        {
-            let meta = &self.meta[id.index()];
-            if !meta.has_unknown && map.iter().all(|(x, _)| !meta.free_vars.contains(x)) {
-                return id;
-            }
-        }
-        if let Some(&r) = self.subst_memo.get(&(id, key)) {
-            self.memo_hits += 1;
-            return r;
-        }
-        self.memo_misses += 1;
-        let node = self.nodes[id.index()].clone();
-        let out = match node {
-            Node::Var(x) => map
-                .iter()
-                .find(|(y, _)| *y == x)
-                .map(|(_, t)| *t)
-                .unwrap_or(id),
-            Node::Bool(_) | Node::Int(_) | Node::EmptySet | Node::SetLit(_) => id,
-            Node::Singleton(t) => {
-                let t = self.subst_rec(t, map, key);
-                self.mk(Node::Singleton(t))
-            }
-            Node::Unary(op, t) => {
-                let t = self.subst_rec(t, map, key);
-                self.mk(Node::Unary(op, t))
-            }
-            Node::Mul(k, t) => {
-                let t = self.subst_rec(t, map, key);
-                self.mk(Node::Mul(k, t))
-            }
-            Node::Binary(op, a, b) => {
-                let a = self.subst_rec(a, map, key);
-                let b = self.subst_rec(b, map, key);
-                self.mk(Node::Binary(op, a, b))
-            }
-            Node::Ite(c, t, e) => {
-                let c = self.subst_rec(c, map, key);
-                let t = self.subst_rec(t, map, key);
-                let e = self.subst_rec(e, map, key);
-                self.mk(Node::Ite(c, t, e))
-            }
-            Node::App(m, args) => {
-                let args: Vec<TermId> = args
-                    .into_iter()
-                    .map(|a| self.subst_rec(a, map, key))
-                    .collect();
-                self.mk(Node::App(m, args))
-            }
-            // Mirrors `Term::subst_all` on unknowns: entries of the pending
-            // substitution are substituted, and new entries are appended for
-            // variables not yet pending (in the map's sorted order).
-            Node::Unknown(u, pending) => {
-                let mut composed: Vec<(String, TermId)> = pending
-                    .into_iter()
-                    .map(|(x, t)| (x, self.subst_rec(t, map, key)))
-                    .collect();
-                for (x, t) in map {
-                    if !composed.iter().any(|(y, _)| y == x) {
-                        composed.push((x.clone(), *t));
-                    }
-                }
-                self.mk(Node::Unknown(u, composed))
-            }
-        };
-        self.subst_memo.insert((id, key), out);
-        out
-    }
-
-    /// Evaluate an interned term under a model, mirroring [`Term::eval`].
-    /// Shared subterms are evaluated once per call (the model is not part of
-    /// the arena, so the memo table is per-call).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Term::eval`].
-    pub fn eval_id(&self, id: TermId, model: &Model) -> Result<Value, EvalError> {
-        let mut memo: HashMap<TermId, Result<Value, EvalError>> = HashMap::new();
-        self.eval_rec(id, model, &mut memo)
-    }
-
-    fn eval_rec(
-        &self,
-        id: TermId,
-        model: &Model,
-        memo: &mut HashMap<TermId, Result<Value, EvalError>>,
-    ) -> Result<Value, EvalError> {
-        if let Some(r) = memo.get(&id) {
-            return r.clone();
-        }
-        let out = match self.node(id) {
-            Node::Var(x) => model
-                .get(x)
-                .cloned()
-                .ok_or_else(|| EvalError::UnboundVariable(x.clone())),
-            Node::Bool(b) => Ok(Value::Bool(*b)),
-            Node::Int(n) => Ok(Value::Int(*n)),
-            Node::EmptySet => Ok(Value::Set(BTreeSet::new())),
-            Node::SetLit(s) => Ok(Value::Set(s.clone())),
-            Node::Singleton(t) => self
-                .eval_rec(*t, model, memo)
-                .and_then(eval::int)
-                .map(|v| Value::set([v])),
-            Node::Unary(UnOp::Not, t) => self
-                .eval_rec(*t, model, memo)
-                .and_then(eval::boolean)
-                .map(|b| Value::Bool(!b)),
-            Node::Unary(UnOp::Neg, t) => self
-                .eval_rec(*t, model, memo)
-                .and_then(eval::int)
-                .map(|n| Value::Int(-n)),
-            Node::Mul(k, t) => self
-                .eval_rec(*t, model, memo)
-                .and_then(eval::int)
-                .map(|n| Value::Int(k * n)),
-            Node::Binary(op, a, b) => {
-                let (op, a, b) = (*op, *a, *b);
-                self.eval_rec(a, model, memo)
-                    .and_then(|va| Ok((va, self.eval_rec(b, model, memo)?)))
-                    .and_then(|(va, vb)| eval::eval_binary(op, va, vb))
-            }
-            Node::Ite(c, t, e) => {
-                let (c, t, e) = (*c, *t, *e);
-                if eval::boolean(self.eval_rec(c, model, memo)?)? {
-                    self.eval_rec(t, model, memo)
-                } else {
-                    self.eval_rec(e, model, memo)
-                }
-            }
-            // Applications take their interpretation from the model, keyed by
-            // printed form — the arguments are not evaluated (mirrors
-            // `Term::eval`).
-            Node::App(_, _) => {
-                let printed = self.term(id).to_string();
-                model
-                    .app_interpretation(&printed)
-                    .cloned()
-                    .ok_or(EvalError::UninterpretedApp(printed))
-            }
-            Node::Unknown(u, _) => Err(EvalError::UnresolvedUnknown(u.clone())),
-        };
-        memo.insert(id, out.clone());
-        out
-    }
-
     /// Sort an interned term under an environment, memoized per
     /// (term, environment) pair; `env_key` must uniquely identify `env` within
     /// this arena's lifetime (callers typically use a fingerprint hash).
@@ -950,36 +754,6 @@ mod tests {
         let s2 = arena.simplify_id(id);
         assert_eq!(s1, s2);
         assert!(arena.stats().memo_hits > hits_before);
-    }
-
-    #[test]
-    fn subst_skips_untouched_subtrees() {
-        let mut arena = TermArena::new();
-        let t = Term::var("a").le(Term::var("b"));
-        let id = arena.intern(&t);
-        // `x` does not occur: the id must come back unchanged, with no new
-        // nodes interned.
-        let before = arena.len();
-        let mut map = Subst::new();
-        map.insert("x".into(), Term::int(3));
-        assert_eq!(arena.subst_all_id(id, &map), id);
-        assert_eq!(arena.len(), before + 1); // only the literal 3 was interned
-    }
-
-    #[test]
-    fn eval_id_agrees_with_tree_eval() {
-        let mut arena = TermArena::new();
-        let t = Term::var("x")
-            .le(Term::var("y"))
-            .and(Term::app("len", vec![Term::var("xs")]).eq_(Term::int(2)));
-        let id = arena.intern(&t);
-        let mut m = Model::new();
-        m.insert("x", Value::Int(1)).insert("y", Value::Int(4));
-        m.insert_app(&Term::app("len", vec![Term::var("xs")]), Value::Int(2));
-        assert_eq!(arena.eval_id(id, &m), t.eval(&m));
-        // Errors agree too.
-        let empty = Model::new();
-        assert_eq!(arena.eval_id(id, &empty), t.eval(&empty));
     }
 
     #[test]

@@ -4,7 +4,6 @@ use proptest::prelude::*;
 
 use crate::eval::{Model, Value};
 use crate::intern::TermArena;
-use crate::subst::Subst;
 use crate::term::Term;
 
 /// A strategy producing integer-sorted terms over variables `x`, `y`, `z`.
@@ -190,34 +189,6 @@ proptest! {
         let id = arena.intern(&t);
         let s = arena.simplify_id(id);
         prop_assert_eq!(arena.term(s), t.simplify());
-    }
-
-    /// The interned substitution pass agrees with the tree implementation
-    /// (including composition with the pending substitutions of unknowns).
-    #[test]
-    fn interned_subst_agrees(t in arb_symbolic_term(), k in -5i64..5) {
-        let mut arena = TermArena::new();
-        let id = arena.intern(&t);
-        let mut map = Subst::new();
-        map.insert("x".to_string(), Term::int(k));
-        map.insert("y".to_string(), Term::var("z") + Term::int(1));
-        let s = arena.subst_all_id(id, &map);
-        prop_assert_eq!(arena.term(s), t.subst_all(&map));
-    }
-
-    /// The interned evaluation pass agrees with the tree implementation, on
-    /// both values and errors.
-    #[test]
-    fn interned_eval_agrees(t in arb_bool_term(), x in -5i64..5, y in -5i64..5, z in -5i64..5) {
-        let mut arena = TermArena::new();
-        let id = arena.intern(&t);
-        let m = model(x, y, z);
-        prop_assert_eq!(arena.eval_id(id, &m), t.eval(&m));
-        // A model missing bindings must produce the same error.
-        let partial = model(x, y, z); // fresh model without `w`… x/y/z present
-        let t2 = t.clone().and(Term::var("unbound_w").le(Term::int(0)));
-        let id2 = arena.intern(&t2);
-        prop_assert_eq!(arena.eval_id(id2, &partial), t2.eval(&partial));
     }
 
     /// Interned simplification of an already-simplified term is a fixpoint

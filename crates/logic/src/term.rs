@@ -63,25 +63,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Whether the operator produces a boolean.
-    pub fn is_predicate(self) -> bool {
-        matches!(
-            self,
-            BinOp::And
-                | BinOp::Or
-                | BinOp::Implies
-                | BinOp::Iff
-                | BinOp::Eq
-                | BinOp::Neq
-                | BinOp::Le
-                | BinOp::Lt
-                | BinOp::Ge
-                | BinOp::Gt
-                | BinOp::Member
-                | BinOp::Subset
-        )
-    }
-
     /// Whether the operator is a comparison between two integer terms.
     pub fn is_arith_comparison(self) -> bool {
         matches!(self, BinOp::Le | BinOp::Lt | BinOp::Ge | BinOp::Gt)

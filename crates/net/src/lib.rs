@@ -4,7 +4,7 @@
 //! connections, which rules out a thread per socket. This crate is the
 //! minimal event-driven substrate the `resyn serve` front end multiplexes
 //! on, hand-rolled in the same no-external-deps spirit as the workspace's
-//! proptest/criterion shims:
+//! proptest shim:
 //!
 //! * [`sys`] — thin `extern "C"` declarations against the libc symbols the
 //!   loop needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`,

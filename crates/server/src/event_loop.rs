@@ -1,16 +1,15 @@
-//! The server's event-driven I/O core: a small fixed set of threads, each
-//! running one epoll readiness loop over many nonblocking connections.
+//! The server's event-driven I/O core: one thread running an epoll
+//! readiness loop over the listener and many nonblocking connections.
 //!
 //! This replaces the thread-per-connection handlers: instead of parking a
-//! blocked thread (and its stack) per idle client, each I/O thread owns a
+//! blocked thread (and its stack) per idle client, the I/O thread owns a
 //! [`resyn_net::Epoll`] instance, a [`resyn_net::Waker`] eventfd and a map
 //! of connections, and multiplexes all of their reads and writes from one
 //! loop. Synthesis still happens on the scheduler's worker pool — the I/O
 //! thread never blocks on a job. The two worlds meet at the [`IoShared`]
-//! mailbox: workers (and the acceptor, for connection hand-off) push
-//! [`IoMsg`]s and ring the waker; the owning I/O thread drains the mailbox
-//! at its next wakeup and turns completed verdicts and streamed progress
-//! heartbeats into queued output frames.
+//! mailbox: workers push [`Frame`]s and ring the waker; the I/O thread
+//! drains the mailbox at its next wakeup and turns completed verdicts and
+//! streamed progress heartbeats into queued output frames.
 //!
 //! # Per-connection state machine
 //!
@@ -55,39 +54,34 @@ use resyn_wire::proto::{Progress, Request, Response, Verdict};
 use crate::scheduler::ProgressFn;
 use crate::{Counters, Shared};
 
-/// Token of each I/O thread's own waker eventfd.
+/// Token of the I/O thread's waker eventfd.
 pub(crate) const WAKER_TOKEN: u64 = 0;
-/// Token of the listener (registered on I/O thread 0 only).
+/// Token of the listener.
 pub(crate) const LISTENER_TOKEN: u64 = 1;
 /// First token handed to an accepted connection.
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// A message posted into an I/O thread's mailbox from outside its loop.
-pub(crate) enum IoMsg {
-    /// A freshly accepted connection for the receiving thread to own.
-    Conn(TcpStream),
-    /// One wire frame for a connection the receiving thread owns: a
-    /// `progress` heartbeat (`verdict: None`, `end: false`) or a job's
-    /// final response (`verdict: Some(_)`, `end: true`).
-    Frame {
-        /// The owning thread's connection token.
-        conn: u64,
-        /// The job's correlation id (matched against the in-flight set).
-        id: String,
-        /// The rendered frame, without its trailing newline.
-        line: String,
-        /// The final response's verdict, counted when the frame is queued.
-        verdict: Option<Verdict>,
-        /// Whether this frame completes the job.
-        end: bool,
-    },
+/// One wire frame a synthesis worker posts for a connection: a `progress`
+/// heartbeat (`verdict: None`, `end: false`) or a job's final response
+/// (`verdict: Some(_)`, `end: true`).
+pub(crate) struct Frame {
+    /// The connection's token.
+    conn: u64,
+    /// The job's correlation id (matched against the in-flight set).
+    id: String,
+    /// The rendered frame, without its trailing newline.
+    line: String,
+    /// The final response's verdict, counted when the frame is queued.
+    verdict: Option<Verdict>,
+    /// Whether this frame completes the job.
+    end: bool,
 }
 
-/// The mailbox half of one I/O thread: what the acceptor and the synthesis
-/// workers' callbacks see. Posting is push-then-wake; the waker coalesces,
-/// so a burst of frames costs one syscall per drain, not per frame.
+/// The mailbox half of the I/O thread: what the synthesis workers'
+/// callbacks see. Posting is push-then-wake; the waker coalesces, so a
+/// burst of frames costs one syscall per drain, not per frame.
 pub(crate) struct IoShared {
-    inbox: Mutex<Vec<IoMsg>>,
+    inbox: Mutex<Vec<Frame>>,
     pub(crate) waker: Waker,
 }
 
@@ -99,16 +93,16 @@ impl IoShared {
         })
     }
 
-    /// Post a message and ring the owning thread's waker.
-    pub(crate) fn post(&self, msg: IoMsg) {
+    /// Post a frame and ring the I/O thread's waker.
+    fn post(&self, frame: Frame) {
         self.inbox
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(msg);
+            .push(frame);
         self.waker.wake();
     }
 
-    fn drain(&self) -> Vec<IoMsg> {
+    fn drain(&self) -> Vec<Frame> {
         std::mem::take(
             &mut *self
                 .inbox
@@ -118,7 +112,7 @@ impl IoShared {
     }
 }
 
-/// One connection's state, owned by exactly one I/O thread.
+/// One connection's state, owned by the I/O thread.
 struct Conn {
     stream: TcpStream,
     reader: LineReader,
@@ -158,33 +152,24 @@ fn abandon_inflight(conn: &mut Conn) {
     }
 }
 
-/// Run one I/O thread until shutdown. Thread 0 additionally owns the
-/// listener and hands accepted connections round-robin across all threads.
-pub(crate) fn run(shared: &Arc<Shared>, index: usize, epoll: Epoll, listener: Option<TcpListener>) {
+/// Run the I/O thread until shutdown.
+pub(crate) fn run(shared: &Arc<Shared>, epoll: Epoll, listener: TcpListener) {
     let mut thread = IoThread {
         shared,
-        io: Arc::clone(&shared.io[index]),
-        index,
         epoll,
         listener,
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
-        next_target: 0,
     };
     thread.run();
 }
 
 struct IoThread<'a> {
     shared: &'a Arc<Shared>,
-    /// This thread's own mailbox (`shared.io[index]`).
-    io: Arc<IoShared>,
-    index: usize,
     epoll: Epoll,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    /// Round-robin accept target (acceptor thread only).
-    next_target: usize,
 }
 
 impl IoThread<'_> {
@@ -221,19 +206,15 @@ impl IoThread<'_> {
     }
 
     fn drain_mailbox(&mut self) {
-        self.io.waker.drain();
-        for msg in self.io.drain() {
-            self.handle_msg(msg);
+        self.shared.io.waker.drain();
+        for frame in self.shared.io.drain() {
+            self.handle_frame(frame);
         }
     }
 
     fn accept_ready(&mut self) {
-        let io_threads = self.shared.io.len();
         loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((mut stream, _)) => {
                     Counters::bump(&self.shared.counters.connections);
                     if let Some(cap) = self.shared.config.max_conns {
@@ -254,13 +235,7 @@ impl IoThread<'_> {
                         }
                     }
                     self.shared.live_conns.fetch_add(1, Ordering::SeqCst);
-                    let target = self.next_target % io_threads;
-                    self.next_target = self.next_target.wrapping_add(1);
-                    if target == self.index {
-                        self.adopt(stream);
-                    } else {
-                        self.shared.io[target].post(IoMsg::Conn(stream));
-                    }
+                    self.adopt(stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(_) => {
@@ -275,7 +250,7 @@ impl IoThread<'_> {
     }
 
     /// Take ownership of an accepted connection (already counted against
-    /// `live_conns` by the acceptor; failure paths here give the slot back).
+    /// `live_conns`; failure paths here give the slot back).
     fn adopt(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
             self.shared.live_conns.fetch_sub(1, Ordering::SeqCst);
@@ -297,51 +272,47 @@ impl IoThread<'_> {
         }
     }
 
-    fn handle_msg(&mut self, msg: IoMsg) {
-        match msg {
-            IoMsg::Conn(stream) => self.adopt(stream),
-            IoMsg::Frame {
-                conn: token,
-                id,
-                line,
-                verdict,
-                end,
-            } => {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    // The connection died while the job ran; its verdict
-                    // has nowhere to go.
-                    if end {
-                        Counters::bump(&self.shared.counters.cancelled);
+    fn handle_frame(&mut self, frame: Frame) {
+        let Frame {
+            conn: token,
+            id,
+            line,
+            verdict,
+            end,
+        } = frame;
+        let Some(conn) = self.conns.get_mut(&token) else {
+            // The connection died while the job ran; its verdict has
+            // nowhere to go.
+            if end {
+                Counters::bump(&self.shared.counters.cancelled);
+            }
+            return;
+        };
+        let position = conn.inflight.iter().position(|(job, _)| *job == id);
+        let mut alive = true;
+        if end {
+            match position {
+                Some(p) => {
+                    conn.inflight.remove(p);
+                    if let Some(verdict) = verdict {
+                        self.shared.counters.record_verdict(verdict);
                     }
-                    return;
-                };
-                let position = conn.inflight.iter().position(|(job, _)| *job == id);
-                let mut alive = true;
-                if end {
-                    match position {
-                        Some(p) => {
-                            conn.inflight.remove(p);
-                            if let Some(verdict) = verdict {
-                                self.shared.counters.record_verdict(verdict);
-                            }
-                            alive = queue_line(conn, line);
-                        }
-                        // The job was abandoned (its token cancelled at
-                        // disconnect-with-pending-output) before the
-                        // verdict landed.
-                        None => Counters::bump(&self.shared.counters.cancelled),
-                    }
-                } else if position.is_some() {
-                    // Progress heartbeats for abandoned jobs are dropped.
                     alive = queue_line(conn, line);
                 }
-                if alive {
-                    alive = conn_still_alive(&self.epoll, token, conn);
-                }
-                if !alive {
-                    self.drop_conn(token);
-                }
+                // The job was abandoned (its token cancelled at
+                // disconnect-with-pending-output) before the verdict
+                // landed.
+                None => Counters::bump(&self.shared.counters.cancelled),
             }
+        } else if position.is_some() {
+            // Progress heartbeats for abandoned jobs are dropped.
+            alive = queue_line(conn, line);
+        }
+        if alive {
+            alive = conn_still_alive(&self.epoll, token, conn);
+        }
+        if !alive {
+            self.drop_conn(token);
         }
     }
 
@@ -355,7 +326,7 @@ impl IoThread<'_> {
         // (requests pipelined ahead of the peer's close), and the read
         // observing EOF is what makes the disconnect definitive.
         if event.readable || event.hangup || event.error {
-            alive = read_ready(self.shared, &self.io, event.token, conn);
+            alive = read_ready(self.shared, event.token, conn);
         }
         if alive && event.writable {
             alive = flush_ready(conn);
@@ -402,7 +373,7 @@ fn conn_still_alive(epoll: &Epoll, token: u64, conn: &mut Conn) -> bool {
 
 /// Read until `WouldBlock`, dispatching every completed request line.
 /// Returns `false` when the connection must be dropped now.
-fn read_ready(shared: &Arc<Shared>, io: &Arc<IoShared>, token: u64, conn: &mut Conn) -> bool {
+fn read_ready(shared: &Arc<Shared>, token: u64, conn: &mut Conn) -> bool {
     let mut buf = [0u8; 8192];
     loop {
         if conn.close_after_flush {
@@ -424,7 +395,7 @@ fn read_ready(shared: &Arc<Shared>, io: &Arc<IoShared>, token: u64, conn: &mut C
             }
             Ok(n) => {
                 conn.reader.feed(&buf[..n]);
-                if !drain_lines(shared, io, token, conn) {
+                if !drain_lines(shared, token, conn) {
                     return false;
                 }
             }
@@ -437,14 +408,14 @@ fn read_ready(shared: &Arc<Shared>, io: &Arc<IoShared>, token: u64, conn: &mut C
 
 /// Dispatch every line the assembler has completed. Returns `false` when
 /// the connection must be dropped now.
-fn drain_lines(shared: &Arc<Shared>, io: &Arc<IoShared>, token: u64, conn: &mut Conn) -> bool {
+fn drain_lines(shared: &Arc<Shared>, token: u64, conn: &mut Conn) -> bool {
     while let Some(event) = conn.reader.next_event() {
         match event {
             LineEvent::Line(line) => {
                 if line.trim().is_empty() {
                     continue;
                 }
-                if !handle_line(shared, io, token, conn, &line) {
+                if !handle_line(shared, token, conn, &line) {
                     return false;
                 }
             }
@@ -479,13 +450,7 @@ fn assign_id(conn: &mut Conn, supplied: Option<&str>) -> String {
 
 /// Dispatch one parsed-or-not request line. Returns `false` when the
 /// connection must be dropped now.
-fn handle_line(
-    shared: &Arc<Shared>,
-    io: &Arc<IoShared>,
-    token: u64,
-    conn: &mut Conn,
-    line: &str,
-) -> bool {
+fn handle_line(shared: &Arc<Shared>, token: u64, conn: &mut Conn, line: &str) -> bool {
     let request = match Request::parse_line(line) {
         Ok(request) => request,
         Err(message) => {
@@ -504,11 +469,11 @@ fn handle_line(
             Counters::bump(&shared.counters.synth_requests);
             let stream = synth.stream;
             let done = {
-                let (shared, io, id) = (Arc::clone(shared), Arc::clone(io), id.clone());
+                let (shared, id) = (Arc::clone(shared), id.clone());
                 Box::new(move |response: Option<Response>| match response {
                     // Skipped while queued: the client was already gone.
                     None => Counters::bump(&shared.counters.cancelled),
-                    Some(response) => io.post(IoMsg::Frame {
+                    Some(response) => shared.io.post(Frame {
                         conn: token,
                         id,
                         line: response.render(),
@@ -518,14 +483,14 @@ fn handle_line(
                 })
             };
             let progress: Option<ProgressFn> = stream.then(|| {
-                let (io, id) = (Arc::clone(io), id.clone());
+                let (shared, id) = (Arc::clone(shared), id.clone());
                 Arc::new(move |seq: u64, elapsed: Duration| {
                     let frame = Progress {
                         id: id.clone(),
                         seq,
                         elapsed_secs: elapsed.as_secs_f64(),
                     };
-                    io.post(IoMsg::Frame {
+                    shared.io.post(Frame {
                         conn: token,
                         id: id.clone(),
                         line: frame.render(),

@@ -10,12 +10,10 @@
 //!
 //! # Threading model
 //!
-//! * A small fixed set of **I/O threads** (`--io-threads`, default 1),
-//!   each running an epoll readiness loop (see [`resyn_net`]) over the
-//!   nonblocking connections it owns. Thread 0 also owns the listener and
-//!   hands accepted connections round-robin across the set. A thousand
-//!   idle clients cost a thousand registered fds, not a thousand parked
-//!   threads.
+//! * One **I/O thread** runs an epoll readiness loop (see [`resyn_net`])
+//!   over the listener and every nonblocking connection. A thousand idle
+//!   clients cost a thousand registered fds, not a thousand parked
+//!   threads; synthesis, not I/O, is what the server spends its time on.
 //! * A fixed pool of `jobs` **synthesis workers** drains the bounded
 //!   [`scheduler`] queue. Each job runs under `catch_unwind` (a panic
 //!   becomes an `error` response for that request only) with a per-request
@@ -23,8 +21,8 @@
 //!   [`scoped`](SolverCache::scoped) cache handle so the counters it
 //!   reports are its own, not its neighbours'. A finished verdict — or a
 //!   `resyn-wire/2` progress heartbeat from the budget's checkpoints — is
-//!   handed back to the owning I/O thread through its mailbox + waker
-//!   eventfd; workers never touch a socket.
+//!   handed back to the I/O thread through its mailbox + waker eventfd;
+//!   workers never touch a socket.
 //!
 //! # Backpressure
 //!
@@ -81,10 +79,6 @@ pub struct ServerConfig {
     pub queue_limit: usize,
     /// Longest accepted request line, in bytes.
     pub max_request_bytes: usize,
-    /// Epoll I/O threads (`--io-threads`). One readiness loop comfortably
-    /// multiplexes thousands of connections — synthesis dominates, not
-    /// I/O — so the default is 1; values below 1 are treated as 1.
-    pub io_threads: usize,
     /// Bound on a connection's pending output, in bytes. A client too slow
     /// to drain what it asked for (or asking for a single frame beyond the
     /// bound) is disconnected. Must exceed the largest legitimate frame —
@@ -118,7 +112,6 @@ impl Default for ServerConfig {
             timeout: Duration::from_secs(120),
             queue_limit: 32,
             max_request_bytes: 1 << 20,
-            io_threads: 1,
             max_output_bytes: 64 << 20,
             progress_interval: Duration::from_millis(100),
             goal_jobs: 1,
@@ -176,7 +169,7 @@ impl Counters {
     }
 }
 
-/// State shared by every I/O thread and every synthesis worker.
+/// State shared by the I/O thread and every synthesis worker.
 struct Shared {
     config: ServerConfig,
     cache: SolverCache,
@@ -184,9 +177,9 @@ struct Shared {
     counters: Counters,
     started: Instant,
     shutdown: std::sync::atomic::AtomicBool,
-    /// One mailbox + waker per I/O thread (`io[i]` belongs to thread `i`).
-    io: Vec<Arc<event_loop::IoShared>>,
-    /// Connections currently owned by some I/O thread, for the
+    /// The I/O thread's mailbox + waker.
+    io: Arc<event_loop::IoShared>,
+    /// Connections currently open, for the
     /// [`max_conns`](ServerConfig::max_conns) admission check.
     live_conns: AtomicU64,
     /// Time completed jobs spent waiting in the scheduler queue.
@@ -210,11 +203,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Counters of the process-wide solver cache shared by every session.
-    pub fn cache_stats(&self) -> resyn_solver::CacheStats {
-        self.shared.cache.stats()
-    }
-
     /// Stop accepting, abandon queued jobs, wait for in-flight jobs and
     /// join every server thread.
     pub fn shutdown(mut self) {
@@ -229,10 +217,8 @@ impl ServerHandle {
             .shutdown
             .store(true, std::sync::atomic::Ordering::SeqCst);
         self.shared.scheduler.shutdown();
-        // Every I/O thread re-checks the flag when its waker fires.
-        for io in &self.shared.io {
-            io.waker.wake();
-        }
+        // The I/O thread re-checks the flag when its waker fires.
+        self.shared.io.waker.wake();
     }
 }
 
@@ -246,7 +232,7 @@ impl Drop for ServerHandle {
 }
 
 /// Bind and start a server. Returns as soon as the listener is bound; the
-/// I/O threads and synthesis workers run on background threads owned by
+/// I/O thread and synthesis workers run on background threads owned by
 /// the returned handle.
 ///
 /// # Errors
@@ -258,29 +244,16 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let cache = SolverCache::bounded(config.cache_budget);
-    // Epoll instances, wakers and mailboxes are built up front so setup
+    // The epoll instance, waker and mailbox are built up front so setup
     // failures surface here as the bind error would, not on a thread.
-    let io_threads = config.io_threads.max(1);
-    let mut io = Vec::with_capacity(io_threads);
-    let mut epolls = Vec::with_capacity(io_threads);
-    for index in 0..io_threads {
-        let mailbox = Arc::new(event_loop::IoShared::new()?);
-        let epoll = Epoll::new()?;
-        epoll.add(
-            mailbox.waker.fd(),
-            event_loop::WAKER_TOKEN,
-            Interest::READABLE,
-        )?;
-        if index == 0 {
-            epoll.add(
-                listener.as_raw_fd(),
-                event_loop::LISTENER_TOKEN,
-                Interest::READABLE,
-            )?;
-        }
-        io.push(mailbox);
-        epolls.push(epoll);
-    }
+    let io = Arc::new(event_loop::IoShared::new()?);
+    let epoll = Epoll::new()?;
+    epoll.add(io.waker.fd(), event_loop::WAKER_TOKEN, Interest::READABLE)?;
+    epoll.add(
+        listener.as_raw_fd(),
+        event_loop::LISTENER_TOKEN,
+        Interest::READABLE,
+    )?;
     let queue_latency = Arc::new(latency::Histogram::new());
     let solve_latency = Arc::new(latency::Histogram::new());
     let scheduler = scheduler::Scheduler::new(config.queue_limit).with_timing_observer({
@@ -306,7 +279,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .name("resyn-serve".to_string())
         .spawn({
             let shared = Arc::clone(&shared);
-            move || supervise(listener, epolls, &shared)
+            move || supervise(listener, epoll, &shared)
         })?;
     Ok(ServerHandle {
         addr,
@@ -315,9 +288,9 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// The supervisor thread: synthesis workers + I/O threads under one scope,
-/// so everything is joined before the thread exits.
-fn supervise(listener: TcpListener, epolls: Vec<Epoll>, shared: &Arc<Shared>) {
+/// The supervisor thread: synthesis workers + the I/O thread under one
+/// scope, so everything is joined before the thread exits.
+fn supervise(listener: TcpListener, epoll: Epoll, shared: &Arc<Shared>) {
     std::thread::scope(|scope| {
         for _ in 0..shared.config.jobs.max(1) {
             scope.spawn(|| {
@@ -341,12 +314,7 @@ fn supervise(listener: TcpListener, epolls: Vec<Epoll>, shared: &Arc<Shared>) {
                 });
             });
         }
-        let mut listener = Some(listener);
-        for (index, epoll) in epolls.into_iter().enumerate() {
-            let listener = if index == 0 { listener.take() } else { None };
-            let shared = Arc::clone(shared);
-            scope.spawn(move || event_loop::run(&shared, index, epoll, listener));
-        }
+        scope.spawn(|| event_loop::run(shared, epoll, listener));
     });
 }
 
@@ -369,10 +337,6 @@ fn stats_response(shared: &Shared, id: String) -> Response {
                 shared.started.elapsed().as_secs_f64(),
             ),
             ("jobs".to_string(), shared.config.jobs as f64),
-            (
-                "io_threads".to_string(),
-                shared.config.io_threads.max(1) as f64,
-            ),
             ("queue_depth".to_string(), shared.scheduler.depth() as f64),
             (
                 "latency_samples".to_string(),

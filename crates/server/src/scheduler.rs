@@ -5,9 +5,9 @@
 //! pool (`resyn_eval::parallel`): the same `std::thread::scope` + shared
 //! work-source shape, the same per-job `catch_unwind` isolation, but fed by
 //! a live queue instead of a fixed benchmark slice — so it additionally
-//! owes callers **backpressure**: [`Scheduler::submit`] refuses work beyond
-//! the configured queue depth instead of buffering unboundedly, and the
-//! refusal is turned into an `overloaded` response at the wire.
+//! owes callers **backpressure**: [`Scheduler::submit_with`] refuses work
+//! beyond the configured queue depth instead of buffering unboundedly, and
+//! the refusal is turned into an `overloaded` response at the wire.
 //!
 //! The scheduler is generic over the job runner so its concurrency
 //! properties (bounded queue, panic isolation, cancellation,
@@ -21,13 +21,12 @@
 //! runner never starts), and a running job's runner observes the token
 //! through the synthesis [`Budget`](resyn_budget::Budget) and unwinds at
 //! its next checkpoint. The connection handler cancels when its client
-//! disconnects mid-job, so a worker never keeps synthesizing for a reply
-//! channel nobody reads.
+//! disconnects mid-job, so a worker never keeps synthesizing for a client
+//! nobody answers.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -47,19 +46,9 @@ pub type ProgressFn = Arc<dyn Fn(u64, Duration) + Send + Sync>;
 /// abandonment).
 pub type DoneFn = Box<dyn FnOnce(Option<Response>) + Send>;
 
-/// How a job's response travels back to its submitter.
-enum ReplySink {
-    /// [`Scheduler::submit`]: an mpsc channel the submitter waits on.
-    Channel(Sender<Response>),
-    /// [`Scheduler::submit_with`]: a callback the worker invokes — this is
-    /// how the event-driven server hands a finished verdict back to the
-    /// I/O thread that owns the client's connection.
-    Callback(DoneFn),
-}
-
 /// A queued synthesis job: the parsed request plus the correlation id the
-/// connection assigned, the sink its response travels back through, and the
-/// token that cancels it.
+/// connection assigned, the callback its response travels back through, and
+/// the token that cancels it.
 pub struct Job {
     /// The request to run.
     pub request: SynthRequest,
@@ -70,7 +59,9 @@ pub struct Job {
     /// Present when the submitter wants streamed progress: the runner
     /// forwards budget-checkpoint heartbeats through it.
     pub progress: Option<ProgressFn>,
-    reply: ReplySink,
+    /// Hands the finished verdict back to the I/O thread that owns the
+    /// client's connection.
+    done: DoneFn,
     /// When the job entered the queue; the worker derives the queue-wait
     /// half of the latency split from it.
     queued_at: Instant,
@@ -132,51 +123,16 @@ impl Scheduler {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    // Handing the whole job back on refusal is the point (the caller
-    // answers `overloaded` with its id, in order), so the large Err
-    // variant is deliberate — as it already is for `submit`.
-    #[allow(clippy::result_large_err)]
-    fn enqueue(&self, job: Job) -> Result<(), Job> {
-        let mut queue = self.lock_queue();
-        if queue.len() >= self.limit || self.shutdown.load(Ordering::SeqCst) {
-            return Err(job);
-        }
-        queue.push_back(job);
-        drop(queue);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Enqueue a job. Returns the receiver its response will arrive on plus
-    /// the token that cancels it, or the job back if the queue is at its
-    /// depth limit (the caller answers `overloaded`) or the scheduler is
-    /// shutting down.
-    #[allow(clippy::result_large_err)]
-    pub fn submit(
-        &self,
-        request: SynthRequest,
-        id: String,
-    ) -> Result<(Receiver<Response>, CancelToken), Job> {
-        let (reply, receiver) = channel();
-        let token = CancelToken::new();
-        self.enqueue(Job {
-            request,
-            id,
-            token: token.clone(),
-            progress: None,
-            reply: ReplySink::Channel(reply),
-            queued_at: Instant::now(),
-        })?;
-        Ok((receiver, token))
-    }
-
-    /// Enqueue a job whose response comes back through a callback instead
-    /// of a channel — the event-driven server's path: `done` runs on the
-    /// worker thread and hands the rendered frame to the I/O thread that
-    /// owns the connection. `progress` (optional) receives streamed
-    /// heartbeats while the job runs. On refusal the job is handed back —
-    /// including its callback, uninvoked — so the caller can answer
-    /// `overloaded` in-line and in order.
+    /// Enqueue a job whose response comes back through a callback: `done`
+    /// runs on the worker thread and hands the rendered frame to the I/O
+    /// thread that owns the connection. `progress` (optional) receives
+    /// streamed heartbeats while the job runs. Returns the token that
+    /// cancels the job. If the queue is at its depth limit or the scheduler
+    /// is shutting down, the job is handed back — including its callback,
+    /// uninvoked — so the caller can answer `overloaded` in-line and in
+    /// order.
+    // Handing the whole job back on refusal is the point, so the large Err
+    // variant is deliberate.
     #[allow(clippy::result_large_err)]
     pub fn submit_with(
         &self,
@@ -186,14 +142,21 @@ impl Scheduler {
         done: DoneFn,
     ) -> Result<CancelToken, Job> {
         let token = CancelToken::new();
-        self.enqueue(Job {
+        let job = Job {
             request,
             id,
             token: token.clone(),
             progress,
-            reply: ReplySink::Callback(done),
+            done,
             queued_at: Instant::now(),
-        })?;
+        };
+        let mut queue = self.lock_queue();
+        if queue.len() >= self.limit || self.shutdown.load(Ordering::SeqCst) {
+            return Err(job);
+        }
+        queue.push_back(job);
+        drop(queue);
+        self.ready.notify_one();
         Ok(token)
     }
 
@@ -203,9 +166,9 @@ impl Scheduler {
     }
 
     /// Wake every worker and make further submissions fail. Queued jobs are
-    /// abandoned — dropped here, which closes their reply channels, which
-    /// waiting connections observe as a server shutdown — so shutdown waits
-    /// only for the jobs already *running*, never for the backlog.
+    /// abandoned — dropped here with their callbacks uninvoked — so
+    /// shutdown waits only for the jobs already *running*, never for the
+    /// backlog.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.lock_queue().clear();
@@ -217,14 +180,14 @@ impl Scheduler {
     /// and every other queued job are unaffected (the same contract the
     /// parallel evaluation pool gives benchmarks). A job whose token was
     /// cancelled while it waited in the queue is discarded without running
-    /// (its submitter has stopped listening); a callback submitter is told
-    /// with `None`. The runner receives the whole [`Job`] so mid-run
+    /// (its submitter has stopped listening); its callback is told with
+    /// `None`. The runner receives the whole [`Job`] so mid-run
     /// cancellation reaches the synthesis budget and streamed progress
     /// reaches the submitter's `progress` callback.
     ///
-    /// Waiting is purely condvar-driven: [`submit`](Self::submit) and
-    /// [`shutdown`](Self::shutdown) notify under the queue mutex's
-    /// discipline, so there is no wakeup to lose and no poll interval to pay
+    /// Waiting is purely condvar-driven:
+    /// [`submit_with`](Self::submit_with) and [`shutdown`](Self::shutdown)
+    /// notify under the queue mutex's discipline, so there is no wakeup to lose and no poll interval to pay
     /// on an idle server (the 100 ms `wait_timeout` this replaces burned a
     /// wakeup per worker per tick for nothing).
     pub fn worker_loop<F>(&self, run: F)
@@ -249,11 +212,9 @@ impl Scheduler {
             };
             if job.token.is_cancelled() {
                 // The client disconnected while the job was queued: skip it
-                // entirely instead of synthesizing into a closed channel.
-                // A callback submitter still hears about the abandonment.
-                if let ReplySink::Callback(done) = job.reply {
-                    done(None);
-                }
+                // entirely instead of synthesizing for nobody. The
+                // submitter still hears about the abandonment.
+                (job.done)(None);
                 continue;
             }
             let queue_wait = job.queued_at.elapsed();
@@ -276,14 +237,7 @@ impl Scheduler {
             if let Some(observer) = &self.timing {
                 observer(queue_wait, solve_time);
             }
-            match job.reply {
-                // The client may have disconnected while the job was queued
-                // or running; a closed reply channel is not an error.
-                ReplySink::Channel(reply) => {
-                    let _ = reply.send(response);
-                }
-                ReplySink::Callback(done) => done(Some(response)),
-            }
+            (job.done)(Some(response));
         }
     }
 }
@@ -312,6 +266,25 @@ mod tests {
         }
     }
 
+    /// Submit with a callback that forwards the response into a channel. A
+    /// job that is skipped or abandoned drops the sender, so its receiver
+    /// sees a closed channel instead of a response.
+    #[allow(clippy::result_large_err)]
+    fn submit(
+        scheduler: &Scheduler,
+        request: SynthRequest,
+        id: String,
+    ) -> Result<(mpsc::Receiver<Response>, CancelToken), Job> {
+        let (reply, receiver) = mpsc::channel();
+        let done: DoneFn = Box::new(move |response| {
+            if let Some(response) = response {
+                let _ = reply.send(response);
+            }
+        });
+        let token = scheduler.submit_with(request, id, None, done)?;
+        Ok((receiver, token))
+    }
+
     fn ok_response(id: &str) -> Response {
         Response {
             id: id.to_string(),
@@ -328,12 +301,8 @@ mod tests {
         let scheduler = Scheduler::new(8);
         std::thread::scope(|scope| {
             scope.spawn(|| scheduler.worker_loop(|job: &Job| ok_response(&job.id)));
-            let (rx_a, _) = scheduler
-                .submit(synth_request("a"), "id-a".to_string())
-                .unwrap();
-            let (rx_b, _) = scheduler
-                .submit(synth_request("b"), "id-b".to_string())
-                .unwrap();
+            let (rx_a, _) = submit(&scheduler, synth_request("a"), "id-a".to_string()).unwrap();
+            let (rx_b, _) = submit(&scheduler, synth_request("b"), "id-b".to_string()).unwrap();
             assert_eq!(rx_a.recv().unwrap().id, "id-a");
             assert_eq!(rx_b.recv().unwrap().id, "id-b");
             scheduler.shutdown();
@@ -354,17 +323,14 @@ mod tests {
                     ok_response(&job.id)
                 })
             });
-            let (first, _) = scheduler
-                .submit(synth_request("running"), "r".to_string())
-                .unwrap();
+            let (first, _) = submit(&scheduler, synth_request("running"), "r".to_string()).unwrap();
             // Wait until the worker has claimed the first job.
             while scheduler.depth() > 0 {
                 std::thread::yield_now();
             }
             let queued: Vec<_> = (0..2)
                 .map(|i| {
-                    scheduler
-                        .submit(synth_request("queued"), format!("q{i}"))
+                    submit(&scheduler, synth_request("queued"), format!("q{i}"))
                         .unwrap()
                         .0
                 })
@@ -372,7 +338,7 @@ mod tests {
             assert_eq!(scheduler.depth(), 2);
             // The queue is at its limit: the next submission bounces with
             // its job handed back (the caller renders `overloaded`).
-            let refused = scheduler.submit(synth_request("extra"), "x".to_string());
+            let refused = submit(&scheduler, synth_request("extra"), "x".to_string());
             let job = refused.expect_err("queue at limit must refuse");
             assert_eq!(job.id, "x");
             // Releasing the gate drains everything that was accepted.
@@ -399,16 +365,12 @@ mod tests {
                     ok_response(&job.id)
                 })
             });
-            let (rx_bad, _) = scheduler
-                .submit(synth_request("boom"), "bad".to_string())
-                .unwrap();
+            let (rx_bad, _) = submit(&scheduler, synth_request("boom"), "bad".to_string()).unwrap();
             let bad = rx_bad.recv().unwrap();
             assert_eq!(bad.verdict, Verdict::Error);
             assert!(bad.error.as_deref().unwrap().contains("injected failure"));
             // The worker survived the panic and still serves jobs.
-            let (rx_ok, _) = scheduler
-                .submit(synth_request("fine"), "ok".to_string())
-                .unwrap();
+            let (rx_ok, _) = submit(&scheduler, synth_request("fine"), "ok".to_string()).unwrap();
             assert_eq!(rx_ok.recv().unwrap().verdict, Verdict::Solved);
             scheduler.shutdown();
         });
@@ -433,9 +395,8 @@ mod tests {
                     ok_response(&job.id)
                 })
             });
-            let (endless, token) = scheduler
-                .submit(synth_request("endless"), "e".to_string())
-                .unwrap();
+            let (endless, token) =
+                submit(&scheduler, synth_request("endless"), "e".to_string()).unwrap();
             // Let the worker claim the job, then cancel it — the handler
             // does exactly this when its client disconnects mid-job.
             while scheduler.depth() > 0 {
@@ -447,9 +408,7 @@ mod tests {
                 .expect("the cancelled job must return");
             assert_eq!(response.verdict, Verdict::TimedOut);
             // The worker is free again: a follow-up job completes.
-            let (next, _) = scheduler
-                .submit(synth_request("fine"), "ok".to_string())
-                .unwrap();
+            let (next, _) = submit(&scheduler, synth_request("fine"), "ok".to_string()).unwrap();
             assert_eq!(next.recv().unwrap().verdict, Verdict::Solved);
             scheduler.shutdown();
         });
@@ -472,15 +431,13 @@ mod tests {
                 })
             });
             // Occupy the only worker, queue a job, cancel it while queued.
-            let (running, _) = scheduler
-                .submit(synth_request("running"), "r".to_string())
-                .unwrap();
+            let (running, _) =
+                submit(&scheduler, synth_request("running"), "r".to_string()).unwrap();
             while scheduler.depth() > 0 {
                 std::thread::yield_now();
             }
-            let (abandoned, token) = scheduler
-                .submit(synth_request("abandoned"), "a".to_string())
-                .unwrap();
+            let (abandoned, token) =
+                submit(&scheduler, synth_request("abandoned"), "a".to_string()).unwrap();
             token.cancel();
             // Release the worker: it claims the cancelled job, skips it
             // (closing the reply channel without a response), and stays
@@ -491,9 +448,7 @@ mod tests {
                 abandoned.recv().is_err(),
                 "a skipped job's reply channel closes without a response"
             );
-            let (next, _) = scheduler
-                .submit(synth_request("fine"), "ok".to_string())
-                .unwrap();
+            let (next, _) = submit(&scheduler, synth_request("fine"), "ok".to_string()).unwrap();
             gate_tx.send(()).unwrap();
             assert_eq!(next.recv().unwrap().id, "ok");
             scheduler.shutdown();
@@ -511,9 +466,7 @@ mod tests {
             scope.spawn(|| scheduler.worker_loop(|job: &Job| ok_response(&job.id)));
             let start = std::time::Instant::now();
             for i in 0..200 {
-                let (rx, _) = scheduler
-                    .submit(synth_request("ping"), format!("j{i}"))
-                    .unwrap();
+                let (rx, _) = submit(&scheduler, synth_request("ping"), format!("j{i}")).unwrap();
                 let response = rx
                     .recv_timeout(std::time::Duration::from_secs(5))
                     .unwrap_or_else(|_| panic!("job j{i} was never picked up"));
@@ -540,15 +493,12 @@ mod tests {
                     ok_response(&job.id)
                 })
             });
-            let (running, _) = scheduler
-                .submit(synth_request("running"), "r".to_string())
-                .unwrap();
+            let (running, _) =
+                submit(&scheduler, synth_request("running"), "r".to_string()).unwrap();
             while scheduler.depth() > 0 {
                 std::thread::yield_now();
             }
-            let (queued, _) = scheduler
-                .submit(synth_request("queued"), "q".to_string())
-                .unwrap();
+            let (queued, _) = submit(&scheduler, synth_request("queued"), "q".to_string()).unwrap();
             scheduler.shutdown();
             // The queued job was dropped: its reply channel closes without
             // a response (a connection handler renders this as a shutdown
@@ -566,9 +516,7 @@ mod tests {
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| scheduler.worker_loop(|job: &Job| ok_response(&job.id)));
             scheduler.shutdown();
-            assert!(scheduler
-                .submit(synth_request("late"), "l".to_string())
-                .is_err());
+            assert!(submit(&scheduler, synth_request("late"), "l".to_string()).is_err());
             worker.join().unwrap();
         });
     }
@@ -628,9 +576,8 @@ mod tests {
                     ok_response(&job.id)
                 })
             });
-            let (running, _) = scheduler
-                .submit(synth_request("running"), "r".to_string())
-                .unwrap();
+            let (running, _) =
+                submit(&scheduler, synth_request("running"), "r".to_string()).unwrap();
             while scheduler.depth() > 0 {
                 std::thread::yield_now();
             }
@@ -668,9 +615,7 @@ mod tests {
                     ok_response(&job.id)
                 })
             });
-            let (rx, _) = scheduler
-                .submit(synth_request("timed"), "t".to_string())
-                .unwrap();
+            let (rx, _) = submit(&scheduler, synth_request("timed"), "t".to_string()).unwrap();
             assert_eq!(rx.recv().unwrap().id, "t");
             let (_queue_wait, solve) = timing_rx.recv().unwrap();
             assert!(

@@ -137,24 +137,6 @@ impl Solver {
         self.cache.as_ref()
     }
 
-    /// A copy of this solver with additional variable bindings (the query
-    /// cache, if any, is carried over).
-    pub fn with_bindings<I>(&self, bindings: I) -> Solver
-    where
-        I: IntoIterator<Item = (String, Sort)>,
-    {
-        let mut env = self.env.clone();
-        for (name, sort) in bindings {
-            env.bind_var(name, sort);
-        }
-        Solver {
-            env,
-            lia: self.lia.clone(),
-            dpll: self.dpll.clone(),
-            cache: self.cache.clone(),
-        }
-    }
-
     /// Fingerprint of the work limits a verdict may depend on (a raised
     /// limit can turn `Unknown` into a definite answer, so solvers that
     /// differ in one must not alias in a shared cache).
@@ -313,11 +295,6 @@ impl Solver {
             self.check_valid(premises, conclusion),
             ValidityResult::Valid
         )
-    }
-
-    /// Convenience wrapper: `true` iff the conjunction is satisfiable.
-    pub fn is_sat(&self, assumptions: &[Term]) -> bool {
-        matches!(self.check_sat(assumptions), SatResult::Sat(_))
     }
 
     fn build_model(

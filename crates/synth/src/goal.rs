@@ -54,11 +54,6 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Whether this mode checks resources while enumerating.
-    pub fn resource_guided(self) -> bool {
-        matches!(self, Mode::ReSyn | Mode::ReSynNoInc | Mode::ConstantTime)
-    }
-
     /// The canonical mode name, as accepted by `--mode` and the
     /// `resyn-wire/1` protocol (the inverse of the [`FromStr`] impl).
     ///

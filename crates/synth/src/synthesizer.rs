@@ -185,13 +185,6 @@ impl Synthesizer {
         .with_budget(budget.clone())
     }
 
-    /// Counters of this synthesizer's cache handle (hits, misses, terms
-    /// interned); cumulative over every check issued through this
-    /// synthesizer, excluding concurrent sharers of the same tables.
-    pub fn cache_stats(&self) -> resyn_solver::HandleStats {
-        self.cache.handle_stats()
-    }
-
     /// Check a candidate (possibly partial) program; in resource modes the
     /// residual CEGIS constraints must also be satisfiable.
     ///

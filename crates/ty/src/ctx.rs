@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use resyn_logic::{SortingEnv, Term};
 
 use crate::datatypes::Datatypes;
-use crate::types::{BaseType, Ty};
+use crate::types::Ty;
 
 /// A typing context.
 #[derive(Debug, Clone)]
@@ -129,15 +129,6 @@ impl Ctx {
             .iter()
             .filter(|(_, t)| t.is_scalar())
             .cloned()
-            .collect()
-    }
-
-    /// Names of the integer-or-element sorted variables in scope.
-    pub fn numeric_vars(&self) -> Vec<String> {
-        self.vars
-            .iter()
-            .filter(|(_, t)| matches!(t.base_type(), Some(BaseType::Int) | Some(BaseType::TVar(_))))
-            .map(|(n, _)| n.clone())
             .collect()
     }
 

@@ -21,7 +21,6 @@ fn run_json(benches: &[Benchmark], timeout: Duration) -> Json {
     let config = ParallelConfig {
         jobs: 2,
         timeout,
-        ablations: true,
         progress: false,
         goal_jobs: 1,
     };
@@ -149,7 +148,29 @@ fn solved_modes_and_ablation_speedups_appear_in_a_real_report() {
         Some(3.0)
     );
     assert_eq!(aggregate.get("errors").and_then(Json::as_num), Some(0.0));
-    assert!(aggregate.get("cache_hits").and_then(Json::as_num).unwrap() > 0.0);
+    // The aggregate cache counters are the sums of the per-mode counters.
+    for key in ["cache_hits", "cache_misses"] {
+        let per_mode: f64 = rows
+            .iter()
+            .flat_map(|row| {
+                let modes = row.get("modes").unwrap();
+                ["resyn", "synquid", "eac", "noinc"]
+                    .map(|mode| modes.get(mode).unwrap().get(key).unwrap().as_num().unwrap())
+            })
+            .sum();
+        assert_eq!(
+            aggregate.get(key).and_then(Json::as_num),
+            Some(per_mode),
+            "{key}"
+        );
+    }
+    assert!(
+        aggregate
+            .get("cache_misses")
+            .and_then(Json::as_num)
+            .unwrap()
+            > 0.0
+    );
     assert!(
         aggregate
             .get("median_speedup_noinc")

@@ -31,7 +31,6 @@ fn soak_server() -> ServerHandle {
     serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         jobs: 2,
-        io_threads: 1,
         timeout: Duration::from_secs(60),
         queue_limit: 256,
         ..ServerConfig::default()
@@ -99,7 +98,6 @@ fn a_thousand_concurrent_connections_on_one_io_thread_all_get_verdicts() {
         IDLE + LORIS + ACTIVE,
         stats.stat("connections")
     );
-    assert_eq!(stats.stat("io_threads"), Some(1.0));
     // No leaked jobs: every synth request is accounted for as a verdict or
     // a cancellation, nothing is stuck in flight.
     assert_eq!(stats.stat("synth_requests"), Some(ACTIVE as f64));
@@ -135,7 +133,6 @@ fn accepts_beyond_the_connection_cap_bounce_with_overloaded_and_close() {
     let server = serve(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         jobs: 1,
-        io_threads: 1,
         timeout: Duration::from_secs(60),
         max_conns: Some(CAP),
         ..ServerConfig::default()
