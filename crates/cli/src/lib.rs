@@ -142,7 +142,7 @@ pub struct Options {
     /// `fuzz`: which invariant to check per problem (`--check
     /// modes|lint`); defaults to `modes` (the cross-mode differential).
     pub check: Option<String>,
-    /// `synth`/`lint`/`serve`: approximate byte budget for the solver cache
+    /// `serve`: approximate byte budget for the server's shared solver cache
     /// (`--cache-budget BYTES`); over it, cold entries are evicted.
     pub cache_budget: Option<usize>,
     /// `lint`: output format (`--format human|json`); human by default.
@@ -191,14 +191,7 @@ impl Default for Options {
 pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
     let allowed: &[&str] = match command {
         "parse" => &[],
-        "synth" => &[
-            "--mode",
-            "--timeout",
-            "--goal",
-            "--stats",
-            "--goal-jobs",
-            "--cache-budget",
-        ],
+        "synth" => &["--mode", "--timeout", "--goal", "--stats", "--goal-jobs"],
         "check" => &["--mode", "--timeout", "--goal"],
         "measure" => &["--goal"],
         "eval" => &[
@@ -226,7 +219,7 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
             "--stats",
             "--stream",
         ],
-        "lint" => &["--format", "--timeout", "--cache-budget"],
+        "lint" => &["--format", "--timeout"],
         "gen" => &["--seed", "--count", "--size"],
         "fuzz" => &[
             "--seed",
@@ -249,8 +242,27 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse `--mode`, `--timeout` and `--goal` flags from an argument list,
-/// returning the remaining positional arguments.
+/// The value following `flag` on the command line.
+fn flag_value<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<&'a String, CliError> {
+    it.next()
+        .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
+}
+
+/// Parse a count that must be at least 1; `what` names it in the error
+/// ("invalid job count").
+fn positive_count(value: &str, what: &str) -> Result<usize, CliError> {
+    value
+        .parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| CliError::Usage(format!("invalid {what} `{value}`")))
+}
+
+/// Parse the flags of an argument list into [`Options`], returning the
+/// remaining positional arguments.
 ///
 /// # Errors
 ///
@@ -263,56 +275,31 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
         if arg.starts_with("--") {
             opts.seen_flags.push(arg.clone());
         }
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
             "--mode" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--mode needs a value".to_string()))?;
-                opts.mode = value.parse().map_err(CliError::Usage)?;
+                opts.mode = flag_value(&mut it, flag)?
+                    .parse()
+                    .map_err(CliError::Usage)?;
             }
             "--timeout" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--timeout needs a value".to_string()))?;
+                let value = flag_value(&mut it, flag)?;
                 let secs: u64 = value
                     .parse()
                     .map_err(|_| CliError::Usage(format!("invalid timeout `{value}`")))?;
                 opts.timeout = Duration::from_secs(secs);
             }
-            "--goal" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--goal needs a value".to_string()))?;
-                opts.goal = Some(value.clone());
-            }
-            "--stats" => {
-                opts.stats = true;
-            }
-            "--jobs" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--jobs needs a value".to_string()))?;
-                let jobs: usize = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid job count `{value}`")))?;
-                opts.jobs = Some(jobs);
-            }
+            "--goal" => opts.goal = Some(flag_value(&mut it, flag)?.clone()),
+            "--stats" => opts.stats = true,
+            "--jobs" => opts.jobs = Some(positive_count(flag_value(&mut it, flag)?, "job count")?),
             "--goal-jobs" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--goal-jobs needs a value".to_string()))?;
-                let jobs: usize =
-                    value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CliError::Usage(format!("invalid goal-job count `{value}`"))
-                    })?;
-                opts.goal_jobs = Some(jobs);
+                opts.goal_jobs = Some(positive_count(
+                    flag_value(&mut it, flag)?,
+                    "goal-job count",
+                )?);
             }
             "--filter" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--filter needs a value".to_string()))?;
+                let value = flag_value(&mut it, flag)?;
                 let before = opts.filters.len();
                 opts.filters.extend(
                     value
@@ -327,10 +314,7 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                 }
             }
             "--table" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--table needs a value".to_string()))?;
-                opts.table = match value.as_str() {
+                opts.table = match flag_value(&mut it, flag)?.as_str() {
                     "1" => 1,
                     "2" => 2,
                     other => {
@@ -340,46 +324,20 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                     }
                 };
             }
-            "--json" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--json needs a value".to_string()))?;
-                opts.json = Some(value.clone());
-            }
-            "--addr" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--addr needs a value".to_string()))?;
-                opts.addr = Some(value.clone());
-            }
+            "--json" => opts.json = Some(flag_value(&mut it, flag)?.clone()),
+            "--addr" => opts.addr = Some(flag_value(&mut it, flag)?.clone()),
             "--queue" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--queue needs a value".to_string()))?;
-                let queue: usize = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid queue depth `{value}`")))?;
-                opts.queue = Some(queue);
+                opts.queue = Some(positive_count(flag_value(&mut it, flag)?, "queue depth")?);
             }
             "--max-conns" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--max-conns needs a value".to_string()))?;
-                let max_conns: usize =
-                    value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CliError::Usage(format!("invalid connection cap `{value}`"))
-                    })?;
-                opts.max_conns = Some(max_conns);
+                opts.max_conns = Some(positive_count(
+                    flag_value(&mut it, flag)?,
+                    "connection cap",
+                )?);
             }
-            "--stream" => {
-                opts.stream = true;
-            }
+            "--stream" => opts.stream = true,
             "--format" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--format needs a value".to_string()))?;
+                let value = flag_value(&mut it, flag)?;
                 match value.as_str() {
                     "human" | "json" => opts.format = Some(value.clone()),
                     other => {
@@ -390,46 +348,17 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                 }
             }
             "--seed" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--seed needs a value".to_string()))?;
+                let value = flag_value(&mut it, flag)?;
                 let seed: u64 = value
                     .parse()
                     .map_err(|_| CliError::Usage(format!("invalid seed `{value}`")))?;
                 opts.seed = Some(seed);
             }
-            "--count" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--count needs a value".to_string()))?;
-                let count: usize = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid count `{value}`")))?;
-                opts.count = Some(count);
-            }
-            "--size" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--size needs a value".to_string()))?;
-                let size: usize = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError::Usage(format!("invalid size `{value}`")))?;
-                opts.size = Some(size);
-            }
-            "--out" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--out needs a value".to_string()))?;
-                opts.out = Some(value.clone());
-            }
+            "--count" => opts.count = Some(positive_count(flag_value(&mut it, flag)?, "count")?),
+            "--size" => opts.size = Some(positive_count(flag_value(&mut it, flag)?, "size")?),
+            "--out" => opts.out = Some(flag_value(&mut it, flag)?.clone()),
             "--check" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--check needs a value".to_string()))?;
+                let value = flag_value(&mut it, flag)?;
                 match value.as_str() {
                     "modes" | "lint" => opts.check = Some(value.clone()),
                     other => {
@@ -440,13 +369,10 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                 }
             }
             "--cache-budget" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--cache-budget needs a value".to_string()))?;
-                let budget: usize = value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    CliError::Usage(format!("invalid cache budget `{value}` (bytes)"))
-                })?;
-                opts.cache_budget = Some(budget);
+                opts.cache_budget = Some(positive_count(
+                    flag_value(&mut it, flag)?,
+                    "cache budget in bytes",
+                )?);
             }
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown flag `{flag}`")))
@@ -518,7 +444,7 @@ pub struct LintOutput {
 /// token-level scan to anchor spans; syntactically broken files are the
 /// parser's to report).
 pub fn run_lint(files: &[(String, String)], opts: &Options) -> Result<LintOutput, CliError> {
-    let cache = SolverCache::bounded(opts.cache_budget);
+    let cache = SolverCache::new();
     let mut per_file: Vec<(String, Vec<Diagnostic>)> = Vec::new();
     for (path, text) in files {
         let budget = Budget::with_timeout(opts.timeout);
@@ -575,7 +501,7 @@ pub fn run_synth(problem_text: &str, opts: &Options) -> Result<String, CliError>
     let goals = load_goals(problem_text, opts)?;
     let synthesizer = Synthesizer::with_timeout(opts.timeout)
         .with_goal_jobs(opts.goal_jobs.unwrap_or(1))
-        .with_cache(SolverCache::bounded(opts.cache_budget));
+        .with_cache(SolverCache::new());
     let mut out = String::new();
     for goal in goals {
         let outcome = synthesizer.synthesize(&goal, opts.mode);
@@ -1015,12 +941,11 @@ resyn — resource-guided program synthesis
 
 USAGE:
     resyn synth <problem-file> [--mode MODE] [--timeout SECS] [--goal NAME] [--stats]
-                [--goal-jobs N] [--cache-budget BYTES]
+                [--goal-jobs N]
     resyn check <problem-file> <program-file> [--mode MODE] [--goal NAME]
     resyn measure <problem-file> <program-file> [--goal NAME]
     resyn parse <problem-file>
     resyn lint <problem-file-or-dir> [--format human|json] [--timeout SECS]
-               [--cache-budget BYTES]
     resyn eval [--table 1|2] [--jobs N] [--timeout SECS] [--filter SUBSTR,...]
                [--json PATH] [--goal-jobs N]
     resyn serve [--addr HOST:PORT] [--jobs N] [--timeout SECS] [--queue N]
@@ -1073,14 +998,13 @@ and that `lint` never calls a component of the ReSyn program unreachable;
 `lint` demands that every generated problem is free of
 deny-level lint findings.
 
-`--cache-budget BYTES` bounds the solver query cache: past the budget, cold
-entries are evicted (approximate second-chance policy; recently-hit entries
-survive a sweep). The cache lives in memory for one process.
-
 `serve` starts the persistent synthesis server (newline-delimited
 `resyn-wire/1` and `/2` JSON over TCP; all sessions share one solver query
 cache, `--queue` bounds the pending-job backlog before requests bounce
 with `overloaded`, and per-request timeouts are clamped to `--timeout`).
+`--cache-budget BYTES` bounds that shared cache: past the budget, cold
+entries are evicted (approximate second-chance policy; recently-hit entries
+survive a sweep).
 Connections are multiplexed by one epoll readiness loop (synthesis
 dominates, not I/O), so thousands of concurrent clients cost registered
 fds, not threads. `--max-conns N` caps concurrently
@@ -1625,13 +1549,11 @@ mod tests {
         let (positional, opts) = parse_flags(&args).unwrap();
         assert!(positional.is_empty());
         assert_eq!(opts.cache_budget, Some(65536));
-        // The budget applies wherever a solver cache is owned …
-        assert!(check_flag_scope("synth", &opts).is_ok());
+        // The budget bounds the long-running server's shared cache …
         assert!(check_flag_scope("serve", &opts).is_ok());
-        assert!(check_flag_scope("lint", &opts).is_ok());
-        // … but not to `check` or `client` (the cache lives server-side),
-        // nor to `eval`, which runs every (row, mode) on a fresh cache.
-        for command in ["check", "eval"] {
+        // … and nothing else: one-shot `synth`, `lint` and `eval` runs own a
+        // short-lived cache, and `client`'s cache lives server-side.
+        for command in ["synth", "lint", "check", "eval"] {
             assert!(matches!(
                 check_flag_scope(command, &opts),
                 Err(CliError::Usage(msg)) if msg.contains("--cache-budget")

@@ -3,10 +3,10 @@
 //! protocols (see [`resyn_wire`]).
 //!
 //! One-shot `resyn synth` invocations pay full process startup and a cold
-//! solver cache per problem. The server keeps one process-wide sharded
+//! solver cache per problem. The server keeps one process-wide
 //! [`SolverCache`] alive across every request, so sessions warm each other
-//! up exactly as the parallel evaluation harness's workers do — a repeated
-//! or overlapping problem is answered mostly from cached verdicts.
+//! up — a repeated or overlapping problem is answered mostly from cached
+//! verdicts.
 //!
 //! # Threading model
 //!

@@ -3,10 +3,15 @@
 //! The synthesizer's round-robin search discharges thousands of near-identical
 //! subtyping and resource obligations: candidate programs share long prefixes,
 //! so the same `Γ ⊨ ψ` query is re-proved over and over. A [`SolverCache`]
-//! interns every query into a shared [`TermArena`] and memoizes the solver's
+//! interns every query into one [`TermArena`] and memoizes the solver's
 //! verdict keyed on the interned ids, so a structurally equal query issued by
 //! any later candidate — from the type checker or the CEGIS loop — is
 //! answered without touching the decision procedures.
+//!
+//! One table holds both query kinds. A satisfiability query of `premises` and
+//! a validity query `premises ⟹ conclusion` differ only in the key's
+//! `conclusion`, and both store the satisfiability verdict the solver
+//! computed (for a validity query, that of `premises ∧ ¬conclusion`).
 //!
 //! # Invariants
 //!
@@ -21,43 +26,29 @@
 //!   environments or limits never alias.
 //! * **Entries may vanish, never change.** The solver is a pure function of
 //!   (environment, configuration, query): nothing outside the key can change
-//!   a verdict, so a hit is always safe to use and the tables can be shared
+//!   a verdict, so a hit is always safe to use and the table can be shared
 //!   freely across solver instances, checker runs and CEGIS iterations. What
 //!   a caller may *not* assume is that a stored verdict stays resident: under
 //!   a byte budget ([`bounded`](SolverCache::bounded)) cold entries are
 //!   evicted and the query is simply re-proved on the next miss. Eviction
 //!   never changes an answer, only its cost.
-//! * **Premise order is canonicalized.** Validity keys sort and deduplicate
-//!   the premise ids (conjunction is order-insensitive), so permuted premise
+//! * **Premise order is canonicalized.** Keys sort and deduplicate the
+//!   premise ids (conjunction is order-insensitive), so permuted premise
 //!   lists hit the same entry.
 //!
-//! The cache is cheaply cloneable (an [`Arc`]) and internally synchronized;
-//! clones share one logical table.
-//!
-//! # Sharding
-//!
-//! Internally the cache is split into [`SHARDS`] independent shards, each
-//! with its own intern arena and verdict tables behind its own lock. A
-//! query's shard is chosen by a *structural* hash of the query (environment
-//! and configuration fingerprints plus order- and duplicate-insensitive term
-//! hashes) computed **outside** any lock, so structurally equal queries
-//! always meet in the same shard — sharing semantics are identical to a
-//! single-table cache — while the parallel evaluation harness's workers,
-//! whose queries scatter across shards, no longer serialize on one mutex.
-//! (With a single lock, a cache *hit* still interned the whole query under
-//! the mutex, so concurrent synthesis runs made no wall-clock progress.)
+//! The cache is cheaply cloneable (an [`Arc`]) and internally synchronized
+//! by one lock; clones share one logical table.
 //!
 //! # Bounding
 //!
-//! A cache built with [`bounded`](SolverCache::bounded) divides its byte
-//! budget evenly across the shards and keeps each shard's *approximate*
-//! verdict footprint (keys, verdicts, table overhead — the arena itself is
-//! not metered) under its slice with a second-chance (clock) policy: every
-//! stored entry joins a FIFO ring, a hit sets its referenced bit, and when
-//! the shard is over budget the ring is scanned from the oldest end —
-//! referenced entries lose their bit and go to the back, unreferenced ones
-//! are evicted. [`CacheStats::evictions`] counts the casualties and
-//! [`CacheStats::resident_bytes`] the surviving footprint.
+//! A cache built with [`bounded`](SolverCache::bounded) keeps its
+//! *approximate* verdict footprint (keys, verdicts, table overhead — the
+//! arena itself is not metered) under the byte budget with a second-chance
+//! (clock) policy: every stored entry joins a FIFO ring, a hit sets its
+//! referenced bit, and when the table is over budget the ring is scanned from
+//! the oldest end — referenced entries lose their bit and go to the back,
+//! unreferenced ones are evicted. [`CacheStats::evictions`] counts the
+//! casualties and [`CacheStats::resident_bytes`] the surviving footprint.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -66,7 +57,7 @@ use std::sync::{Arc, Mutex};
 
 use resyn_logic::{Model, SortingEnv, Term, TermArena, TermId, Value};
 
-use crate::smt::{SatResult, ValidityResult};
+use crate::smt::SatResult;
 
 /// Counters describing a cache (see [`SolverCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,10 +66,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to the solver.
     pub misses: u64,
-    /// Total terms across the per-shard intern arenas. Each shard interns
-    /// independently, so a subterm reaching queries that hash to different
-    /// shards is counted once **per shard** — this is an arena-size total,
-    /// not a count of globally distinct terms (unlike PR 2's single arena).
+    /// Distinct terms in the cache's intern arena.
     pub interned_terms: usize,
     /// Cached validity verdicts.
     pub validity_entries: usize,
@@ -87,40 +75,25 @@ pub struct CacheStats {
     /// Entries dropped by the second-chance policy to stay under budget.
     pub evictions: u64,
     /// Approximate bytes of resident verdict entries (keys + verdicts +
-    /// table overhead; the intern arenas are not metered).
+    /// table overhead; the intern arena is not metered).
     pub resident_bytes: usize,
 }
 
-/// Number of independent shards (arenas + verdict tables) inside a cache.
-/// Chosen to comfortably out-number the evaluation harness's worker cap (8)
-/// so concurrent lookups rarely meet on one lock.
-pub const SHARDS: usize = 16;
-
-/// Opaque key for a pending validity query (returned by a miss, consumed by
-/// [`SolverCache::store_valid`]).
+/// Key of a pending query (returned by a miss, consumed by
+/// [`SolverCache::store`]). A validity query carries its conclusion; a
+/// satisfiability query carries none.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ValidityKey {
-    shard: usize,
+pub(crate) struct QueryKey {
     env_fp: u64,
     config_fp: u64,
     premises: Vec<TermId>,
-    conclusion: TermId,
-}
-
-/// Opaque key for a pending satisfiability query (returned by a miss,
-/// consumed by [`SolverCache::store_sat`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SatKey {
-    shard: usize,
-    env_fp: u64,
-    config_fp: u64,
-    assumptions: Vec<TermId>,
+    conclusion: Option<TermId>,
 }
 
 /// A resident verdict plus its clock-eviction bookkeeping.
 #[derive(Debug)]
-struct Entry<T> {
-    verdict: T,
+struct Entry {
+    verdict: SatResult,
     /// Approximate bytes this entry pins (key, verdict, table overhead).
     cost: usize,
     /// Second-chance bit: set on every hit, cleared (with a trip to the back
@@ -128,24 +101,17 @@ struct Entry<T> {
     referenced: bool,
 }
 
-/// A clock-ring reference to a verdict entry. Evicted entries leave their
-/// ring slot behind as a stale reference, dropped when the hand reaches it.
-#[derive(Debug)]
-enum ClockRef {
-    Valid(ValidityKey),
-    Sat(SatKey),
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     arena: TermArena,
-    valid: HashMap<ValidityKey, Entry<ValidityResult>>,
-    sat: HashMap<SatKey, Entry<SatResult>>,
-    /// Second-chance ring over both verdict tables, oldest at the front.
-    clock: VecDeque<ClockRef>,
+    table: HashMap<QueryKey, Entry>,
+    /// Second-chance ring over the table's keys, oldest at the front.
+    /// Evicted entries leave their key behind as a stale reference, dropped
+    /// when the hand reaches it.
+    clock: VecDeque<QueryKey>,
     /// Approximate bytes of resident entries (sum of [`Entry::cost`]).
     resident_bytes: usize,
-    /// This shard's slice of the cache-wide byte budget; `None` = unbounded.
+    /// The byte budget; `None` = unbounded.
     budget: Option<usize>,
     evictions: u64,
     hits: u64,
@@ -153,39 +119,25 @@ struct Inner {
 }
 
 impl Inner {
-    /// Evict unreferenced entries (second-chance order) until the shard fits
+    /// Evict unreferenced entries (second-chance order) until the table fits
     /// its budget again. Terminates: every full rotation of the ring clears
     /// referenced bits, and an empty ring ends the loop unconditionally.
     fn evict_to_budget(&mut self) {
         while self.budget.is_some_and(|b| self.resident_bytes > b) {
-            let Some(candidate) = self.clock.pop_front() else {
+            let Some(key) = self.clock.pop_front() else {
                 break;
             };
-            match candidate {
-                ClockRef::Valid(key) => match self.valid.get_mut(&key) {
-                    None => {} // stale reference: the entry is already gone
-                    Some(entry) if entry.referenced => {
-                        entry.referenced = false;
-                        self.clock.push_back(ClockRef::Valid(key));
-                    }
-                    Some(_) => {
-                        let entry = self.valid.remove(&key).expect("entry just seen");
-                        self.resident_bytes -= entry.cost;
-                        self.evictions += 1;
-                    }
-                },
-                ClockRef::Sat(key) => match self.sat.get_mut(&key) {
-                    None => {}
-                    Some(entry) if entry.referenced => {
-                        entry.referenced = false;
-                        self.clock.push_back(ClockRef::Sat(key));
-                    }
-                    Some(_) => {
-                        let entry = self.sat.remove(&key).expect("entry just seen");
-                        self.resident_bytes -= entry.cost;
-                        self.evictions += 1;
-                    }
-                },
+            match self.table.get_mut(&key) {
+                None => {} // stale reference: the entry is already gone
+                Some(entry) if entry.referenced => {
+                    entry.referenced = false;
+                    self.clock.push_back(key);
+                }
+                Some(_) => {
+                    let entry = self.table.remove(&key).expect("entry just seen");
+                    self.resident_bytes -= entry.cost;
+                    self.evictions += 1;
+                }
             }
         }
     }
@@ -193,15 +145,15 @@ impl Inner {
 
 /// Counters attributed to one cache *handle lineage* (see
 /// [`SolverCache::scoped`]): only the lookups issued through this handle and
-/// its clones, regardless of what other handles sharing the same tables are
+/// its clones, regardless of what other handles sharing the same table are
 /// doing concurrently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HandleStats {
-    /// Lookups by this lineage answered from the shared tables.
+    /// Lookups by this lineage answered from the shared table.
     pub hits: u64,
     /// Lookups by this lineage that fell through to the solver.
     pub misses: u64,
-    /// Terms this lineage newly interned into the shared arenas.
+    /// Terms this lineage newly interned into the shared arena.
     pub interned_terms: usize,
 }
 
@@ -216,7 +168,7 @@ struct HandleCounters {
 /// on interned queries.
 #[derive(Debug, Clone)]
 pub struct SolverCache {
-    shards: Arc<Vec<Mutex<Inner>>>,
+    inner: Arc<Mutex<Inner>>,
     /// Per-lineage counters: plain clones share them (a solver cloned for
     /// extra bindings keeps attributing to the same run), [`scoped`] clones
     /// get fresh ones.
@@ -229,31 +181,6 @@ impl Default for SolverCache {
     fn default() -> Self {
         SolverCache::bounded(None)
     }
-}
-
-/// The order- and duplicate-insensitive structural hash used for shard
-/// selection: individual term hashes are sorted and deduplicated so permuted
-/// or repeated premise lists land in the shard where their canonicalized key
-/// lives. Computed entirely outside the shard locks.
-fn shard_index(env_fp: u64, config_fp: u64, terms: &[Term], conclusion: Option<&Term>) -> usize {
-    let mut term_hashes: Vec<u64> = terms
-        .iter()
-        .map(|t| {
-            let mut h = DefaultHasher::new();
-            t.hash(&mut h);
-            h.finish()
-        })
-        .collect();
-    term_hashes.sort_unstable();
-    term_hashes.dedup();
-    let mut h = DefaultHasher::new();
-    env_fp.hash(&mut h);
-    config_fp.hash(&mut h);
-    term_hashes.hash(&mut h);
-    if let Some(c) = conclusion {
-        c.hash(&mut h);
-    }
-    (h.finish() as usize) % SHARDS
 }
 
 /// Fixed per-entry overhead charged on top of the key and verdict payloads:
@@ -276,25 +203,14 @@ fn model_cost(model: &Model) -> usize {
         .sum()
 }
 
-fn valid_entry_cost(key: &ValidityKey, verdict: &ValidityResult) -> usize {
-    let verdict_bytes = match verdict {
-        ValidityResult::Valid | ValidityResult::Cancelled => 0,
-        ValidityResult::Invalid(m) => model_cost(m),
-        ValidityResult::Unknown(msg) => msg.len(),
-    };
-    // The clock ring holds a clone of the key, hence the factor of two.
-    ENTRY_OVERHEAD
-        + 2 * (std::mem::size_of::<ValidityKey>() + 4 * key.premises.len())
-        + verdict_bytes
-}
-
-fn sat_entry_cost(key: &SatKey, verdict: &SatResult) -> usize {
+fn entry_cost(key: &QueryKey, verdict: &SatResult) -> usize {
     let verdict_bytes = match verdict {
         SatResult::Unsat | SatResult::Cancelled => 0,
         SatResult::Sat(m) => model_cost(m),
         SatResult::Unknown(msg) => msg.len(),
     };
-    ENTRY_OVERHEAD + 2 * (std::mem::size_of::<SatKey>() + 4 * key.assumptions.len()) + verdict_bytes
+    // The clock ring holds a clone of the key, hence the factor of two.
+    ENTRY_OVERHEAD + 2 * (std::mem::size_of::<QueryKey>() + 4 * key.premises.len()) + verdict_bytes
 }
 
 impl SolverCache {
@@ -304,36 +220,28 @@ impl SolverCache {
     }
 
     /// An empty cache keeping its approximate verdict footprint under
-    /// `budget` bytes (`None` = unbounded), divided evenly across the
-    /// shards.
+    /// `budget` bytes (`None` = unbounded).
     pub fn bounded(budget: Option<usize>) -> SolverCache {
-        let per_shard = budget.map(|b| (b / SHARDS).max(1));
         SolverCache {
-            shards: Arc::new(
-                (0..SHARDS)
-                    .map(|_| {
-                        Mutex::new(Inner {
-                            budget: per_shard,
-                            ..Inner::default()
-                        })
-                    })
-                    .collect(),
-            ),
+            inner: Arc::new(Mutex::new(Inner {
+                budget,
+                ..Inner::default()
+            })),
             local: Arc::new(HandleCounters::default()),
         }
     }
 
-    /// A handle sharing this cache's tables but with **fresh** per-handle
+    /// A handle sharing this cache's table but with **fresh** per-handle
     /// counters. Use one scope per logical run (the synthesizer takes one per
-    /// instance): under the parallel evaluation harness many runs share one
-    /// cache concurrently, and diffing the *global* counters would attribute
-    /// every other worker's activity to this run. [`handle_stats`] reads the
-    /// scope's own counters instead.
+    /// instance): the server's sessions share one cache concurrently, and so
+    /// do a goal's first-win skeleton workers, so diffing the *global*
+    /// counters would attribute every other sharer's activity to this run.
+    /// [`handle_stats`] reads the scope's own counters instead.
     ///
     /// [`handle_stats`]: SolverCache::handle_stats
     pub fn scoped(&self) -> SolverCache {
         SolverCache {
-            shards: Arc::clone(&self.shards),
+            inner: Arc::clone(&self.inner),
             local: Arc::new(HandleCounters::default()),
         }
     }
@@ -348,14 +256,13 @@ impl SolverCache {
         }
     }
 
-    /// Lock a shard, recovering from poisoning: every individual mutation
+    /// Lock the table, recovering from poisoning: every individual mutation
     /// (an intern, a table insert, an eviction sweep, a counter bump) leaves
     /// the state valid, so a panic that unwound through a locked section —
-    /// which the parallel evaluation harness catches per benchmark — must
-    /// not cascade into `ERR` rows for every later benchmark hashing to the
-    /// same shard.
-    fn lock_shard(&self, shard: usize) -> std::sync::MutexGuard<'_, Inner> {
-        self.shards[shard]
+    /// which the server's scheduler catches per request — must not turn
+    /// every later request on the same cache into an error.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -372,156 +279,87 @@ impl SolverCache {
             .fetch_add(interned as u64, Ordering::Relaxed);
     }
 
-    /// Look up a validity query. On a hit the cached verdict is returned; on a
-    /// miss the interned key is returned so the caller can solve the query and
-    /// [`store_valid`](SolverCache::store_valid) the verdict.
+    /// Look up the satisfiability of `premises` (`conclusion: None`) or the
+    /// satisfiability of `premises ∧ ¬conclusion` that decides the validity
+    /// of `premises ⟹ conclusion`. On a hit the cached verdict is returned;
+    /// on a miss the interned key is returned so the caller can solve the
+    /// query and [`store`](SolverCache::store) the verdict.
     ///
     /// # Errors
     ///
     /// The `Err` variant is the cache-miss key, not a failure.
-    pub fn lookup_valid(
+    pub(crate) fn lookup(
         &self,
         env: &SortingEnv,
         config_fp: u64,
         premises: &[Term],
-        conclusion: &Term,
-    ) -> Result<ValidityResult, ValidityKey> {
+        conclusion: Option<&Term>,
+    ) -> Result<SatResult, QueryKey> {
         let env_fp = fingerprint_env(env);
-        let shard = shard_index(env_fp, config_fp, premises, Some(conclusion));
-        let mut inner = self.lock_shard(shard);
+        let mut inner = self.lock();
         let arena_before = inner.arena.len();
         let mut premise_ids: Vec<TermId> = premises.iter().map(|p| inner.arena.intern(p)).collect();
         premise_ids.sort_unstable();
         premise_ids.dedup();
-        let key = ValidityKey {
-            shard,
+        let key = QueryKey {
             env_fp,
             config_fp,
             premises: premise_ids,
-            conclusion: inner.arena.intern(conclusion),
+            conclusion: conclusion.map(|c| inner.arena.intern(c)),
         };
         let interned = inner.arena.len() - arena_before;
-        match inner.valid.get_mut(&key) {
-            Some(entry) => {
-                entry.referenced = true;
-                let hit = entry.verdict.clone();
-                inner.hits += 1;
-                drop(inner);
-                self.record_lookup(true, interned);
-                Ok(hit)
-            }
-            None => {
-                inner.misses += 1;
-                drop(inner);
-                self.record_lookup(false, interned);
-                Err(key)
-            }
+        let hit = inner.table.get_mut(&key).map(|entry| {
+            entry.referenced = true;
+            entry.verdict.clone()
+        });
+        if hit.is_some() {
+            inner.hits += 1;
+        } else {
+            inner.misses += 1;
         }
+        drop(inner);
+        self.record_lookup(hit.is_some(), interned);
+        hit.ok_or(key)
     }
 
-    /// Record the verdict for a previously missed validity query.
-    /// `Cancelled` verdicts are dropped — they say nothing about the formula.
-    pub fn store_valid(&self, key: ValidityKey, result: &ValidityResult) {
-        if matches!(result, ValidityResult::Cancelled) {
+    /// Record the verdict for a previously missed query. `Cancelled`
+    /// verdicts are dropped — they say nothing about the formula.
+    pub(crate) fn store(&self, key: QueryKey, result: &SatResult) {
+        if result.is_cancelled() {
             return;
         }
-        let mut inner = self.lock_shard(key.shard);
-        let cost = valid_entry_cost(&key, result);
-        if let Some(prev) = inner.valid.insert(
-            key.clone(),
-            Entry {
-                verdict: result.clone(),
-                cost,
-                referenced: false,
-            },
-        ) {
+        let cost = entry_cost(&key, result);
+        let mut inner = self.lock();
+        let entry = Entry {
+            verdict: result.clone(),
+            cost,
+            referenced: false,
+        };
+        if let Some(prev) = inner.table.insert(key.clone(), entry) {
             inner.resident_bytes -= prev.cost;
         }
         inner.resident_bytes += cost;
-        inner.clock.push_back(ClockRef::Valid(key));
+        inner.clock.push_back(key);
         inner.evict_to_budget();
     }
 
-    /// Look up a satisfiability query; see [`lookup_valid`](Self::lookup_valid).
-    ///
-    /// # Errors
-    ///
-    /// The `Err` variant is the cache-miss key, not a failure.
-    pub fn lookup_sat(
-        &self,
-        env: &SortingEnv,
-        config_fp: u64,
-        assumptions: &[Term],
-    ) -> Result<SatResult, SatKey> {
-        let env_fp = fingerprint_env(env);
-        let shard = shard_index(env_fp, config_fp, assumptions, None);
-        let mut inner = self.lock_shard(shard);
-        let arena_before = inner.arena.len();
-        let mut ids: Vec<TermId> = assumptions.iter().map(|a| inner.arena.intern(a)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let key = SatKey {
-            shard,
-            env_fp,
-            config_fp,
-            assumptions: ids,
-        };
-        let interned = inner.arena.len() - arena_before;
-        match inner.sat.get_mut(&key) {
-            Some(entry) => {
-                entry.referenced = true;
-                let hit = entry.verdict.clone();
-                inner.hits += 1;
-                drop(inner);
-                self.record_lookup(true, interned);
-                Ok(hit)
-            }
-            None => {
-                inner.misses += 1;
-                drop(inner);
-                self.record_lookup(false, interned);
-                Err(key)
-            }
-        }
-    }
-
-    /// Record the verdict for a previously missed satisfiability query.
-    /// `Cancelled` verdicts are dropped — they say nothing about the formula.
-    pub fn store_sat(&self, key: SatKey, result: &SatResult) {
-        if matches!(result, SatResult::Cancelled) {
-            return;
-        }
-        let mut inner = self.lock_shard(key.shard);
-        let cost = sat_entry_cost(&key, result);
-        if let Some(prev) = inner.sat.insert(
-            key.clone(),
-            Entry {
-                verdict: result.clone(),
-                cost,
-                referenced: false,
-            },
-        ) {
-            inner.resident_bytes -= prev.cost;
-        }
-        inner.resident_bytes += cost;
-        inner.clock.push_back(ClockRef::Sat(key));
-        inner.evict_to_budget();
-    }
-
-    /// Current counters, aggregated over the shards.
+    /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for shard in 0..self.shards.len() {
-            let inner = self.lock_shard(shard);
-            stats.hits += inner.hits;
-            stats.misses += inner.misses;
-            stats.interned_terms += inner.arena.len();
-            stats.validity_entries += inner.valid.len();
-            stats.sat_entries += inner.sat.len();
-            stats.evictions += inner.evictions;
-            stats.resident_bytes += inner.resident_bytes;
+        let inner = self.lock();
+        let validity_entries = inner
+            .table
+            .keys()
+            .filter(|k| k.conclusion.is_some())
+            .count();
+        CacheStats {
+            hits: inner.hits,
+            misses: inner.misses,
+            interned_terms: inner.arena.len(),
+            validity_entries,
+            sat_entries: inner.table.len() - validity_entries,
+            evictions: inner.evictions,
+            resident_bytes: inner.resident_bytes,
         }
-        stats
     }
 }
 
@@ -561,23 +399,30 @@ mod tests {
         e
     }
 
+    /// Look up `premises ⟹ goal` and, on a miss, store it as valid.
+    fn prove(cache: &SolverCache, premises: &[Term], goal: &Term) {
+        if let Err(key) = cache.lookup(&env(), 0, premises, Some(goal)) {
+            cache.store(key, &SatResult::Unsat);
+        }
+    }
+
     #[test]
     fn miss_then_store_then_hit() {
         let cache = SolverCache::new();
         let premises = [Term::var("x").lt(Term::var("y"))];
         let goal = Term::var("x").le(Term::var("y"));
-        let key = match cache.lookup_valid(&env(), 0, &premises, &goal) {
+        let key = match cache.lookup(&env(), 0, &premises, Some(&goal)) {
             Err(key) => key,
             Ok(_) => panic!("empty cache cannot hit"),
         };
-        cache.store_valid(key, &ValidityResult::Valid);
+        cache.store(key, &SatResult::Unsat);
         assert!(matches!(
-            cache.lookup_valid(&env(), 0, &premises, &goal),
-            Ok(ValidityResult::Valid)
+            cache.lookup(&env(), 0, &premises, Some(&goal)),
+            Ok(SatResult::Unsat)
         ));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.validity_entries, 1);
+        assert_eq!((stats.validity_entries, stats.sat_entries), (1, 0));
         assert!(stats.interned_terms > 0);
         assert!(stats.resident_bytes > 0);
         assert_eq!(stats.evictions, 0);
@@ -589,13 +434,10 @@ mod tests {
         let p1 = Term::var("x").ge(Term::int(0));
         let p2 = Term::var("y").ge(Term::int(1));
         let goal = Term::var("x").le(Term::var("y"));
-        let key = cache
-            .lookup_valid(&env(), 0, &[p1.clone(), p2.clone()], &goal)
-            .unwrap_err();
-        cache.store_valid(key, &ValidityResult::Valid);
+        prove(&cache, &[p1.clone(), p2.clone()], &goal);
         // Permuted (and duplicated) premises hit the same entry.
         assert!(cache
-            .lookup_valid(&env(), 0, &[p2.clone(), p1.clone(), p2], &goal)
+            .lookup(&env(), 0, &[p2.clone(), p1.clone(), p2], Some(&goal))
             .is_ok());
     }
 
@@ -603,24 +445,41 @@ mod tests {
     fn different_environments_do_not_alias() {
         let cache = SolverCache::new();
         let goal = Term::var("x").le(Term::var("y"));
-        let key = cache.lookup_valid(&env(), 0, &[], &goal).unwrap_err();
-        cache.store_valid(key, &ValidityResult::Valid);
+        prove(&cache, &[], &goal);
         let mut other = env();
         other.bind_var("x", Sort::Bool);
-        assert!(cache.lookup_valid(&other, 0, &[], &goal).is_err());
+        assert!(cache.lookup(&other, 0, &[], Some(&goal)).is_err());
+    }
+
+    #[test]
+    fn validity_and_satisfiability_queries_do_not_alias() {
+        // `[] ⟹ x ≥ 0` and the satisfiability of `[x ≥ 0]` share every
+        // interned term but are different questions.
+        let cache = SolverCache::new();
+        let goal = Term::var("x").ge(Term::int(0));
+        prove(&cache, &[], &goal);
+        let key = cache
+            .lookup(&env(), 0, std::slice::from_ref(&goal), None)
+            .unwrap_err();
+        cache.store(key, &SatResult::Unknown("test".to_string()));
+        assert!(matches!(
+            cache.lookup(&env(), 0, &[], Some(&goal)),
+            Ok(SatResult::Unsat)
+        ));
+        let stats = cache.stats();
+        assert_eq!((stats.validity_entries, stats.sat_entries), (1, 1));
     }
 
     #[test]
     fn scoped_handles_share_tables_but_not_counters() {
         let cache = SolverCache::new();
         let goal = Term::var("x").le(Term::var("y"));
-        let key = cache.lookup_valid(&env(), 0, &[], &goal).unwrap_err();
-        cache.store_valid(key, &ValidityResult::Valid);
+        prove(&cache, &[], &goal);
 
         // A scoped handle starts with zeroed counters but sees the verdict.
         let scope = cache.scoped();
         assert_eq!(scope.handle_stats(), HandleStats::default());
-        assert!(scope.lookup_valid(&env(), 0, &[], &goal).is_ok());
+        assert!(scope.lookup(&env(), 0, &[], Some(&goal)).is_ok());
         let scope_stats = scope.handle_stats();
         assert_eq!((scope_stats.hits, scope_stats.misses), (1, 0));
 
@@ -633,7 +492,7 @@ mod tests {
 
         // Plain clones keep attributing to the same lineage.
         let sibling = scope.clone();
-        assert!(sibling.lookup_valid(&env(), 0, &[], &goal).is_ok());
+        assert!(sibling.lookup(&env(), 0, &[], Some(&goal)).is_ok());
         assert_eq!(scope.handle_stats().hits, 2);
     }
 
@@ -643,11 +502,11 @@ mod tests {
         let clone = cache.clone();
         let goal = Term::var("x").ge(Term::int(0));
         let key = cache
-            .lookup_sat(&env(), 0, std::slice::from_ref(&goal))
+            .lookup(&env(), 0, std::slice::from_ref(&goal), None)
             .unwrap_err();
-        cache.store_sat(key, &SatResult::Unsat);
+        cache.store(key, &SatResult::Unsat);
         assert!(matches!(
-            clone.lookup_sat(&env(), 0, &[goal]),
+            clone.lookup(&env(), 0, &[goal], None),
             Ok(SatResult::Unsat)
         ));
     }
@@ -656,10 +515,33 @@ mod tests {
     fn cancelled_verdicts_are_never_resident() {
         let cache = SolverCache::new();
         let goal = Term::var("x").le(Term::var("y"));
-        let key = cache.lookup_valid(&env(), 0, &[], &goal).unwrap_err();
-        cache.store_valid(key, &ValidityResult::Cancelled);
-        assert!(cache.lookup_valid(&env(), 0, &[], &goal).is_err());
+        let key = cache.lookup(&env(), 0, &[], Some(&goal)).unwrap_err();
+        cache.store(key, &SatResult::Cancelled);
+        assert!(cache.lookup(&env(), 0, &[], Some(&goal)).is_err());
         assert_eq!(cache.stats().validity_entries, 0);
+    }
+
+    #[test]
+    fn a_shared_premise_is_interned_once() {
+        // 64 validity queries under one large path condition, differing
+        // only in their conclusion: the premise's nodes belong in the arena
+        // once, not once per query or per table partition.
+        let premise = (0..40).fold(Term::var("x").ge(Term::int(0)), |acc, i| {
+            acc.and((Term::var("y") + Term::int(i)).le(Term::var("x").times(2)))
+        });
+        let conclusions: Vec<Term> = (0..64)
+            .map(|i| (Term::var("x") + Term::var("y")).ge(Term::int(-i)))
+            .collect();
+        let cache = SolverCache::new();
+        let mut distinct = TermArena::new();
+        distinct.intern(&premise);
+        for goal in &conclusions {
+            prove(&cache, std::slice::from_ref(&premise), goal);
+            distinct.intern(goal);
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.validity_entries, 64);
+        assert_eq!(stats.interned_terms, distinct.len());
     }
 
     /// Distinct single-premise queries, one per index.
@@ -672,14 +554,13 @@ mod tests {
 
     #[test]
     fn budget_bounds_resident_bytes_with_evictions() {
-        // Small enough to force evictions well before 400 entries, large
-        // enough that each of the 16 shards can hold at least one entry.
+        // Small enough to force evictions well before 400 entries.
         let budget = 16 * 1024;
         let cache = SolverCache::bounded(Some(budget));
         for i in 0..400 {
             let (premises, goal) = nth_query(i);
-            let key = cache.lookup_valid(&env(), 0, &premises, &goal).unwrap_err();
-            cache.store_valid(key, &ValidityResult::Valid);
+            let key = cache.lookup(&env(), 0, &premises, Some(&goal)).unwrap_err();
+            cache.store(key, &SatResult::Unsat);
         }
         let stats = cache.stats();
         assert!(stats.evictions > 0, "expected evictions, got {stats:?}");
@@ -693,8 +574,8 @@ mod tests {
         let mut hits = 0;
         for i in 0..400 {
             let (premises, goal) = nth_query(i);
-            if let Ok(verdict) = cache.lookup_valid(&env(), 0, &premises, &goal) {
-                assert!(matches!(verdict, ValidityResult::Valid));
+            if let Ok(verdict) = cache.lookup(&env(), 0, &premises, Some(&goal)) {
+                assert!(matches!(verdict, SatResult::Unsat));
                 hits += 1;
             }
         }
@@ -703,24 +584,18 @@ mod tests {
 
     #[test]
     fn second_chance_spares_referenced_entries() {
-        // One shard's slice of this budget fits a handful of entries. Keep
-        // hitting entry 0 while inserting others: the clock must evict the
-        // cold ones first.
-        let cache = SolverCache::bounded(Some(SHARDS * 1024));
+        // This budget fits a handful of entries. Keep hitting entry 0 while
+        // inserting others: the clock must evict the cold ones first.
+        let cache = SolverCache::bounded(Some(1024));
         let (hot_premises, hot_goal) = nth_query(0);
-        let key = cache
-            .lookup_valid(&env(), 0, &hot_premises, &hot_goal)
-            .unwrap_err();
-        cache.store_valid(key, &ValidityResult::Valid);
+        prove(&cache, &hot_premises, &hot_goal);
         for i in 1..200 {
             let (premises, goal) = nth_query(i);
-            if let Err(key) = cache.lookup_valid(&env(), 0, &premises, &goal) {
-                cache.store_valid(key, &ValidityResult::Valid);
-            }
+            prove(&cache, &premises, &goal);
             // Refresh the hot entry's referenced bit.
             assert!(
                 cache
-                    .lookup_valid(&env(), 0, &hot_premises, &hot_goal)
+                    .lookup(&env(), 0, &hot_premises, Some(&hot_goal))
                     .is_ok(),
                 "hot entry evicted at iteration {i}"
             );

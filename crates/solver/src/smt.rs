@@ -151,29 +151,34 @@ impl Solver {
 
     /// Decide satisfiability of the conjunction of `assumptions`.
     pub fn check_sat(&self, assumptions: &[Term]) -> SatResult {
+        self.check_cached(assumptions, None)
+    }
+
+    /// Decide satisfiability of `premises ∧ ¬conclusion` (of `premises`
+    /// alone when `conclusion` is `None`), answering from and recording into
+    /// the attached cache.
+    fn check_cached(&self, premises: &[Term], conclusion: Option<&Term>) -> SatResult {
         if self.budget().is_exceeded() {
             return SatResult::Cancelled;
         }
-        if let Some(cache) = &self.cache {
-            match cache.lookup_sat(&self.env, self.config_fingerprint(), assumptions) {
-                Ok(hit) => return hit,
-                Err(key) => {
-                    let result = self.check_sat_inner(assumptions);
-                    // A cancelled verdict is an artifact of this run's
-                    // budget, not a property of the query: caching it would
-                    // poison future (fully-budgeted) lookups.
-                    if !result.is_cancelled() {
-                        cache.store_sat(key, &result);
-                    }
-                    return result;
-                }
+        let Some(cache) = &self.cache else {
+            return self.check_sat_inner(premises, conclusion);
+        };
+        match cache.lookup(&self.env, self.config_fingerprint(), premises, conclusion) {
+            Ok(hit) => hit,
+            Err(key) => {
+                let result = self.check_sat_inner(premises, conclusion);
+                // The cache drops a cancelled verdict: it is an artifact of
+                // this run's budget, not a property of the query.
+                cache.store(key, &result);
+                result
             }
         }
-        self.check_sat_inner(assumptions)
     }
 
-    fn check_sat_inner(&self, assumptions: &[Term]) -> SatResult {
-        let formula = Term::and_all(assumptions.iter().cloned()).simplify();
+    fn check_sat_inner(&self, premises: &[Term], conclusion: Option<&Term>) -> SatResult {
+        let negated = conclusion.map(|c| c.clone().not());
+        let formula = Term::and_all(premises.iter().chain(&negated).cloned()).simplify();
         if formula.is_false() {
             return SatResult::Unsat;
         }
@@ -253,34 +258,10 @@ impl Solver {
         }
     }
 
-    /// Decide validity of `premises ⟹ conclusion`.
+    /// Decide validity of `premises ⟹ conclusion`: it is valid iff
+    /// `premises ∧ ¬conclusion` is unsatisfiable.
     pub fn check_valid(&self, premises: &[Term], conclusion: &Term) -> ValidityResult {
-        if self.budget().is_exceeded() {
-            return ValidityResult::Cancelled;
-        }
-        if let Some(cache) = &self.cache {
-            match cache.lookup_valid(&self.env, self.config_fingerprint(), premises, conclusion) {
-                Ok(hit) => return hit,
-                Err(key) => {
-                    let result = self.check_valid_inner(premises, conclusion);
-                    // See `check_sat`: cancellations must not be memoized.
-                    if !result.is_cancelled() {
-                        cache.store_valid(key, &result);
-                    }
-                    return result;
-                }
-            }
-        }
-        self.check_valid_inner(premises, conclusion)
-    }
-
-    fn check_valid_inner(&self, premises: &[Term], conclusion: &Term) -> ValidityResult {
-        let mut assumptions: Vec<Term> = premises.to_vec();
-        assumptions.push(conclusion.clone().not());
-        // Bypass the satisfiability cache: the validity verdict is cached
-        // under its own (premises, conclusion) key, so going through the
-        // public `check_sat` would double-count every query.
-        match self.check_sat_inner(&assumptions) {
+        match self.check_cached(premises, Some(conclusion)) {
             SatResult::Unsat => ValidityResult::Valid,
             SatResult::Sat(m) => ValidityResult::Invalid(m),
             SatResult::Unknown(msg) => ValidityResult::Unknown(msg),

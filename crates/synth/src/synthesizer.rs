@@ -64,8 +64,9 @@ pub struct SynthStats {
 impl SynthStats {
     /// Fold another run's counters into this one: counts and durations add,
     /// and the merged run timed out if any constituent did. Used to aggregate
-    /// statistics across the modes of one benchmark and across the workers of
-    /// a parallel evaluation.
+    /// statistics across the modes of one benchmark (each run on its own
+    /// cache), across the rows of an evaluation report and across the goals
+    /// of one server request.
     pub fn merge(&mut self, other: &SynthStats) {
         self.candidates_checked += other.candidates_checked;
         self.resource_rechecks += other.resource_rechecks;
@@ -140,10 +141,10 @@ impl Synthesizer {
     }
 
     /// Replace the solver query cache with a shared one. Synthesizers that
-    /// share a cache (across modes of one benchmark, or across the workers of
-    /// a parallel evaluation) answer each other's repeated queries without
-    /// touching the decision procedures; the cache is append-only and
-    /// internally synchronized, so sharing never changes a verdict.
+    /// share a cache (the server's sessions do) answer each other's repeated
+    /// queries without touching the decision procedures; cached verdicts may
+    /// be evicted but never change, and the cache is internally
+    /// synchronized, so sharing never changes a verdict.
     ///
     /// The synthesizer takes a [`scoped`](SolverCache::scoped) handle: its
     /// reported statistics count only this synthesizer's own lookups, not
