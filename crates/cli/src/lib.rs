@@ -966,7 +966,9 @@ of the deadline instead of overrunning it.
 
 `--goal-jobs N` fans the candidate skeletons of each single goal across N
 first-win worker threads (deterministic winner: the same program a
-sequential search returns, found faster on hard goals).
+sequential search returns, found faster on hard goals). The search
+counters (candidates, cache hits and misses) then vary from run to run;
+they are comparable only at N = 1.
 
 `--stats` additionally reports, per goal, the solver query-cache hit/miss
 counters and the size of the term intern table.

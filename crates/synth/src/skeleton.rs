@@ -544,6 +544,83 @@ mod tests {
         assert!(first_nested > last_flat || skeletons.len() == first_nested + 1);
     }
 
+    /// The hole indices of `e` in the order the checker visits them: a
+    /// `let`'s bound expression before its body, an `ite`'s condition, then
+    /// its then-branch, then its else-branch, and match arms in declaration
+    /// order.
+    fn holes_in_check_order(e: &Expr, out: &mut Vec<usize>) {
+        match e {
+            Expr::Var(x) => {
+                if let Some(idx) = x.strip_prefix('?') {
+                    out.push(idx.parse().expect("hole variables are `?<index>`"));
+                }
+            }
+            Expr::Bool(_) | Expr::Int(_) | Expr::Impossible => {}
+            Expr::Ctor(_, args) => args.iter().for_each(|a| holes_in_check_order(a, out)),
+            Expr::Lambda(_, b) | Expr::Fix(_, _, b) | Expr::Tick(_, b) => {
+                holes_in_check_order(b, out)
+            }
+            Expr::App(f, a) => {
+                holes_in_check_order(f, out);
+                holes_in_check_order(a, out);
+            }
+            Expr::Let(_, bound, body) => {
+                holes_in_check_order(bound, out);
+                holes_in_check_order(body, out);
+            }
+            Expr::Ite(c, t, els) => {
+                holes_in_check_order(c, out);
+                holes_in_check_order(t, out);
+                holes_in_check_order(els, out);
+            }
+            Expr::Match(scrutinee, arms) => {
+                holes_in_check_order(scrutinee, out);
+                for arm in arms {
+                    holes_in_check_order(&arm.body, out);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn holes_are_numbered_in_checker_traversal_order() {
+        // A hole frame replays the checking state at hole `k` with the holes
+        // before it filled; that is exact only if hole `k` is the k-th hole
+        // the checker reaches.
+        let datatypes = Datatypes::standard();
+        let list = Shape::Data("List".into());
+        let shapes = [
+            vec![("xs".to_string(), list.clone())],
+            vec![("t".to_string(), Shape::Data("Tree".into()))],
+            vec![("xs".to_string(), list.clone()), ("ys".to_string(), list)],
+        ];
+        // Two guards per scope, so the depth-2 guard pairs are built too.
+        let two_guards = |scope: &[(String, Shape)]| {
+            scope
+                .iter()
+                .rev()
+                .take(2)
+                .map(|(n, _)| Expr::app(Expr::var("p"), Expr::var(n.clone())))
+                .collect::<Vec<_>>()
+        };
+        for params in &shapes {
+            let skeletons = generate(params, &datatypes, &two_guards, &Budget::unlimited());
+            assert!(
+                skeletons.iter().any(|s| s.guards == 2),
+                "{params:?}: guard pairs are generated"
+            );
+            for skel in &skeletons {
+                let mut order = Vec::new();
+                holes_in_check_order(&skel.body, &mut order);
+                let expected: Vec<usize> = (0..skel.holes.len()).collect();
+                assert_eq!(order, expected, "{params:?}: {}", skel.body);
+                for (i, hole) in skel.holes.iter().enumerate() {
+                    assert_eq!(hole.idx, i, "{params:?}: {}", skel.body);
+                }
+            }
+        }
+    }
+
     #[test]
     fn hole_filling_and_plugging() {
         let datatypes = Datatypes::standard();

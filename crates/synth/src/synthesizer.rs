@@ -31,7 +31,7 @@ use resyn_budget::{Budget, CancelToken};
 use resyn_lang::Expr;
 use resyn_rescon::{CegisSolver, IncrementalCegis, RcResult};
 use resyn_solver::SolverCache;
-use resyn_ty::check::{CheckError, CheckOutcome, Checker, CheckerConfig, ResourceMode};
+use resyn_ty::check::{CheckError, CheckOutcome, Checker, CheckerConfig, HoleFrame, ResourceMode};
 use resyn_ty::datatypes::Datatypes;
 use resyn_ty::types::Ty;
 
@@ -478,9 +478,12 @@ impl Synthesizer {
             return None;
         }
 
-        // Every candidate body of this fill is checked in one prepared frame
-        // of the goal's signature, by the partial- or the complete-program
-        // checker; only accepted programs are wrapped.
+        // Every candidate of this fill is checked in one prepared frame of the
+        // goal's signature. A partial candidate is checked at its hole, in a
+        // hole frame built once per (level, prefix): `frames[k]` holds the
+        // checking state at hole `k` for the current choices below `k`, and
+        // is dropped as soon as one of them changes. A complete program is
+        // checked whole; only accepted programs are wrapped.
         let partial = self.checker(goal, mode, true, budget);
         let complete = self.checker(goal, mode, false, budget);
         let frame = partial.prepare(&goal.name, &goal.schema, &goal.components);
@@ -488,6 +491,7 @@ impl Synthesizer {
         // Backtracking over candidate indices.
         let n = skel.holes.len();
         let mut choice = vec![0usize; n];
+        let mut frames: Vec<HoleFrame> = Vec::with_capacity(n);
         let mut level = 0usize;
         loop {
             if budget.is_exceeded() {
@@ -495,7 +499,7 @@ impl Synthesizer {
             }
             if level == n {
                 // Complete program: final acceptance.
-                let body = build_partial(skel, &candidates, &choice, n, n);
+                let body = build_body(skel, &candidates, &choice, n);
                 stats.candidates_checked += 1;
                 if self.solved(mode, complete.check_body(&frame, &body), budget) {
                     let program = self.wrap(goal, params, body);
@@ -513,19 +517,26 @@ impl Synthesizer {
                 continue;
             }
             if choice[level] >= candidates[level].len() {
-                // Exhausted this hole: backtrack.
+                // Exhausted this hole: backtrack. The hole's frame goes with
+                // it, since the choice below it is about to change.
                 if level == 0 {
                     return None;
                 }
+                frames.truncate(level);
                 choice[level] = 0;
                 level -= 1;
                 choice[level] += 1;
                 continue;
             }
-            // Check the partial program with the current prefix of choices.
-            let body = build_partial(skel, &candidates, &choice, level + 1, n);
+            if frames.len() == level {
+                let open = build_body(skel, &candidates, &choice, level);
+                frames.push(partial.prepare_hole(&frame, &open, &skeleton::hole_var(level)));
+            }
+            // Check the partial program: the current candidate at its hole.
             stats.candidates_checked += 1;
-            if self.solved(mode, partial.check_body(&frame, &body), budget) {
+            let candidate = &candidates[level][choice[level]];
+            let outcome = partial.check_hole(&frame, &frames[level], candidate);
+            if self.solved(mode, outcome, budget) {
                 level += 1;
             } else {
                 choice[level] += 1;
@@ -534,30 +545,24 @@ impl Synthesizer {
     }
 }
 
-/// Assemble the skeleton body with the first `filled` holes replaced by their
-/// chosen candidates and the rest plugged with hole markers.
+/// Assemble the skeleton body with the holes below `open` replaced by their
+/// chosen candidates, hole `open` left as its variable, and the holes above
+/// it plugged with hole markers. With `open` equal to the hole count every
+/// hole is filled: the complete program.
 ///
-/// Every choice in `choice[..filled]` is in range by construction: the fill
+/// Every choice in `choice[..open]` is in range by construction: the fill
 /// loop only deepens a level after bounds-checking its counter, and resets
-/// it on backtrack. The old silent clamp (`c.min(len - 1)`) would have
-/// masked a violation of that invariant as a wrong-but-plausible program;
-/// indexing directly turns the same bug into a loud panic instead.
-fn build_partial(
-    skel: &Skeleton,
-    candidates: &[Vec<Expr>],
-    choice: &[usize],
-    filled: usize,
-    total: usize,
-) -> Expr {
+/// it on backtrack. Indexing directly turns a violation of that invariant
+/// into a loud panic instead of a wrong-but-plausible program.
+fn build_body(skel: &Skeleton, candidates: &[Vec<Expr>], choice: &[usize], open: usize) -> Expr {
     let mut body = skel.body.clone();
-    for (idx, &c) in choice.iter().enumerate().take(filled) {
+    for (idx, &c) in choice.iter().enumerate().take(open) {
         debug_assert!(
             c < candidates[idx].len(),
             "choice {c} out of range for hole {idx} ({} candidates)",
             candidates[idx].len()
         );
-        let candidate = &candidates[idx][c];
-        body = skeleton::fill_hole(&body, idx, candidate);
+        body = skeleton::fill_hole(&body, idx, &candidates[idx][c]);
     }
-    skeleton::plug_remaining(&body, filled, total)
+    skeleton::plug_remaining(&body, open + 1, skel.holes.len())
 }

@@ -134,6 +134,16 @@ pub struct CheckOutcome {
     pub eager_resource_checks: usize,
 }
 
+impl CheckOutcome {
+    /// Append what a later part of the same traversal produced.
+    fn extend(&mut self, later: &CheckOutcome) {
+        self.constraints.extend(later.constraints.iter().cloned());
+        self.unknowns.extend(later.unknowns.iter().cloned());
+        self.refinement_queries += later.refinement_queries;
+        self.eager_resource_checks += later.eager_resource_checks;
+    }
+}
+
 /// The Re² type checker.
 #[derive(Debug, Clone)]
 pub struct Checker {
@@ -195,11 +205,43 @@ fn note_measure_instances(instances: &mut BTreeMap<String, Vec<Term>>, term: &Te
     }
 }
 
+/// The checking state at one open hole of a partial body, captured once by
+/// [`Checker::prepare_hole`] and shared by every [`Checker::check_hole`] of a
+/// candidate for that hole.
+///
+/// A candidate at the hole sees the context the traversal reached it with,
+/// continues the fresh-name counter from there, and is followed by the rest
+/// of the body. The rest cannot see the candidate: `ite` and `match`
+/// branches are checked in copies of the context at the branch point, and
+/// the rest draws no fresh name (see [`Checker::prepare_hole`]). So the rest
+/// only appends its own outcome (the *suffix*), recorded here once.
+#[derive(Debug, Clone)]
+pub struct HoleFrame {
+    /// The state at the hole, or the error the body fails with before it.
+    at_hole: Result<AtHole, CheckError>,
+}
+
+#[derive(Debug, Clone)]
+struct AtHole {
+    ctx: Ctx,
+    expected: Ty,
+    counter: usize,
+    /// The outcome of the body up to the hole.
+    prefix: CheckOutcome,
+    /// What the body after the hole appends, or the error it fails with.
+    suffix: Result<CheckOutcome, CheckError>,
+}
+
 /// The per-body checking state over a borrowed [`Prepared`] frame.
 struct St<'p> {
     outcome: CheckOutcome,
     counter: usize,
     goal: &'p Prepared,
+    /// The hole variable [`Checker::prepare_hole`] stops at, and the state
+    /// captured there once the traversal reaches it (its `suffix` is filled
+    /// in after the traversal).
+    open_hole: Option<&'p str>,
+    at_hole: Option<AtHole>,
 }
 
 impl St<'_> {
@@ -325,8 +367,89 @@ impl Checker {
             outcome: CheckOutcome::default(),
             counter: 0,
             goal: prepared,
+            open_hole: None,
+            at_hole: None,
         };
         self.check_expr(&mut ctx, &mut st, body, &prepared.ret_ty)?;
+        Ok(st.outcome)
+    }
+
+    /// Capture the checking state at the hole variable `hole` of a partial
+    /// body, for [`check_hole`](Checker::check_hole). `body` is checked as
+    /// by [`check_body`](Checker::check_body) except that `hole`, where the
+    /// traversal reaches it in tail position, is skipped after recording the
+    /// context, expected type, fresh-name counter and outcome so far. The
+    /// rest of the body is then checked once and its outcome kept as the
+    /// frame's suffix; an error before or after the hole is kept too.
+    ///
+    /// # Panics
+    ///
+    /// If the traversal completes without reaching `hole`, or if the body
+    /// after the hole draws a fresh name. Neither happens for a skeleton
+    /// body whose holes are numbered in traversal order and whose spine
+    /// after a hole is matches and `let`-bound guard calls over variables.
+    pub fn prepare_hole(&self, prepared: &Prepared, body: &Expr, hole: &str) -> HoleFrame {
+        assert_eq!(
+            prepared.mode, self.config.mode,
+            "a frame is checked in the resource mode it was prepared in"
+        );
+        let mut ctx = prepared.ctx.clone();
+        let mut st = St {
+            outcome: CheckOutcome::default(),
+            counter: 0,
+            goal: prepared,
+            open_hole: Some(hole),
+            at_hole: None,
+        };
+        let rest = self.check_expr(&mut ctx, &mut st, body, &prepared.ret_ty);
+        let at_hole = match st.at_hole {
+            Some(mut at) => {
+                assert_eq!(
+                    st.counter, at.counter,
+                    "the body after hole `{hole}` draws no fresh name"
+                );
+                at.suffix = rest.map(|()| st.outcome);
+                Ok(at)
+            }
+            None => Err(rest.expect_err("the traversal reaches the open hole")),
+        };
+        HoleFrame { at_hole }
+    }
+
+    /// Check `candidate` at the hole of `frame`, a frame prepared by
+    /// [`prepare_hole`](Checker::prepare_hole) over `prepared`: the
+    /// candidate is checked in a copy of the captured state and the
+    /// frame's suffix is appended. The result equals that of
+    /// [`check_body`](Checker::check_body) on the body with the candidate
+    /// in place of the hole, constraint order included.
+    ///
+    /// # Errors
+    ///
+    /// As for [`check_function`](Checker::check_function).
+    pub fn check_hole(
+        &self,
+        prepared: &Prepared,
+        frame: &HoleFrame,
+        candidate: &Expr,
+    ) -> Result<CheckOutcome, CheckError> {
+        assert_eq!(
+            prepared.mode, self.config.mode,
+            "a frame is checked in the resource mode it was prepared in"
+        );
+        if self.budget.is_exceeded() {
+            return Err(CheckError::Cancelled);
+        }
+        let at = frame.at_hole.as_ref().map_err(Clone::clone)?;
+        let mut ctx = at.ctx.clone();
+        let mut st = St {
+            outcome: at.prefix.clone(),
+            counter: at.counter,
+            goal: prepared,
+            open_hole: None,
+            at_hole: None,
+        };
+        self.check_expr(&mut ctx, &mut st, candidate, &at.expected)?;
+        st.outcome.extend(at.suffix.as_ref().map_err(Clone::clone)?);
         Ok(st.outcome)
     }
 
@@ -643,6 +766,19 @@ impl Checker {
                 // The branch must be unreachable: the path condition implies false.
                 self.require_valid(ctx, st, Term::tt(), Term::ff(), "impossible")
                     .map_err(|_| CheckError::ReachableImpossible)
+            }
+            // The hole `prepare_hole` stops at: record the state a
+            // candidate here is checked in; the rest of the traversal then
+            // accumulates the suffix only.
+            Expr::Var(x) if st.open_hole == Some(x.as_str()) => {
+                st.at_hole = Some(AtHole {
+                    ctx: ctx.clone(),
+                    expected: expected.clone(),
+                    counter: st.counter,
+                    prefix: std::mem::take(&mut st.outcome),
+                    suffix: Ok(CheckOutcome::default()),
+                });
+                Ok(())
             }
             // Tail position: infer and check against the expected type.
             _ => {

@@ -37,7 +37,7 @@ pub mod shape;
 pub mod subtype;
 pub mod types;
 
-pub use check::{CheckError, Checker, CheckerConfig, Prepared, ResourceMode};
+pub use check::{CheckError, Checker, CheckerConfig, HoleFrame, Prepared, ResourceMode};
 pub use constraints::ResourceConstraint;
 pub use ctx::Ctx;
 pub use datatypes::{CtorDecl, DataDecl, Datatypes, MeasureDef};

@@ -1,15 +1,20 @@
-//! The synthesizer checks every candidate body in a frame prepared once per
-//! skeleton fill (`Checker::prepare`, then `Checker::check_body`). These
-//! tests pin that path to the one-shot `Checker::check_function` on the
-//! wrapped program: for the first candidates of each fill, partial and
-//! complete, both must return the same error, or the same residual resource
-//! constraints, unknowns and query counts.
+//! The synthesizer checks every candidate in a frame prepared once per
+//! skeleton fill (`Checker::prepare`). A complete program is checked whole
+//! (`Checker::check_body`); a partial one is checked at its hole, in a hole
+//! frame captured once per prefix of choices (`Checker::prepare_hole`, then
+//! `Checker::check_hole`). These tests pin each step to the one before it:
+//! `check_body` to the one-shot `Checker::check_function` on the wrapped
+//! program, and `check_hole` to `check_body` on the whole partial body. Both
+//! sides must return the same error, or the same residual resource
+//! constraints, unknowns and query counts. A last test pins the search's
+//! counts on two rows that backtrack below a filled hole, so that a hole
+//! frame outliving its prefix shows.
 
 use resyn::budget::Budget;
-use resyn::lang::Expr;
+use resyn::lang::{CostMetric, Expr};
 use resyn::logic::Term;
 use resyn::solver::SolverCache;
-use resyn::synth::skeleton::{self, Shape};
+use resyn::synth::skeleton::{self, Shape, Skeleton};
 use resyn::synth::{enumerate, Goal, Mode, Synthesizer};
 use resyn::ty::check::{CheckError, CheckOutcome, Checker, CheckerConfig, ResourceMode};
 use resyn::ty::{Datatypes, Schema, Ty};
@@ -25,6 +30,9 @@ const GOALS: &[&str] = &[
 const FILLS: usize = 4;
 /// Candidates per fill, for the partial and for the complete programs.
 const CANDIDATES: usize = 3;
+/// Candidates per hole compared at their hole frame (all of them, up to 569
+/// a hole, take about 45 s in the debug profile).
+const HOLE_CANDIDATES: usize = 24;
 
 const MODES: &[ResourceMode] = &[
     ResourceMode::Resource,
@@ -118,10 +126,11 @@ fn assert_same(
     }
 }
 
-/// Candidate bodies of the goal's first fills: for each skeleton, the first
-/// candidates of its first hole with the rest plugged (partial), and the
-/// bodies filling every hole with its i-th candidate (complete).
-fn candidate_bodies(goal: &Goal) -> Vec<(Expr, bool)> {
+/// The goal's first `FILLS` skeletons, plus with `guarded` the first match
+/// skeleton whose arms are split by a guard (where the body after an early
+/// hole still has checking to do), each with its candidate list per hole, as
+/// the synthesizer enumerates them. Skeletons with an empty list are skipped.
+fn fills(goal: &Goal, guarded: bool) -> Vec<(Skeleton, Vec<Vec<Expr>>)> {
     let synth = Synthesizer::new();
     let budget = Budget::unlimited();
     let (params, ret_ty) = goal.schema.ty.uncurry();
@@ -132,28 +141,42 @@ fn candidate_bodies(goal: &Goal) -> Vec<(Expr, bool)> {
     let ret_shape = Shape::of(&ret_ty).expect("the goal returns a first-order value");
     let guard_fn = |scope: &[(String, Shape)]| enumerate::guards(goal, scope, &budget);
     let skeletons = skeleton::generate(&param_shapes, &synth.datatypes, &guard_fn, &budget);
+    let is_guarded_match = |s: &Skeleton| s.guards > 0 && matches!(s.body, Expr::Match(..));
+    let mut chosen: Vec<Skeleton> = skeletons.iter().take(FILLS).cloned().collect();
+    if guarded && !chosen.iter().any(is_guarded_match) {
+        chosen.extend(skeletons.iter().find(|s| is_guarded_match(s)).cloned());
+    }
+    chosen
+        .into_iter()
+        .filter_map(|skel| {
+            let candidates: Vec<Vec<Expr>> = skel
+                .holes
+                .iter()
+                .map(|hole| {
+                    let mut scope = param_shapes.clone();
+                    scope.extend(hole.binders.iter().cloned());
+                    enumerate::eterms(
+                        goal,
+                        &synth.datatypes,
+                        &scope,
+                        &ret_shape,
+                        synth.eterm_cap,
+                        &budget,
+                    )
+                })
+                .collect();
+            (!candidates.iter().any(Vec::is_empty)).then_some((skel, candidates))
+        })
+        .collect()
+}
+
+/// Candidate bodies of the goal's first fills: for each skeleton, the first
+/// candidates of its first hole with the rest plugged (partial), and the
+/// bodies filling every hole with its i-th candidate (complete).
+fn candidate_bodies(goal: &Goal) -> Vec<(Expr, bool)> {
     let mut bodies = Vec::new();
-    for skel in skeletons.iter().take(FILLS) {
+    for (skel, candidates) in fills(goal, false) {
         let n = skel.holes.len();
-        let candidates: Vec<Vec<Expr>> = skel
-            .holes
-            .iter()
-            .map(|hole| {
-                let mut scope = param_shapes.clone();
-                scope.extend(hole.binders.iter().cloned());
-                enumerate::eterms(
-                    goal,
-                    &synth.datatypes,
-                    &scope,
-                    &ret_shape,
-                    synth.eterm_cap,
-                    &budget,
-                )
-            })
-            .collect();
-        if candidates.iter().any(Vec::is_empty) {
-            continue;
-        }
         for c in candidates[0].iter().take(CANDIDATES) {
             let filled = skeleton::fill_hole(&skel.body, 0, c);
             bodies.push((skeleton::plug_remaining(&filled, 1, n), true));
@@ -184,14 +207,20 @@ fn solution(goal: &Goal, cache: &SolverCache) -> Expr {
     body.clone()
 }
 
-fn goals() -> Vec<Goal> {
-    let goals: Vec<Goal> = resyn::eval::table1()
-        .into_iter()
-        .filter(|b| GOALS.contains(&b.id.as_str()))
-        .map(|b| b.goal)
-        .collect();
-    assert_eq!(goals.len(), GOALS.len(), "a pinned row was renamed");
-    goals
+/// The goals of the given Table 1 and Table 2 rows, in the given order.
+fn rows(ids: &[&str]) -> Vec<Goal> {
+    let mut benches = resyn::eval::table1();
+    benches.extend(resyn::eval::table2());
+    ids.iter()
+        .map(|id| {
+            benches
+                .iter()
+                .find(|b| b.id == *id)
+                .unwrap_or_else(|| panic!("row `{id}` was renamed"))
+                .goal
+                .clone()
+        })
+        .collect()
 }
 
 #[test]
@@ -199,7 +228,7 @@ fn prepared_checks_match_one_shot_checks_on_the_first_candidates_of_each_fill() 
     let cache = SolverCache::new();
     // [partial, complete] × [rejected, accepted]
     let mut checked = [[0usize; 2]; 2];
-    for goal in goals() {
+    for goal in rows(GOALS) {
         let mut bodies = candidate_bodies(&goal);
         bodies.push((solution(&goal, &cache), false));
         assert!(!bodies.is_empty(), "{}: no candidates", goal.name);
@@ -234,7 +263,7 @@ fn renamed_signature_binders_check_like_the_prepared_formals() {
     // binders (and accepts a `fix` name other than the goal's); the result
     // must equal checking the body in the frame of the original signature.
     let cache = SolverCache::new();
-    for goal in goals() {
+    for goal in rows(GOALS) {
         let renamed = rename_formals(&goal.schema);
         assert_ne!(formals(&renamed), formals(&goal.schema));
         let binders = formals(&goal.schema);
@@ -255,5 +284,103 @@ fn renamed_signature_binders_check_like_the_prepared_formals() {
                 );
             }
         }
+    }
+}
+
+/// The body with `prefix` filling the holes before hole `prefix.len()`, that
+/// hole left open and the holes after it plugged, as the synthesizer builds
+/// it for a hole frame.
+fn open_body(skel: &Skeleton, prefix: &[Expr]) -> Expr {
+    let mut body = skel.body.clone();
+    for (idx, c) in prefix.iter().enumerate() {
+        body = skeleton::fill_hole(&body, idx, c);
+    }
+    skeleton::plug_remaining(&body, prefix.len() + 1, skel.holes.len())
+}
+
+#[test]
+fn hole_frames_check_like_whole_partial_bodies() {
+    // Beyond the pinned rows: `sorted-insert` has a guard-split match, and
+    // with its guard `leq` charged the guard's withdrawal after the Nil hole
+    // is that hole's suffix. At one unit the Cons arm's potential pays for
+    // it; at two units the suffix fails. `cs1-triple` calls the
+    // potential-polymorphic `append`, whose `_inst` unknowns defer the
+    // resource constraints of every later call.
+    let mut goals = rows(GOALS);
+    let insert = rows(&["sorted-insert"]).remove(0);
+    for cost in [1, 2] {
+        let mut charged = insert.clone();
+        charged.metric = CostMetric::PerComponent([("leq".to_string(), cost)].into());
+        goals.push(charged);
+    }
+    goals.extend(rows(&["cs1-triple"]));
+    let cache = SolverCache::new();
+    // [rejected, accepted], and accepted with deferred constraints.
+    let mut checked = [0usize; 2];
+    let mut deferred = 0usize;
+    for goal in goals {
+        let fills = fills(&goal, true);
+        assert!(!fills.is_empty(), "{}: no fills", goal.name);
+        for &mode in MODES {
+            let partial = checker(&goal, mode, true, &cache);
+            let frame = partial.prepare(&goal.name, &goal.schema, &goal.components);
+            for (skel, candidates) in &fills {
+                // Walk the levels as the search does: compare a level's first
+                // candidates at the hole and as the whole partial body, then
+                // descend on the first of them the checker accepts.
+                let mut prefix: Vec<Expr> = Vec::new();
+                while prefix.len() < skel.holes.len() {
+                    let k = prefix.len();
+                    let open = open_body(skel, &prefix);
+                    let hole = partial.prepare_hole(&frame, &open, &skeleton::hole_var(k));
+                    let mut accepted = None;
+                    for (i, c) in candidates[k].iter().enumerate().take(HOLE_CANDIDATES) {
+                        let whole = skeleton::fill_hole(&open, k, c);
+                        let at_hole = partial.check_hole(&frame, &hole, c);
+                        let checked_whole = partial.check_body(&frame, &whole);
+                        assert_eq!(
+                            format!("{at_hole:?}"),
+                            format!("{checked_whole:?}"),
+                            "{} {mode:?} hole {k} of {whole}",
+                            goal.name
+                        );
+                        checked[usize::from(at_hole.is_ok())] += 1;
+                        if let Ok(outcome) = at_hole {
+                            deferred += usize::from(!outcome.constraints.is_empty());
+                            accepted.get_or_insert(i);
+                        }
+                    }
+                    let Some(i) = accepted else { break };
+                    prefix.push(candidates[k][i].clone());
+                }
+            }
+        }
+    }
+    eprintln!("[rejected, accepted]: {checked:?}, {deferred} with deferred constraints");
+    assert!(
+        checked.iter().all(|&n| n > 0) && deferred > 0,
+        "accepted, rejected and deferred candidates are covered: {checked:?}, {deferred}"
+    );
+}
+
+#[test]
+fn the_search_checks_each_hole_in_the_frame_of_its_own_prefix() {
+    // A hole frame must be dropped as soon as a choice below its hole
+    // changes. A stale frame still checks complete programs whole, so it
+    // keeps the verdicts; what it changes is the partial checks' queries.
+    // These two rows backtrack below a filled hole, and with a stale frame
+    // they issue fewer solver misses (112 and 58).
+    for (id, candidates, misses) in [("sorted-insert", 1857, 166), ("unique-insert", 1645, 74)] {
+        let goal = rows(&[id]).remove(0);
+        let outcome = Synthesizer::new()
+            .with_cache(SolverCache::new())
+            .synthesize(&goal, Mode::ReSyn);
+        assert!(outcome.program.is_some(), "{id} synthesizes");
+        let stats = outcome.stats;
+        assert_eq!(
+            (stats.candidates_checked, stats.solver_cache_misses),
+            (candidates, misses),
+            "{id}: candidates and solver misses"
+        );
     }
 }
