@@ -519,10 +519,11 @@ pub fn run_synth(problem_text: &str, opts: &Options) -> Result<String, CliError>
         if opts.stats {
             let _ = writeln!(
                 out,
-                "-- solver cache: {} hits, {} misses; interner: {} new terms",
+                "-- solver cache: {} hits, {} misses; interner: {} new terms; solver unknowns: {}",
                 outcome.stats.solver_cache_hits,
                 outcome.stats.solver_cache_misses,
-                outcome.stats.interned_terms
+                outcome.stats.interned_terms,
+                outcome.stats.solver_unknowns
             );
         }
         let _ = writeln!(out, "{}", expr_to_surface(&program));
@@ -1158,7 +1159,7 @@ mod tests {
             .lines()
             .find(|l| l.starts_with("-- solver cache:"))
             .expect("--stats must print a solver-cache line");
-        // "-- solver cache: N hits, M misses; interner: K new terms"
+        // "-- solver cache: N hits, M misses; interner: K new terms; solver unknowns: U"
         let hits: u64 = stats_line
             .split_whitespace()
             .nth(3)
@@ -1171,6 +1172,14 @@ mod tests {
             .and_then(|n| n.parse().ok())
             .expect("interner counter parses");
         assert!(terms > 0, "expected a populated intern table: {stats_line}");
+        let unknowns: Option<u64> = stats_line
+            .split_whitespace()
+            .nth(13)
+            .and_then(|n| n.parse().ok());
+        assert!(
+            unknowns.is_some(),
+            "expected a give-up counter: {stats_line}"
+        );
     }
 
     #[test]

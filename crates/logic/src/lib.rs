@@ -16,8 +16,8 @@
 //! The crate also provides sorting (type checking of refinements),
 //! substitution, free-variable computation, evaluation under a [`Model`] and
 //! simplification. The [`intern`] module adds a hash-consing [`TermArena`]:
-//! copyable [`TermId`] handles with O(1) equality, cached free-variable sets,
-//! and memoized id-based versions of the logic passes.
+//! copyable [`TermId`] handles with O(1) equality and memoized id-based
+//! versions of the simplification and sorting passes.
 //!
 //! # Example
 //!

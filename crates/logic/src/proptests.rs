@@ -4,7 +4,8 @@ use proptest::prelude::*;
 
 use crate::eval::{Model, Value};
 use crate::intern::TermArena;
-use crate::term::Term;
+use crate::sort::{Sort, SortingEnv};
+use crate::term::{BinOp, Term};
 
 /// A strategy producing integer-sorted terms over variables `x`, `y`, `z`.
 fn arb_int_term() -> impl Strategy<Value = Term> {
@@ -58,6 +59,124 @@ fn arb_symbolic_term() -> impl Strategy<Value = Term> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
             inner.clone().prop_map(Term::not),
         ]
+    })
+}
+
+/// Every binary operator, for [`arb_any_term`].
+const BIN_OPS: [BinOp; 17] = [
+    BinOp::And,
+    BinOp::Or,
+    BinOp::Implies,
+    BinOp::Iff,
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Eq,
+    BinOp::Neq,
+    BinOp::Le,
+    BinOp::Lt,
+    BinOp::Ge,
+    BinOp::Gt,
+    BinOp::Union,
+    BinOp::Intersect,
+    BinOp::Diff,
+    BinOp::Member,
+    BinOp::Subset,
+];
+
+/// A strategy producing terms of every shape, well-sorted or not under
+/// [`sort_env`]: variables of each sort and an unbound one, literals,
+/// measures (one undeclared), declared and undeclared unknowns, and every
+/// operator applied to arbitrary operands.
+fn arb_any_term() -> impl Strategy<Value = Term> {
+    let leaf = prop_oneof![
+        prop_oneof![Just("x"), Just("p"), Just("s"), Just("a"), Just("unbound")]
+            .prop_map(Term::var),
+        (-3i64..3).prop_map(Term::int),
+        prop_oneof![Just(true), Just(false)].prop_map(Term::Bool),
+        Just(Term::EmptySet),
+        prop_oneof![Just("U0"), Just("U1")].prop_map(Term::unknown),
+    ];
+    leaf.prop_recursive(3, 24, 3, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone(), 0usize..17).prop_map(|(a, b, k)| Term::Binary(
+                BIN_OPS[k],
+                Box::new(a),
+                Box::new(b)
+            )),
+            (inner.clone(), 0usize..3).prop_map(|(t, k)| match k {
+                0 => Term::Unary(crate::term::UnOp::Not, Box::new(t)),
+                1 => Term::Unary(crate::term::UnOp::Neg, Box::new(t)),
+                _ => Term::Mul(2, Box::new(t)),
+            }),
+            inner.clone().prop_map(Term::singleton),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| Term::Ite(
+                Box::new(c),
+                Box::new(t),
+                Box::new(e)
+            )),
+            (inner.clone(), 0usize..4).prop_map(|(t, k)| match k {
+                0 => Term::app("len", vec![t]),
+                1 => Term::app("elems", vec![t]),
+                2 => Term::app("numgt", vec![t.clone(), t]),
+                _ => Term::app("undeclared", vec![t]),
+            }),
+        ]
+    })
+}
+
+/// The sorting environment of [`arb_any_term`].
+fn sort_env() -> SortingEnv {
+    let mut env = SortingEnv::new();
+    env.bind_var("x", Sort::Int)
+        .bind_var("p", Sort::Bool)
+        .bind_var("s", Sort::Set)
+        .bind_var("a", Sort::uninterp("a"))
+        .declare_measure("len", vec![Sort::Int], Sort::Int)
+        .declare_measure("elems", vec![Sort::Int], Sort::Set)
+        .declare_measure("numgt", vec![Sort::uninterp("a"), Sort::Int], Sort::Int)
+        .declare_unknown("U0", Sort::Int);
+    env
+}
+
+/// Chain `operands` into an `op` spine with raw `Binary` nodes (so `true`,
+/// `false` and nested spines survive construction), nested to the left or to
+/// the right.
+fn spine(op: BinOp, left_nested: bool, operands: Vec<Term>) -> Term {
+    let link = |a: Term, b: Term| Term::Binary(op, Box::new(a), Box::new(b));
+    let spine = if left_nested {
+        operands.into_iter().reduce(link)
+    } else {
+        operands.into_iter().rev().reduce(|acc, t| link(t, acc))
+    };
+    spine.expect("a spine has an operand")
+}
+
+/// A strategy producing long `And`/`Or` spines, the shape of the solver's
+/// premise-heavy queries: 40–60 operands, nested to the left or the right,
+/// drawn from a small pool (so operands repeat), with occasional
+/// `true`/`false` literals and nested spines of either connective.
+fn arb_long_spine() -> impl Strategy<Value = Term> {
+    let pool = proptest::collection::vec(arb_symbolic_term(), 6..10);
+    let picks = proptest::collection::vec(0usize..60, 40..61);
+    (pool, picks, 0usize..4).prop_map(|(pool, picks, shape)| {
+        let (op, other) = if shape % 2 == 0 {
+            (BinOp::And, BinOp::Or)
+        } else {
+            (BinOp::Or, BinOp::And)
+        };
+        let left_nested = shape < 2;
+        let operands = picks
+            .into_iter()
+            .map(|k| match k {
+                54 => spine(op, !left_nested, pool[..3].to_vec()),
+                55 => spine(other, left_nested, pool[1..4].to_vec()),
+                56 => spine(other, !left_nested, vec![pool[2].clone(), Term::tt()]),
+                57 => Term::tt(),
+                58 | 59 => Term::ff(),
+                k => pool[k % pool.len()].clone(),
+            })
+            .collect();
+        spine(op, left_nested, operands)
     })
 }
 
@@ -171,34 +290,47 @@ proptest! {
         prop_assert_eq!(once.simplify(), once);
     }
 
-    /// Interning a term and reconstructing it is the identity, and the cached
-    /// free-variable and unknown metadata match the tree computations.
+    /// Interning a term and reconstructing it is the identity.
     #[test]
     fn interned_roundtrip_and_metadata_agree(t in arb_symbolic_term()) {
         let mut arena = TermArena::new();
         let id = arena.intern(&t);
-        prop_assert_eq!(arena.term(id), t.clone());
-        prop_assert_eq!(arena.free_vars(id).clone(), t.free_vars());
-        prop_assert_eq!(arena.has_unknowns(id), t.has_unknowns());
+        prop_assert_eq!(arena.term(id), t);
     }
 
-    /// The interned simplification pass agrees with the tree implementation.
+    /// The interned simplification pass agrees with the tree implementation,
+    /// on random terms and on long spines.
     #[test]
-    fn interned_simplify_agrees(t in arb_symbolic_term()) {
+    fn interned_simplify_agrees(t in arb_symbolic_term(), long in arb_long_spine()) {
+        for t in [t, long] {
+            let mut arena = TermArena::new();
+            let id = arena.intern(&t);
+            let s = arena.simplify_id(id);
+            prop_assert_eq!(arena.term(s), t.simplify());
+        }
+    }
+
+    /// The interned sorting pass agrees with the tree implementation — the
+    /// sort or the error — on well- and ill-sorted terms alike.
+    #[test]
+    fn interned_sort_agrees(t in arb_any_term()) {
+        let env = sort_env();
         let mut arena = TermArena::new();
         let id = arena.intern(&t);
-        let s = arena.simplify_id(id);
-        prop_assert_eq!(arena.term(s), t.simplify());
+        prop_assert_eq!(arena.sort_of_id(id, &env, 0), env.sort_of(&t));
     }
 
     /// Interned simplification of an already-simplified term is a fixpoint
-    /// (the id-level counterpart of idempotence).
+    /// (the id-level counterpart of idempotence), on random terms and on
+    /// long spines.
     #[test]
-    fn interned_simplify_is_idempotent(t in arb_symbolic_term()) {
-        let mut arena = TermArena::new();
-        let id = arena.intern(&t);
-        let once = arena.simplify_id(id);
-        let twice = arena.simplify_id(once);
-        prop_assert_eq!(once, twice);
+    fn interned_simplify_is_idempotent(t in arb_symbolic_term(), long in arb_long_spine()) {
+        for t in [t, long] {
+            let mut arena = TermArena::new();
+            let id = arena.intern(&t);
+            let once = arena.simplify_id(id);
+            let twice = arena.simplify_id(once);
+            prop_assert_eq!(once, twice);
+        }
     }
 }

@@ -157,6 +157,11 @@ impl SortingEnv {
         self.measures.get(name)
     }
 
+    /// Look up an unknown's declared sort.
+    pub(crate) fn unknown_sort(&self, name: &str) -> Option<&Sort> {
+        self.unknowns.get(name)
+    }
+
     /// Iterate over the bound variables and their sorts.
     pub fn vars(&self) -> impl Iterator<Item = (&String, &Sort)> {
         self.vars.iter()
@@ -343,14 +348,7 @@ impl SortingEnv {
     /// Returns a [`SortError`] if the inferred sort differs from `expected`.
     pub fn check(&self, term: &Term, expected: &Sort) -> Result<(), SortError> {
         let found = self.sort_of(term)?;
-        let compatible = found == *expected
-            || matches!(
-                (&found, expected),
-                (Sort::Uninterp(_), Sort::Int)
-                    | (Sort::Int, Sort::Uninterp(_))
-                    | (Sort::Uninterp(_), Sort::Uninterp(_))
-            );
-        if compatible {
+        if compatible(&found, expected) {
             Ok(())
         } else {
             Err(SortError::Mismatch {
@@ -360,6 +358,18 @@ impl SortingEnv {
             })
         }
     }
+}
+
+/// Whether a term of sort `found` checks against `expected` (see
+/// [`SortingEnv::check`]).
+pub(crate) fn compatible(found: &Sort, expected: &Sort) -> bool {
+    found == expected
+        || matches!(
+            (found, expected),
+            (Sort::Uninterp(_), Sort::Int)
+                | (Sort::Int, Sort::Uninterp(_))
+                | (Sort::Uninterp(_), Sort::Uninterp(_))
+        )
 }
 
 #[cfg(test)]

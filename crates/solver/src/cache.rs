@@ -77,6 +77,9 @@ pub struct CacheStats {
     /// Approximate bytes of resident verdict entries (keys + verdicts +
     /// table overhead; the intern arena is not metered).
     pub resident_bytes: usize,
+    /// `Unknown` verdicts stored: solver misses that gave up (work limit or
+    /// unsupported construct) rather than answered.
+    pub unknowns: u64,
 }
 
 /// Key of a pending query (returned by a miss, consumed by
@@ -116,6 +119,7 @@ struct Inner {
     evictions: u64,
     hits: u64,
     misses: u64,
+    unknowns: u64,
 }
 
 impl Inner {
@@ -155,6 +159,8 @@ pub struct HandleStats {
     pub misses: u64,
     /// Terms this lineage newly interned into the shared arena.
     pub interned_terms: usize,
+    /// `Unknown` verdicts this lineage stored (see [`CacheStats::unknowns`]).
+    pub unknowns: u64,
 }
 
 #[derive(Debug, Default)]
@@ -162,6 +168,7 @@ struct HandleCounters {
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
     interned: std::sync::atomic::AtomicU64,
+    unknowns: std::sync::atomic::AtomicU64,
 }
 
 /// A shared, optionally bounded, in-memory cache of solver verdicts keyed
@@ -253,6 +260,7 @@ impl SolverCache {
             hits: self.local.hits.load(Ordering::Relaxed),
             misses: self.local.misses.load(Ordering::Relaxed),
             interned_terms: self.local.interned.load(Ordering::Relaxed) as usize,
+            unknowns: self.local.unknowns.load(Ordering::Relaxed),
         }
     }
 
@@ -328,8 +336,15 @@ impl SolverCache {
         if result.is_cancelled() {
             return;
         }
+        let unknown = matches!(result, SatResult::Unknown(_));
+        if unknown {
+            self.local
+                .unknowns
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
         let cost = entry_cost(&key, result);
         let mut inner = self.lock();
+        inner.unknowns += u64::from(unknown);
         let entry = Entry {
             verdict: result.clone(),
             cost,
@@ -359,6 +374,7 @@ impl SolverCache {
             sat_entries: inner.table.len() - validity_entries,
             evictions: inner.evictions,
             resident_bytes: inner.resident_bytes,
+            unknowns: inner.unknowns,
         }
     }
 }
@@ -391,6 +407,7 @@ fn fingerprint_env(env: &SortingEnv) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::smt::Solver;
     use resyn_logic::{Sort, Term};
 
     fn env() -> SortingEnv {
@@ -468,6 +485,32 @@ mod tests {
         ));
         let stats = cache.stats();
         assert_eq!((stats.validity_entries, stats.sat_entries), (1, 1));
+    }
+
+    #[test]
+    fn unknown_verdicts_are_counted_per_table_and_per_handle() {
+        let cache = SolverCache::new();
+        let scope = cache.scoped();
+        let solver = Solver::new(env()).with_cache(scope.clone());
+        // An unknown predicate makes the solver give up.
+        let undecided = Term::unknown("U0");
+        assert!(matches!(
+            solver.check_sat(std::slice::from_ref(&undecided)),
+            SatResult::Unknown(_)
+        ));
+        // A hit on the stored `Unknown` is not a second give-up.
+        assert!(matches!(
+            solver.check_sat(std::slice::from_ref(&undecided)),
+            SatResult::Unknown(_)
+        ));
+        prove(
+            &cache,
+            &[Term::var("x").lt(Term::var("y"))],
+            &Term::var("x").le(Term::var("y")),
+        );
+        assert_eq!(cache.stats().unknowns, 1);
+        assert_eq!(scope.handle_stats().unknowns, 1);
+        assert_eq!(cache.handle_stats().unknowns, 0);
     }
 
     #[test]

@@ -1,25 +1,23 @@
-//! Ground equality reasoning for uninterpreted (measure) applications.
+//! Congruence axioms for uninterpreted (measure) applications.
 //!
-//! Two facilities are provided:
-//!
-//! 1. [`congruence_axioms`] instantiates the congruence axiom
-//!    `args₁ = args₂ ⟹ f(args₁) = f(args₂)` for every pair of applications of
-//!    the same measure occurring in a formula. This mirrors the paper's §4.3:
-//!    *"to handle measure applications in resource constraints, we replace
-//!    them with fresh integer variables, and avoid spurious counter-examples
-//!    by explicitly instantiating the congruence axiom with all applications
-//!    in the constraint."* The same instantiation makes the lazy DPLL(T) loop
-//!    complete for the measure fragment of validity constraints.
-//!
-//! 2. [`CongruenceClosure`] is a small union-find–based congruence closure
-//!    over ground terms, used by tests and available for future extensions.
+//! [`congruence_axioms`] instantiates the congruence axiom
+//! `args₁ = args₂ ⟹ f(args₁) = f(args₂)` for every pair of applications of
+//! the same measure occurring in a formula. This mirrors the paper's §4.3:
+//! *"to handle measure applications in resource constraints, we replace them
+//! with fresh integer variables, and avoid spurious counter-examples by
+//! explicitly instantiating the congruence axiom with all applications in the
+//! constraint."* The same instantiation makes the lazy DPLL(T) loop complete
+//! for the measure fragment of validity constraints.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashSet;
 
-use resyn_logic::{Sort, SortingEnv, Term};
+use resyn_logic::intern::Node;
+use resyn_logic::{BinOp, Sort, SortingEnv, TermArena, TermId};
 
 /// Instantiate congruence axioms for every pair of same-measure applications
-/// in `formula` whose arguments could plausibly be equated by the formula.
+/// in the interned `formula` whose arguments could plausibly be equated by
+/// the formula. Sorts are read under `env`, memoized under `env_key` (see
+/// [`TermArena::sort_of_id`]).
 ///
 /// Applications of different measures, or with different arities, are ignored.
 /// A pair is *relevant* when each pair of corresponding arguments is either
@@ -27,192 +25,92 @@ use resyn_logic::{Sort, SortingEnv, Term};
 /// formula; irrelevant pairs cannot give rise to congruence reasoning and
 /// instantiating them only bloats the boolean search. The equality of
 /// arguments/results uses plain `=`, which the SMT layer later normalizes per
-/// sort.
-pub fn congruence_axioms(formula: &Term, env: &SortingEnv) -> Vec<Term> {
-    let apps = formula.measure_apps();
-    let equalities = equality_pairs(formula);
-    let related = |a: &Term, b: &Term| -> bool {
-        a == b
-            || equalities
-                .iter()
-                .any(|(x, y)| (x == a && y == b) || (x == b && y == a))
+/// sort. Applications are paired in the order of their first occurrence in a
+/// left-to-right, arguments-first traversal.
+pub fn congruence_axioms(
+    arena: &mut TermArena,
+    formula: TermId,
+    env: &SortingEnv,
+    env_key: u64,
+) -> Vec<TermId> {
+    let mut walk = Walk::default();
+    walk.visit(arena, formula);
+    let Walk {
+        apps, equalities, ..
+    } = walk;
+    let related = |a: TermId, b: TermId| {
+        a == b || equalities.contains(&(a, b)) || equalities.contains(&(b, a))
     };
     let mut axioms = Vec::new();
-    for i in 0..apps.len() {
-        for j in (i + 1)..apps.len() {
-            let (name_a, args_a) = &apps[i];
-            let (name_b, args_b) = &apps[j];
+    for (i, &app_a) in apps.iter().enumerate() {
+        for &app_b in &apps[i + 1..] {
+            let (Node::App(name_a, args_a), Node::App(name_b, args_b)) =
+                (arena.node(app_a), arena.node(app_b))
+            else {
+                unreachable!("only applications are collected");
+            };
             if name_a != name_b || args_a.len() != args_b.len() {
                 continue;
             }
             if args_a == args_b {
                 continue; // syntactically identical: alias to the same variable
             }
-            if !args_a.iter().zip(args_b.iter()).all(|(a, b)| related(a, b)) {
+            if !args_a.iter().zip(args_b).all(|(&a, &b)| related(a, b)) {
                 continue;
             }
+            let pairs: Vec<(TermId, TermId)> =
+                args_a.iter().copied().zip(args_b.iter().copied()).collect();
             // Arguments must be comparable (skip set-sorted arguments).
-            let mut hyps = Vec::new();
-            let mut comparable = true;
-            for (x, y) in args_a.iter().zip(args_b.iter()) {
-                let sx = env.sort_of(x);
-                match sx {
-                    Ok(Sort::Set) => {
-                        comparable = false;
-                        break;
-                    }
-                    _ => hyps.push(x.clone().eq_(y.clone())),
-                }
-            }
-            if !comparable {
+            if pairs
+                .iter()
+                .any(|&(x, _)| matches!(arena.sort_of_id(x, env, env_key), Ok(Sort::Set)))
+            {
                 continue;
             }
-            let lhs = Term::app(name_a.clone(), args_a.clone());
-            let rhs = Term::app(name_b.clone(), args_b.clone());
-            axioms.push(Term::and_all(hyps).implies(lhs.eq_(rhs)));
+            let hyps: Vec<TermId> = pairs
+                .into_iter()
+                .map(|(x, y)| arena.binary_id(BinOp::Eq, x, y))
+                .collect();
+            let hyp = arena.and_all_id(hyps);
+            let conclusion = arena.binary_id(BinOp::Eq, app_a, app_b);
+            axioms.push(arena.implies_id(hyp, conclusion));
         }
     }
     axioms
 }
 
-/// Collect the pairs of terms directly related by an equality atom anywhere in
-/// the formula (used as the relevance filter for congruence instantiation).
-fn equality_pairs(formula: &Term) -> Vec<(Term, Term)> {
-    use resyn_logic::BinOp;
-    let mut out = Vec::new();
-    fn go(t: &Term, out: &mut Vec<(Term, Term)>) {
-        match t {
-            Term::Binary(BinOp::Eq, a, b) => {
-                out.push(((**a).clone(), (**b).clone()));
-                go(a, out);
-                go(b, out);
-            }
-            Term::Binary(_, a, b) => {
-                go(a, out);
-                go(b, out);
-            }
-            Term::Unary(_, x) | Term::Singleton(x) | Term::Mul(_, x) => go(x, out),
-            Term::Ite(c, a, b) => {
-                go(c, out);
-                go(a, out);
-                go(b, out);
-            }
-            Term::App(_, args) => {
-                for a in args {
-                    go(a, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    go(formula, &mut out);
-    out
+/// One pass over a formula's DAG collecting its measure applications (in
+/// first-occurrence order) and the operand pairs of its equality atoms.
+#[derive(Default)]
+struct Walk {
+    seen: HashSet<TermId>,
+    apps: Vec<TermId>,
+    equalities: HashSet<(TermId, TermId)>,
 }
 
-/// A union-find–based congruence closure over ground terms.
-///
-/// Terms are interned by structural identity; merging two terms merges their
-/// equivalence classes and propagates congruence to parent applications.
-#[derive(Debug, Default, Clone)]
-pub struct CongruenceClosure {
-    ids: BTreeMap<Term, usize>,
-    terms: Vec<Term>,
-    parent: Vec<usize>,
-    /// For each class representative, the application terms that have a member
-    /// of the class as a direct argument.
-    uses: BTreeMap<usize, BTreeSet<usize>>,
-}
-
-impl CongruenceClosure {
-    /// An empty congruence closure.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Intern a term (and its subterms), returning its node id.
-    pub fn intern(&mut self, t: &Term) -> usize {
-        if let Some(&id) = self.ids.get(t) {
-            return id;
-        }
-        // Intern subterms of applications so congruence can propagate.
-        if let Term::App(_, args) = t {
-            let arg_ids: Vec<usize> = args.iter().map(|a| self.intern(a)).collect();
-            let id = self.fresh_node(t.clone());
-            for a in arg_ids {
-                let rep = self.find(a);
-                self.uses.entry(rep).or_default().insert(id);
-            }
-            return id;
-        }
-        self.fresh_node(t.clone())
-    }
-
-    fn fresh_node(&mut self, t: Term) -> usize {
-        let id = self.terms.len();
-        self.ids.insert(t.clone(), id);
-        self.terms.push(t);
-        self.parent.push(id);
-        id
-    }
-
-    /// Find the representative of a node.
-    pub fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    /// Assert that two terms are equal and propagate congruence.
-    pub fn merge(&mut self, a: &Term, b: &Term) {
-        let (ia, ib) = (self.intern(a), self.intern(b));
-        self.union(ia, ib);
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
+impl Walk {
+    /// Visit `id` and, the first time only, everything below it: a repeated
+    /// subterm contributes no application or equality its first visit did
+    /// not, so skipping it keeps the first-occurrence order.
+    fn visit(&mut self, arena: &TermArena, id: TermId) {
+        if !self.seen.insert(id) {
             return;
         }
-        // Merge the smaller use-list into the larger.
-        let uses_a = self.uses.remove(&ra).unwrap_or_default();
-        let uses_b = self.uses.remove(&rb).unwrap_or_default();
-        self.parent[ra] = rb;
-        let mut combined = uses_b;
-        combined.extend(uses_a.iter().copied());
-        self.uses.insert(rb, combined.clone());
-        // Congruence: any two applications in the combined use list with the
-        // same head and now-equal arguments must be merged.
-        let apps: Vec<usize> = combined.into_iter().collect();
-        for i in 0..apps.len() {
-            for j in (i + 1)..apps.len() {
-                let (ti, tj) = (self.terms[apps[i]].clone(), self.terms[apps[j]].clone());
-                if let (Term::App(f, argsi), Term::App(g, argsj)) = (&ti, &tj) {
-                    if f == g && argsi.len() == argsj.len() {
-                        let congruent = argsi.iter().zip(argsj.iter()).all(|(x, y)| {
-                            let (ix, iy) = (self.intern(x), self.intern(y));
-                            self.find(ix) == self.find(iy)
-                        });
-                        if congruent {
-                            self.union(apps[i], apps[j]);
-                        }
-                    }
-                }
-            }
+        let node = arena.node(id);
+        if let Node::Binary(BinOp::Eq, a, b) = node {
+            self.equalities.insert((*a, *b));
         }
-    }
-
-    /// Whether two terms are known to be equal.
-    pub fn equal(&mut self, a: &Term, b: &Term) -> bool {
-        let (ia, ib) = (self.intern(a), self.intern(b));
-        self.find(ia) == self.find(ib)
+        node.for_each_child(|child| self.visit(arena, child));
+        if let Node::App(_, _) = node {
+            self.apps.push(id);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resyn_logic::Term;
 
     fn env() -> SortingEnv {
         let mut e = SortingEnv::new();
@@ -225,6 +123,15 @@ mod tests {
         e
     }
 
+    fn axioms_of(f: &Term) -> Vec<Term> {
+        let mut arena = TermArena::new();
+        let id = arena.intern(f);
+        congruence_axioms(&mut arena, id, &env(), 0)
+            .into_iter()
+            .map(|ax| arena.term(ax))
+            .collect()
+    }
+
     #[test]
     fn congruence_axioms_for_same_measure_pairs() {
         // The formula equates xs and ys, so the len(xs)/len(ys) pair is
@@ -235,7 +142,7 @@ mod tests {
                 Term::app("len", vec![Term::var("xs")]).le(Term::app("len", vec![Term::var("ys")])),
             )
             .and(Term::app("elems", vec![Term::var("xs")]).eq_(Term::EmptySet));
-        let axioms = congruence_axioms(&f, &env());
+        let axioms = axioms_of(&f);
         assert_eq!(axioms.len(), 1);
         let expected = Term::var("xs").eq_(Term::var("ys")).implies(
             Term::app("len", vec![Term::var("xs")]).eq_(Term::app("len", vec![Term::var("ys")])),
@@ -247,45 +154,13 @@ mod tests {
     fn irrelevant_pairs_are_not_instantiated() {
         // Without any equality connecting xs and ys, no axiom is produced.
         let f = Term::app("len", vec![Term::var("xs")]).le(Term::app("len", vec![Term::var("ys")]));
-        assert!(congruence_axioms(&f, &env()).is_empty());
+        assert!(axioms_of(&f).is_empty());
     }
 
     #[test]
     fn identical_applications_need_no_axiom() {
         let f = Term::app("len", vec![Term::var("xs")])
             .le(Term::app("len", vec![Term::var("xs")]) + Term::int(1));
-        assert!(congruence_axioms(&f, &env()).is_empty());
-    }
-
-    #[test]
-    fn closure_propagates_congruence() {
-        let mut cc = CongruenceClosure::new();
-        let fx = Term::app("f", vec![Term::var("x")]);
-        let fy = Term::app("f", vec![Term::var("y")]);
-        cc.intern(&fx);
-        cc.intern(&fy);
-        assert!(!cc.equal(&fx, &fy));
-        cc.merge(&Term::var("x"), &Term::var("y"));
-        assert!(cc.equal(&fx, &fy));
-    }
-
-    #[test]
-    fn closure_is_transitive() {
-        let mut cc = CongruenceClosure::new();
-        cc.merge(&Term::var("a"), &Term::var("b"));
-        cc.merge(&Term::var("b"), &Term::var("c"));
-        assert!(cc.equal(&Term::var("a"), &Term::var("c")));
-        assert!(!cc.equal(&Term::var("a"), &Term::var("d")));
-    }
-
-    #[test]
-    fn nested_congruence() {
-        let mut cc = CongruenceClosure::new();
-        let gfx = Term::app("g", vec![Term::app("f", vec![Term::var("x")])]);
-        let gfy = Term::app("g", vec![Term::app("f", vec![Term::var("y")])]);
-        cc.intern(&gfx);
-        cc.intern(&gfy);
-        cc.merge(&Term::var("x"), &Term::var("y"));
-        assert!(cc.equal(&gfx, &gfy));
+        assert!(axioms_of(&f).is_empty());
     }
 }

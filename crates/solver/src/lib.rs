@@ -14,11 +14,13 @@
 //! * [`sets`] — elimination of finite-set atoms by membership expansion
 //!   (reduction to booleans + element equalities), the standard decision
 //!   procedure for this fragment.
-//! * [`euf`] — ground congruence-closure utilities and congruence-axiom
-//!   instantiation for measure applications.
-//! * [`dpll`] — a small DPLL(T) search over hash-consed formulas.
-//! * [`smt`] — the public [`Solver`] combining everything: lazy DPLL(T) with
-//!   per-assignment theory checks, blocking clauses, and model construction.
+//! * [`euf`] — congruence-axiom instantiation for measure applications.
+//! * [`dpll`] — a small DPLL(T) search over hash-consed formulas:
+//!   propagate the forced literals, prune with a theory check on the partial
+//!   trail, then decide.
+//! * [`smt`] — the public [`Solver`] combining everything: one interned
+//!   formula per query, preprocessing, the DPLL(T) search, and model
+//!   construction.
 //! * [`cache`] — a shared validity/SAT query cache over interned terms
 //!   ([`SolverCache`]), threaded through the checking pipeline so repeated
 //!   obligations are answered by lookup.

@@ -1,7 +1,8 @@
 //! Linear expressions over named variables, and linearization of refinement
 //! terms.
 //!
-//! By the time a term reaches the linearizer, the SMT layer has already
+//! The linearizer reads interned terms ([`TermId`]s of the solver's per-query
+//! [`TermArena`]). By the time a term reaches it, the SMT layer has already
 //! replaced measure applications and set-sorted sub-terms by alias variables
 //! and case-split conditional (`ite`) sub-terms, so the only remaining forms
 //! are variables, integer literals, `+`, `-`, unary negation and
@@ -12,7 +13,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use resyn_logic::{BinOp, Term, UnOp};
+use resyn_logic::intern::Node;
+use resyn_logic::{BinOp, Term, TermArena, TermId, UnOp};
 
 use crate::rational::Rat;
 
@@ -148,25 +150,25 @@ impl LinExpr {
         without.add(&replacement.scale(c))
     }
 
-    /// Linearize a refinement term into a linear expression.
+    /// Linearize an interned refinement term into a linear expression.
     ///
     /// # Errors
     ///
     /// Returns [`LinearizeError::NonLinear`] when the term contains constructs
     /// outside pure linear arithmetic (sets, measures, conditionals, booleans).
-    pub fn from_term(term: &Term) -> Result<LinExpr, LinearizeError> {
-        match term {
-            Term::Int(n) => Ok(LinExpr::constant(Rat::int(*n))),
-            Term::Var(x) => Ok(LinExpr::var(x.clone())),
-            Term::Unary(UnOp::Neg, t) => Ok(LinExpr::from_term(t)?.scale(-Rat::ONE)),
-            Term::Mul(k, t) => Ok(LinExpr::from_term(t)?.scale(Rat::int(*k))),
-            Term::Binary(BinOp::Add, a, b) => {
-                Ok(LinExpr::from_term(a)?.add(&LinExpr::from_term(b)?))
+    pub fn from_id(arena: &TermArena, id: TermId) -> Result<LinExpr, LinearizeError> {
+        match arena.node(id) {
+            Node::Int(n) => Ok(LinExpr::constant(Rat::int(*n))),
+            Node::Var(x) => Ok(LinExpr::var(x.clone())),
+            Node::Unary(UnOp::Neg, t) => Ok(LinExpr::from_id(arena, *t)?.scale(-Rat::ONE)),
+            Node::Mul(k, t) => Ok(LinExpr::from_id(arena, *t)?.scale(Rat::int(*k))),
+            Node::Binary(BinOp::Add, a, b) => {
+                Ok(LinExpr::from_id(arena, *a)?.add(&LinExpr::from_id(arena, *b)?))
             }
-            Term::Binary(BinOp::Sub, a, b) => {
-                Ok(LinExpr::from_term(a)?.sub(&LinExpr::from_term(b)?))
+            Node::Binary(BinOp::Sub, a, b) => {
+                Ok(LinExpr::from_id(arena, *a)?.sub(&LinExpr::from_id(arena, *b)?))
             }
-            other => Err(LinearizeError::NonLinear(other.to_string())),
+            _ => Err(LinearizeError::NonLinear(arena.term(id).to_string())),
         }
     }
 
@@ -222,10 +224,16 @@ impl fmt::Display for LinExpr {
 mod tests {
     use super::*;
 
+    fn linearize(t: &Term) -> Result<LinExpr, LinearizeError> {
+        let mut arena = TermArena::new();
+        let id = arena.intern(t);
+        LinExpr::from_id(&arena, id)
+    }
+
     #[test]
     fn linearize_basic_terms() {
         let t = Term::var("x").times(2) + Term::var("y") - Term::int(3);
-        let e = LinExpr::from_term(&t).unwrap();
+        let e = linearize(&t).unwrap();
         assert_eq!(e.coeff("x"), Rat::int(2));
         assert_eq!(e.coeff("y"), Rat::int(1));
         assert_eq!(e.constant_part(), Rat::int(-3));
@@ -234,7 +242,7 @@ mod tests {
     #[test]
     fn cancellation_removes_variables() {
         let t = (Term::var("x") + Term::var("y")) - Term::var("x");
-        let e = LinExpr::from_term(&t).unwrap();
+        let e = linearize(&t).unwrap();
         assert_eq!(e.coeff("x"), Rat::ZERO);
         assert_eq!(e.vars().count(), 1);
     }
@@ -242,15 +250,15 @@ mod tests {
     #[test]
     fn nonlinear_terms_are_rejected() {
         let t = Term::var("x").le(Term::var("y"));
-        assert!(LinExpr::from_term(&t).is_err());
+        assert!(linearize(&t).is_err());
         let t = Term::app("len", vec![Term::var("xs")]);
-        assert!(LinExpr::from_term(&t).is_err());
+        assert!(linearize(&t).is_err());
     }
 
     #[test]
     fn evaluation_and_substitution() {
         let t = Term::var("x").times(2) + Term::var("y") + Term::int(1);
-        let e = LinExpr::from_term(&t).unwrap();
+        let e = linearize(&t).unwrap();
         let mut assignment = BTreeMap::new();
         assignment.insert("x".to_string(), Rat::int(3));
         assignment.insert("y".to_string(), Rat::int(-1));
@@ -266,9 +274,9 @@ mod tests {
     #[test]
     fn to_term_roundtrip_for_integer_coefficients() {
         let t = Term::var("a").times(3) + Term::int(2);
-        let e = LinExpr::from_term(&t).unwrap();
+        let e = linearize(&t).unwrap();
         let back = e.to_term();
-        let e2 = LinExpr::from_term(&back).unwrap();
+        let e2 = linearize(&back).unwrap();
         assert_eq!(e, e2);
     }
 

@@ -18,22 +18,20 @@
 //! The construction is sound and complete for the quantifier-free set algebra
 //! with membership used by the paper's benchmarks.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
-use resyn_logic::{BinOp, Sort, SortingEnv, Term, UnOp};
+use resyn_logic::intern::Node;
+use resyn_logic::{BinOp, Sort, SortingEnv, TermArena, TermId, UnOp};
 
 /// The result of eliminating set atoms from a formula.
 #[derive(Debug, Clone)]
 pub struct SetElimination {
     /// The set-free formula.
-    pub formula: Term,
+    pub formula: TermId,
     /// For each base set variable, the membership atoms introduced for it:
-    /// `(element term, boolean atom variable name)`.
-    pub memberships: BTreeMap<String, Vec<(Term, String)>>,
-    /// Fresh element witness variables introduced for negative set atoms
-    /// (they must be bound at sort `Int` by the caller).
-    pub witnesses: Vec<String>,
+    /// `(element term, boolean atom variable)`.
+    pub memberships: BTreeMap<String, Vec<(TermId, TermId)>>,
 }
 
 /// Errors raised during set elimination.
@@ -53,75 +51,74 @@ impl fmt::Display for SetError {
 
 impl std::error::Error for SetError {}
 
-/// Name of the boolean atom standing for `e ∈ S`.
-fn in_atom_name(set_var: &str, elem: &Term) -> String {
-    format!("__in${set_var}${elem}")
-}
-
-/// Equality of two element terms, expressed with `≤ ∧ ≥` so that the
-/// arithmetic theory solver only sees convex literals.
-fn elem_eq(a: &Term, b: &Term) -> Term {
-    a.clone().le(b.clone()).and(a.clone().ge(b.clone()))
-}
-
-struct Eliminator<'a> {
-    env: &'a SortingEnv,
-    memberships: BTreeMap<String, Vec<(Term, String)>>,
-    witnesses: Vec<String>,
-    element_terms: Vec<Term>,
-    fresh_counter: usize,
-    /// How many pre-allocated witnesses have been consumed during rewriting.
-    used: Option<usize>,
-}
-
-/// Does the formula mention any set-sorted atom? (Fast path check.)
-pub fn mentions_sets(formula: &Term, env: &SortingEnv) -> bool {
-    match formula {
-        Term::EmptySet | Term::SetLit(_) | Term::Singleton(_) => true,
-        Term::Var(x) => matches!(env.var_sort(x), Some(Sort::Set)),
-        Term::App(_, args) => {
-            matches!(env.sort_of(formula), Ok(Sort::Set))
-                || args.iter().any(|a| mentions_sets(a, env))
+/// Does the interned formula mention any set-sorted atom? (Fast path check.)
+/// `env_key` memoizes sorts as in [`TermArena::sort_of_id`].
+pub fn mentions_sets(
+    arena: &mut TermArena,
+    formula: TermId,
+    env: &SortingEnv,
+    env_key: u64,
+) -> bool {
+    let mut seen = HashSet::new();
+    let mut stack = vec![formula];
+    while let Some(id) = stack.pop() {
+        if !seen.insert(id) {
+            continue;
         }
-        Term::Bool(_) | Term::Int(_) | Term::Unknown(_, _) => false,
-        Term::Unary(_, t) | Term::Mul(_, t) => mentions_sets(t, env),
-        Term::Binary(op, a, b) => {
-            matches!(
+        let local = match arena.node(id) {
+            Node::EmptySet | Node::SetLit(_) | Node::Singleton(_) => true,
+            Node::Var(x) => matches!(env.var_sort(x), Some(Sort::Set)),
+            Node::App(_, _) => matches!(arena.sort_of_id(id, env, env_key), Ok(Sort::Set)),
+            Node::Binary(op, _, _) => matches!(
                 op,
                 BinOp::Union | BinOp::Intersect | BinOp::Diff | BinOp::Member | BinOp::Subset
-            ) || mentions_sets(a, env)
-                || mentions_sets(b, env)
+            ),
+            // An unknown's pending substitution is not searched.
+            Node::Unknown(_, _) => continue,
+            Node::Bool(_) | Node::Int(_) | Node::Unary(_, _) | Node::Mul(_, _) | Node::Ite(..) => {
+                false
+            }
+        };
+        if local {
+            return true;
         }
-        Term::Ite(c, t, e) => {
-            mentions_sets(c, env) || mentions_sets(t, env) || mentions_sets(e, env)
-        }
+        arena.node(id).for_each_child(|child| stack.push(child));
     }
+    false
 }
 
-/// Eliminate set atoms from `formula`.
+/// Eliminate set atoms from the interned `formula`, building the set-free
+/// formula in the same arena.
 ///
 /// The formula must already be free of `⟺` connectives and of set-sorted
 /// measure applications (the SMT layer aliases those to set variables first).
+/// Sorts are read under `env`, memoized under `env_key`.
 ///
 /// # Errors
 ///
 /// Returns [`SetError::Unsupported`] for set constructs outside the fragment
 /// (e.g. conditional set terms).
-pub fn eliminate_sets(formula: &Term, env: &SortingEnv) -> Result<SetElimination, SetError> {
-    if !mentions_sets(formula, env) {
+pub fn eliminate_sets(
+    arena: &mut TermArena,
+    formula: TermId,
+    env: &SortingEnv,
+    env_key: u64,
+) -> Result<SetElimination, SetError> {
+    if !mentions_sets(arena, formula, env, env_key) {
         return Ok(SetElimination {
-            formula: formula.clone(),
+            formula,
             memberships: BTreeMap::new(),
-            witnesses: Vec::new(),
         });
     }
     let mut elim = Eliminator {
+        arena,
         env,
+        env_key,
         memberships: BTreeMap::new(),
         witnesses: Vec::new(),
         element_terms: Vec::new(),
-        fresh_counter: 0,
-        used: None,
+        element_names: HashMap::new(),
+        used: 0,
     };
 
     // Pass A: collect element terms and pre-assign witnesses for negative
@@ -132,269 +129,308 @@ pub fn eliminate_sets(formula: &Term, env: &SortingEnv) -> Result<SetElimination
     let mut rewritten = elim.rewrite(formula, true)?;
 
     // Congruence between element equalities and membership atoms.
-    let mut congruence = Vec::new();
-    for (set_var, members) in &elim.memberships {
-        let _ = set_var;
-        for i in 0..members.len() {
-            for j in (i + 1)..members.len() {
-                let (ei, ni) = &members[i];
-                let (ej, nj) = &members[j];
-                congruence.push(
-                    elem_eq(ei, ej).implies(Term::var(ni.clone()).iff(Term::var(nj.clone()))),
-                );
+    let Eliminator {
+        arena, memberships, ..
+    } = elim;
+    for members in memberships.values() {
+        for (i, &(ei, ni)) in members.iter().enumerate() {
+            for &(ej, nj) in &members[i + 1..] {
+                let eq = elem_eq(arena, ei, ej);
+                let iff = arena.binary_id(BinOp::Iff, ni, nj);
+                let congruence = arena.implies_id(eq, iff);
+                rewritten = arena.and_id(rewritten, congruence);
             }
         }
-    }
-    for c in congruence {
-        rewritten = rewritten.and(c);
     }
 
     Ok(SetElimination {
         formula: rewritten,
-        memberships: elim.memberships,
-        witnesses: elim.witnesses,
+        memberships,
     })
 }
 
-impl<'a> Eliminator<'a> {
-    fn is_set_sorted(&self, t: &Term) -> bool {
-        matches!(self.env.sort_of(t), Ok(Sort::Set))
-            || matches!(
-                t,
-                Term::EmptySet
-                    | Term::SetLit(_)
-                    | Term::Singleton(_)
-                    | Term::Binary(BinOp::Union | BinOp::Intersect | BinOp::Diff, _, _)
-            )
+/// Equality of two element terms, expressed with `≤ ∧ ≥` so that the
+/// arithmetic theory solver only sees convex literals.
+fn elem_eq(arena: &mut TermArena, a: TermId, b: TermId) -> TermId {
+    let le = arena.binary_id(BinOp::Le, a, b);
+    let ge = arena.binary_id(BinOp::Ge, a, b);
+    arena.and_id(le, ge)
+}
+
+struct Eliminator<'a> {
+    arena: &'a mut TermArena,
+    env: &'a SortingEnv,
+    env_key: u64,
+    memberships: BTreeMap<String, Vec<(TermId, TermId)>>,
+    /// The element witness variables `__w<k>` of negative set atoms.
+    witnesses: Vec<TermId>,
+    /// `E*`: the element terms, in order of discovery.
+    element_terms: Vec<TermId>,
+    /// The printed form of each element, which names its membership atoms.
+    element_names: HashMap<TermId, String>,
+    /// How many pre-allocated witnesses have been consumed during rewriting.
+    used: usize,
+}
+
+impl Eliminator<'_> {
+    fn is_set_sorted(&mut self, t: TermId) -> bool {
+        matches!(
+            self.arena.sort_of_id(t, self.env, self.env_key),
+            Ok(Sort::Set)
+        ) || matches!(
+            self.arena.node(t),
+            Node::EmptySet
+                | Node::SetLit(_)
+                | Node::Singleton(_)
+                | Node::Binary(BinOp::Union | BinOp::Intersect | BinOp::Diff, _, _)
+        )
     }
 
-    fn record_element(&mut self, e: &Term) {
-        if !self.element_terms.contains(e) {
-            self.element_terms.push(e.clone());
+    fn unsupported(&self, t: TermId) -> SetError {
+        SetError::Unsupported(self.arena.term(t).to_string())
+    }
+
+    fn record_element(&mut self, e: TermId) {
+        if !self.element_terms.contains(&e) {
+            self.element_terms.push(e);
         }
     }
 
-    fn fresh_witness(&mut self) -> String {
-        let name = format!("__w{}", self.fresh_counter);
-        self.fresh_counter += 1;
-        self.witnesses.push(name.clone());
-        self.record_element(&Term::var(name.clone()));
-        name
+    fn fresh_witness(&mut self) -> TermId {
+        let w = self
+            .arena
+            .mk(Node::Var(format!("__w{}", self.witnesses.len())));
+        self.witnesses.push(w);
+        self.record_element(w);
+        w
     }
 
     /// Collect element terms (singleton arguments, membership left-hand sides)
-    /// and allocate witnesses for negative set equalities / subsets.
-    fn collect_elements(&mut self, t: &Term, positive: bool) -> Result<(), SetError> {
-        match t {
-            Term::Unary(UnOp::Not, inner) => self.collect_elements(inner, !positive),
-            Term::Binary(BinOp::And | BinOp::Or, a, b) => {
+    /// and allocate witnesses for negative set equalities / subsets. Walks
+    /// the formula as a tree: every occurrence of a negative atom gets its
+    /// own witness.
+    fn collect_elements(&mut self, t: TermId, positive: bool) -> Result<(), SetError> {
+        match *self.arena.node(t) {
+            Node::Unary(UnOp::Not, inner) => self.collect_elements(inner, !positive),
+            Node::Binary(BinOp::And | BinOp::Or, a, b) => {
                 self.collect_elements(a, positive)?;
                 self.collect_elements(b, positive)
             }
-            Term::Binary(BinOp::Implies, a, b) => {
+            Node::Binary(BinOp::Implies, a, b) => {
                 self.collect_elements(a, !positive)?;
                 self.collect_elements(b, positive)
             }
-            Term::Binary(BinOp::Member, e, s) => {
+            Node::Binary(BinOp::Member, e, s) => {
                 self.record_element(e);
                 self.collect_set_elements(s)
             }
-            Term::Binary(BinOp::Subset, a, b) => {
-                self.collect_set_elements(a)?;
-                self.collect_set_elements(b)?;
-                if !positive {
-                    self.fresh_witness();
+            Node::Binary(BinOp::Subset, a, b) => self.collect_set_atom(a, b, !positive),
+            Node::Binary(op @ (BinOp::Eq | BinOp::Neq), a, b) => {
+                if !(self.is_set_sorted(a) || self.is_set_sorted(b)) {
+                    return Ok(());
                 }
-                Ok(())
+                // The sets differ where a positive `≠` or a negative `=` is.
+                self.collect_set_atom(a, b, positive == (op == BinOp::Neq))
             }
-            Term::Binary(BinOp::Eq, a, b) if self.is_set_sorted(a) || self.is_set_sorted(b) => {
-                self.collect_set_elements(a)?;
-                self.collect_set_elements(b)?;
-                if !positive {
-                    self.fresh_witness();
-                }
-                Ok(())
-            }
-            Term::Binary(BinOp::Neq, a, b) if self.is_set_sorted(a) || self.is_set_sorted(b) => {
-                self.collect_set_elements(a)?;
-                self.collect_set_elements(b)?;
-                if positive {
-                    self.fresh_witness();
-                }
-                Ok(())
-            }
-            Term::Binary(_, _, _)
-            | Term::Var(_)
-            | Term::Bool(_)
-            | Term::Int(_)
-            | Term::App(_, _)
-            | Term::Unknown(_, _)
-            | Term::Mul(_, _)
-            | Term::Unary(_, _) => Ok(()),
-            Term::Ite(c, a, b) => {
+            Node::Ite(c, a, b) => {
                 self.collect_elements(c, positive)?;
                 self.collect_elements(a, positive)?;
                 self.collect_elements(b, positive)
             }
-            Term::EmptySet | Term::SetLit(_) | Term::Singleton(_) => Ok(()),
+            _ => Ok(()),
         }
     }
 
-    fn collect_set_elements(&mut self, s: &Term) -> Result<(), SetError> {
-        match s {
-            Term::Singleton(e) => {
+    /// The elements of a set atom's operands, plus a witness when the atom
+    /// asserts that the sets differ.
+    fn collect_set_atom(&mut self, a: TermId, b: TermId, differ: bool) -> Result<(), SetError> {
+        self.collect_set_elements(a)?;
+        self.collect_set_elements(b)?;
+        if differ {
+            self.fresh_witness();
+        }
+        Ok(())
+    }
+
+    fn collect_set_elements(&mut self, s: TermId) -> Result<(), SetError> {
+        match *self.arena.node(s) {
+            Node::Singleton(e) => {
                 self.record_element(e);
                 Ok(())
             }
-            Term::Binary(BinOp::Union | BinOp::Intersect | BinOp::Diff, a, b) => {
+            Node::Binary(BinOp::Union | BinOp::Intersect | BinOp::Diff, a, b) => {
                 self.collect_set_elements(a)?;
                 self.collect_set_elements(b)
             }
-            Term::Var(_) | Term::EmptySet | Term::SetLit(_) => Ok(()),
-            other => Err(SetError::Unsupported(other.to_string())),
+            Node::Var(_) | Node::EmptySet | Node::SetLit(_) => Ok(()),
+            _ => Err(self.unsupported(s)),
         }
     }
 
-    /// Membership atom for element `e` in base set variable `s`.
-    fn in_atom(&mut self, e: &Term, set_var: &str) -> Term {
-        let name = in_atom_name(set_var, e);
+    /// Membership atom `__in$S$e` for element `e` in base set variable `S`.
+    fn in_atom(&mut self, e: TermId, set_var: &str) -> TermId {
+        let arena = &*self.arena;
+        let elem = self
+            .element_names
+            .entry(e)
+            .or_insert_with(|| arena.term(e).to_string());
+        let atom = self.arena.mk(Node::Var(format!("__in${set_var}${elem}")));
         let entry = self.memberships.entry(set_var.to_string()).or_default();
-        if !entry.iter().any(|(_, n)| n == &name) {
-            entry.push((e.clone(), name.clone()));
+        if !entry.iter().any(|&(_, a)| a == atom) {
+            entry.push((e, atom));
         }
-        Term::var(name)
+        atom
     }
 
     /// Expand `e ∈ s` structurally.
-    fn expand_member(&mut self, e: &Term, s: &Term) -> Result<Term, SetError> {
-        match s {
-            Term::Var(name) => Ok(self.in_atom(e, name)),
-            Term::EmptySet => Ok(Term::ff()),
-            Term::SetLit(lits) => Ok(Term::or_all(
-                lits.iter().map(|k| elem_eq(e, &Term::Int(*k))),
-            )),
-            Term::Singleton(a) => Ok(elem_eq(e, a)),
-            Term::Binary(BinOp::Union, a, b) => {
-                Ok(self.expand_member(e, a)?.or(self.expand_member(e, b)?))
+    fn expand_member(&mut self, e: TermId, s: TermId) -> Result<TermId, SetError> {
+        Ok(match self.arena.node(s).clone() {
+            Node::Var(name) => self.in_atom(e, &name),
+            Node::EmptySet => self.arena.ff_id(),
+            Node::SetLit(lits) => {
+                let eqs: Vec<TermId> = lits
+                    .iter()
+                    .map(|k| {
+                        let k = self.arena.int_id(*k);
+                        elem_eq(self.arena, e, k)
+                    })
+                    .collect();
+                self.arena.or_all_id(eqs)
             }
-            Term::Binary(BinOp::Intersect, a, b) => {
-                Ok(self.expand_member(e, a)?.and(self.expand_member(e, b)?))
+            Node::Singleton(a) => elem_eq(self.arena, e, a),
+            Node::Binary(BinOp::Union, a, b) => {
+                let (ma, mb) = (self.expand_member(e, a)?, self.expand_member(e, b)?);
+                self.arena.or_id(ma, mb)
             }
-            Term::Binary(BinOp::Diff, a, b) => Ok(self
-                .expand_member(e, a)?
-                .and(self.expand_member(e, b)?.not())),
-            other => Err(SetError::Unsupported(other.to_string())),
-        }
+            Node::Binary(BinOp::Intersect, a, b) => {
+                let (ma, mb) = (self.expand_member(e, a)?, self.expand_member(e, b)?);
+                self.arena.and_id(ma, mb)
+            }
+            Node::Binary(BinOp::Diff, a, b) => {
+                let (ma, mb) = (self.expand_member(e, a)?, self.expand_member(e, b)?);
+                let not_mb = self.arena.not_id(mb);
+                self.arena.and_id(ma, not_mb)
+            }
+            _ => return Err(self.unsupported(s)),
+        })
     }
 
     /// `∀ e ∈ E*. member(e, a) → member(e, b)` (finite instantiation).
-    fn expand_subset(&mut self, a: &Term, b: &Term) -> Result<Term, SetError> {
-        let elems = self.element_terms.clone();
+    fn expand_subset(&mut self, a: TermId, b: TermId) -> Result<TermId, SetError> {
         let mut conjuncts = Vec::new();
-        for e in &elems {
-            conjuncts.push(self.expand_member(e, a)?.implies(self.expand_member(e, b)?));
+        for e in self.element_terms.clone() {
+            let (ma, mb) = (self.expand_member(e, a)?, self.expand_member(e, b)?);
+            conjuncts.push(self.arena.implies_id(ma, mb));
         }
-        Ok(Term::and_all(conjuncts))
+        Ok(self.arena.and_all_id(conjuncts))
     }
 
     /// `∀ e ∈ E*. member(e, a) ⟺ member(e, b)` (finite instantiation).
-    fn expand_set_eq(&mut self, a: &Term, b: &Term) -> Result<Term, SetError> {
-        let elems = self.element_terms.clone();
+    fn expand_set_eq(&mut self, a: TermId, b: TermId) -> Result<TermId, SetError> {
         let mut conjuncts = Vec::new();
-        for e in &elems {
-            let ma = self.expand_member(e, a)?;
-            let mb = self.expand_member(e, b)?;
-            conjuncts.push(ma.clone().implies(mb.clone()).and(mb.implies(ma)));
+        for e in self.element_terms.clone() {
+            let (ma, mb) = (self.expand_member(e, a)?, self.expand_member(e, b)?);
+            let fwd = self.arena.implies_id(ma, mb);
+            let bwd = self.arena.implies_id(mb, ma);
+            conjuncts.push(self.arena.and_id(fwd, bwd));
         }
-        Ok(Term::and_all(conjuncts))
+        Ok(self.arena.and_all_id(conjuncts))
     }
 
     /// A witness that element `w` distinguishes sets `a` and `b`
     /// (`w ∈ a ∧ w ∉ b` for subset; symmetric difference for equality).
-    fn witness_not_subset(&mut self, a: &Term, b: &Term) -> Result<Term, SetError> {
-        let w = Term::var(self.next_witness());
-        Ok(self
-            .expand_member(&w, a)?
-            .and(self.expand_member(&w, b)?.not()))
+    fn witness_not_subset(&mut self, a: TermId, b: TermId) -> Result<TermId, SetError> {
+        let w = self.next_witness();
+        let (in_a, in_b) = (self.expand_member(w, a)?, self.expand_member(w, b)?);
+        let not_in_b = self.arena.not_id(in_b);
+        Ok(self.arena.and_id(in_a, not_in_b))
     }
 
-    fn witness_not_equal(&mut self, a: &Term, b: &Term) -> Result<Term, SetError> {
-        let w = Term::var(self.next_witness());
-        let in_a = self.expand_member(&w, a)?;
-        let in_b = self.expand_member(&w, b)?;
-        Ok(in_a
-            .clone()
-            .and(in_b.clone().not())
-            .or(in_a.not().and(in_b)))
+    fn witness_not_equal(&mut self, a: TermId, b: TermId) -> Result<TermId, SetError> {
+        let w = self.next_witness();
+        let (in_a, in_b) = (self.expand_member(w, a)?, self.expand_member(w, b)?);
+        let (not_in_a, not_in_b) = (self.arena.not_id(in_a), self.arena.not_id(in_b));
+        let only_a = self.arena.and_id(in_a, not_in_b);
+        let only_b = self.arena.and_id(not_in_a, in_b);
+        Ok(self.arena.or_id(only_a, only_b))
     }
 
     /// Witnesses were pre-allocated in pass A in traversal order; hand them
     /// out in the same order.
-    fn next_witness(&mut self) -> String {
-        let name = self
-            .witnesses
-            .get(self.used_witnesses())
-            .cloned()
-            .unwrap_or_else(|| self.fresh_witness());
-        self.used = Some(self.used_witnesses() + 1);
-        name
+    fn next_witness(&mut self) -> TermId {
+        let w = match self.witnesses.get(self.used) {
+            Some(&w) => w,
+            None => self.fresh_witness(),
+        };
+        self.used += 1;
+        w
     }
 
-    fn used_witnesses(&self) -> usize {
-        self.used.unwrap_or(0)
-    }
-
-    fn rewrite(&mut self, t: &Term, positive: bool) -> Result<Term, SetError> {
-        match t {
-            Term::Unary(UnOp::Not, inner) => Ok(self.rewrite(inner, !positive)?.not()),
-            Term::Binary(BinOp::And, a, b) => {
-                Ok(self.rewrite(a, positive)?.and(self.rewrite(b, positive)?))
+    /// Rewrite the set atoms of `t` away. Like pass A this walks the formula
+    /// as a tree, so witnesses are consumed in the order they were allocated.
+    fn rewrite(&mut self, t: TermId, positive: bool) -> Result<TermId, SetError> {
+        Ok(match *self.arena.node(t) {
+            Node::Unary(UnOp::Not, inner) => {
+                let inner = self.rewrite(inner, !positive)?;
+                self.arena.not_id(inner)
             }
-            Term::Binary(BinOp::Or, a, b) => {
-                Ok(self.rewrite(a, positive)?.or(self.rewrite(b, positive)?))
+            Node::Binary(BinOp::And, a, b) => {
+                let (a, b) = (self.rewrite(a, positive)?, self.rewrite(b, positive)?);
+                self.arena.and_id(a, b)
             }
-            Term::Binary(BinOp::Implies, a, b) => Ok(self
-                .rewrite(a, !positive)?
-                .implies(self.rewrite(b, positive)?)),
-            Term::Binary(BinOp::Member, e, s) => self.expand_member(e, s),
-            Term::Binary(BinOp::Subset, a, b) => {
+            Node::Binary(BinOp::Or, a, b) => {
+                let (a, b) = (self.rewrite(a, positive)?, self.rewrite(b, positive)?);
+                self.arena.or_id(a, b)
+            }
+            Node::Binary(BinOp::Implies, a, b) => {
+                let (a, b) = (self.rewrite(a, !positive)?, self.rewrite(b, positive)?);
+                self.arena.implies_id(a, b)
+            }
+            Node::Binary(BinOp::Member, e, s) => self.expand_member(e, s)?,
+            Node::Binary(BinOp::Subset, a, b) => {
                 if positive {
-                    self.expand_subset(a, b)
+                    self.expand_subset(a, b)?
                 } else {
-                    // ¬(a ⊆ b): the enclosing negation stays in the output, so
-                    // produce ¬(witness formula)'s complement: we must return a
-                    // formula φ such that ¬φ ⟺ ¬(a ⊆ b); take φ = ¬(witness).
-                    Ok(self.witness_not_subset(a, b)?.not())
+                    // ¬(a ⊆ b): the enclosing negation stays in the output,
+                    // so return φ with ¬φ ⟺ ¬(a ⊆ b): φ = ¬(witness).
+                    let w = self.witness_not_subset(a, b)?;
+                    self.arena.not_id(w)
                 }
             }
-            Term::Binary(BinOp::Eq, a, b) if self.is_set_sorted(a) || self.is_set_sorted(b) => {
-                if positive {
-                    self.expand_set_eq(a, b)
+            Node::Binary(op @ (BinOp::Eq | BinOp::Neq), a, b) => {
+                if !(self.is_set_sorted(a) || self.is_set_sorted(b)) {
+                    return Ok(t);
+                }
+                // Where the atom, read at its polarity, says the sets are
+                // equal it is instantiated over E*; where it says they
+                // differ, a witness tells them apart. A negative atom keeps
+                // its negation, as for subsets.
+                let formula = if positive == (op == BinOp::Eq) {
+                    self.expand_set_eq(a, b)?
                 } else {
-                    Ok(self.witness_not_equal(a, b)?.not())
+                    self.witness_not_equal(a, b)?
+                };
+                if positive {
+                    formula
+                } else {
+                    self.arena.not_id(formula)
                 }
             }
-            Term::Binary(BinOp::Neq, a, b) if self.is_set_sorted(a) || self.is_set_sorted(b) => {
-                if positive {
-                    self.witness_not_equal(a, b)
-                } else {
-                    Ok(self.expand_set_eq(a, b)?.not())
-                }
+            Node::Ite(c, a, b) => {
+                let c = self.rewrite(c, positive)?;
+                let a = self.rewrite(a, positive)?;
+                let b = self.rewrite(b, positive)?;
+                self.arena.ite_id(c, a, b)
             }
-            Term::Ite(c, a, b) => Ok(Term::ite(
-                self.rewrite(c, positive)?,
-                self.rewrite(a, positive)?,
-                self.rewrite(b, positive)?,
-            )),
-            _ => Ok(t.clone()),
-        }
+            _ => t,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resyn_logic::Sort;
+    use resyn_logic::Term;
 
     fn env() -> SortingEnv {
         let mut e = SortingEnv::new();
@@ -405,11 +441,24 @@ mod tests {
         e
     }
 
+    /// Eliminate the sets of `f`; the result is `(arena, elimination)` and
+    /// whether the eliminated formula still mentions sets.
+    fn eliminate(
+        f: &Term,
+        env: &SortingEnv,
+    ) -> Result<(TermArena, SetElimination, bool), SetError> {
+        let mut arena = TermArena::new();
+        let id = arena.intern(f);
+        let r = eliminate_sets(&mut arena, id, env, 0)?;
+        let residual = mentions_sets(&mut arena, r.formula, env, 0);
+        Ok((arena, r, residual))
+    }
+
     #[test]
     fn membership_in_compound_sets_expands() {
         let f = Term::var("x").member(Term::var("s").union(Term::var("y").singleton()));
-        let r = eliminate_sets(&f, &env()).unwrap();
-        assert!(!mentions_sets(&r.formula, &env()));
+        let (_, r, residual) = eliminate(&f, &env()).unwrap();
+        assert!(!residual);
         assert_eq!(r.memberships["s"].len(), 1);
     }
 
@@ -419,26 +468,39 @@ mod tests {
         let f = Term::var("s")
             .eq_(Term::var("t").union(Term::var("x").singleton()))
             .and(Term::var("y").member(Term::var("s")));
-        let r = eliminate_sets(&f, &env()).unwrap();
-        assert!(!mentions_sets(&r.formula, &env()));
-        // Elements x (singleton) and y (member) both get In-atoms on s.
-        assert!(r.memberships["s"].len() >= 2);
-        assert!(r.witnesses.is_empty());
+        let (arena, r, residual) = eliminate(&f, &env()).unwrap();
+        assert!(!residual);
+        // Elements x (singleton) and y (member) both get In-atoms on s, and
+        // no witness is needed.
+        let elements: Vec<Term> = r.memberships["s"]
+            .iter()
+            .map(|&(e, _)| arena.term(e))
+            .collect();
+        assert_eq!(elements, [Term::var("x"), Term::var("y")]);
     }
 
     #[test]
     fn negative_equality_introduces_witness() {
         let f = Term::var("s").eq_(Term::var("t")).not();
-        let r = eliminate_sets(&f, &env()).unwrap();
-        assert_eq!(r.witnesses.len(), 1);
-        assert!(!mentions_sets(&r.formula, &env()));
+        let (arena, r, residual) = eliminate(&f, &env()).unwrap();
+        assert!(!residual);
+        // The witness is the only element; the membership atoms are named
+        // after the set and the element.
+        for set in ["s", "t"] {
+            let atoms: Vec<(Term, Term)> = r.memberships[set]
+                .iter()
+                .map(|&(e, atom)| (arena.term(e), arena.term(atom)))
+                .collect();
+            let atom = Term::var(format!("__in${set}$__w0"));
+            assert_eq!(atoms, [(Term::var("__w0"), atom)]);
+        }
     }
 
     #[test]
     fn formula_without_sets_is_untouched() {
         let f = Term::var("x").le(Term::var("y"));
-        let r = eliminate_sets(&f, &env()).unwrap();
-        assert_eq!(r.formula, f);
+        let (arena, r, _) = eliminate(&f, &env()).unwrap();
+        assert_eq!(arena.term(r.formula), f);
         assert!(r.memberships.is_empty());
     }
 
@@ -449,9 +511,6 @@ mod tests {
         // A set-sorted measure application must have been aliased before
         // elimination; if not, it is reported as unsupported.
         let f = Term::var("x").member(Term::app("weird", vec![Term::var("x")]));
-        assert!(matches!(
-            eliminate_sets(&f, &e),
-            Err(SetError::Unsupported(_))
-        ));
+        assert!(matches!(eliminate(&f, &e), Err(SetError::Unsupported(_))));
     }
 }

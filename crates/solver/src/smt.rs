@@ -2,21 +2,29 @@
 //!
 //! [`Solver::check_sat`] decides satisfiability of a conjunction of refinement
 //! formulas and produces a [`Model`] with *integer* values; validity checking
-//! (`Γ ⊨ ψ` in the paper) is satisfiability of the negation. The pipeline is:
+//! (`Γ ⊨ ψ` in the paper) is satisfiability of the negation. A query the
+//! cache cannot answer (a *miss*) is interned once into a fresh hash-consing
+//! [`TermArena`], and every stage runs over its ids — structurally equal
+//! subformulas are processed once and atom comparisons are O(1):
 //!
-//! 1. instantiate congruence axioms for measure applications ([`crate::euf`]),
-//! 2. alias measure applications to fresh variables of the appropriate sort,
-//! 3. intern the formula into a hash-consing [`TermArena`] — every later
-//!    stage runs over interned ids, so structurally equal subformulas are
-//!    processed once and atom comparisons are O(1),
-//! 4. normalize equalities per sort (`=` on integers becomes `≤ ∧ ≥`, on
+//! 1. intern the premises and the negated conclusion,
+//! 2. simplify ([`TermArena::simplify_id`]); a formula with unknown
+//!    predicates is `Unknown`,
+//! 3. instantiate congruence axioms for measure applications ([`crate::euf`]),
+//! 4. alias measure applications to fresh `__m<k>` variables of the
+//!    appropriate sort,
+//! 5. normalize equalities per sort (`=` on integers becomes `≤ ∧ ≥`, on
 //!    booleans becomes a bi-implication, set equalities are kept),
-//! 5. case-split conditional (`ite`) sub-terms out of atoms,
-//! 6. eliminate set atoms by membership expansion ([`crate::sets`]),
-//! 7. run the DPLL(T) search ([`crate::dpll`]) with a linear-integer-arithmetic
-//!    theory oracle ([`crate::lia`]), and
-//! 8. reconstruct a model for the caller's variables (including set values and
-//!    interpretations for the aliased measure applications).
+//! 6. case-split conditional (`ite`) sub-terms out of atoms,
+//! 7. eliminate set atoms by membership expansion ([`crate::sets`]),
+//! 8. run the DPLL(T) search ([`crate::dpll`]) with a linear-integer-arithmetic
+//!    theory oracle ([`crate::lia`]) that linearizes operands from their ids,
+//!    and
+//! 9. read a model for the caller's variables off the trail (including set
+//!    values and interpretations for the aliased measure applications).
+//!
+//! Trees are rebuilt only for the returned [`Model`], for error messages, and
+//! to print each set element once for the name of its membership atoms.
 //!
 //! A solver can additionally carry a shared [`SolverCache`]
 //! ([`Solver::with_cache`]): the public [`Solver::check_sat`] /
@@ -24,7 +32,7 @@
 //! interned query, so the checking pipeline never re-proves a structurally
 //! equal obligation.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use resyn_budget::Budget;
 use resyn_logic::intern::Node;
@@ -177,51 +185,60 @@ impl Solver {
     }
 
     fn check_sat_inner(&self, premises: &[Term], conclusion: Option<&Term>) -> SatResult {
-        let negated = conclusion.map(|c| c.clone().not());
-        let formula = Term::and_all(premises.iter().chain(&negated).cloned()).simplify();
-        if formula.is_false() {
+        // 1. Intern the query once: every later stage runs over its ids.
+        let mut arena = TermArena::new();
+        let mut conjuncts: Vec<TermId> = premises.iter().map(|p| arena.intern(p)).collect();
+        if let Some(c) = conclusion {
+            let c = arena.intern(c);
+            conjuncts.push(arena.not_id(c));
+        }
+        let formula = arena.and_all_id(conjuncts);
+
+        // 2. Simplify.
+        let formula = arena.simplify_id(formula);
+        if arena.is_false(formula) {
             return SatResult::Unsat;
         }
-        if formula.has_unknowns() {
+        if mentions_unknown(&arena, formula) {
             return SatResult::Unknown("formula contains unsolved unknown predicates".to_string());
         }
 
-        // 1. Congruence axioms for measure applications.
-        let axioms = crate::euf::congruence_axioms(&formula, &self.env);
-        let formula = axioms.into_iter().fold(formula, |acc, ax| acc.and(ax));
+        // 3. Congruence axioms for measure applications.
+        let axioms = crate::euf::congruence_axioms(&mut arena, formula, &self.env, CALLER_ENV);
+        let formula = axioms
+            .into_iter()
+            .fold(formula, |acc, ax| arena.and_id(acc, ax));
 
-        // 2. Alias measure applications.
+        // 4. Alias measure applications.
         let mut env = self.env.clone();
-        let mut aliases: BTreeMap<String, (Term, String, Sort)> = BTreeMap::new();
-        let formula = alias_apps(&formula, &self.env, &mut env, &mut aliases);
+        let mut aliaser = Aliaser {
+            caller_env: &self.env,
+            env: &mut env,
+            memo: HashMap::new(),
+            by_app: HashMap::new(),
+            aliases: Vec::new(),
+        };
+        let formula = aliaser.alias(&mut arena, formula);
+        let aliases = aliaser.aliases;
 
-        // 3. Intern: the rest of the pipeline runs over hash-consed ids.
-        let mut arena = TermArena::new();
-        let formula = arena.intern(&formula);
-
-        // 4. Normalize equalities and bi-implications.
+        // 5. Normalize equalities and bi-implications.
         let mut memo = HashMap::new();
         let formula = match normalize(&mut arena, formula, &env, &mut memo) {
             Ok(f) => f,
             Err(msg) => return SatResult::Unknown(msg),
         };
 
-        // 5. Case-split conditionals out of atoms.
+        // 6. Case-split conditionals out of atoms.
         let mut lift_memo = HashMap::new();
         let formula = lift_ites(&mut arena, formula, &mut lift_memo);
 
-        // 6. Eliminate set atoms (tree-based; the membership expansion
-        //    rewrites the formula wholesale, so there is nothing to share).
-        let elimination = match sets::eliminate_sets(&arena.term(formula), &env) {
+        // 7. Eliminate set atoms, then lift and simplify the element
+        //    equalities the elimination introduced.
+        let elimination = match sets::eliminate_sets(&mut arena, formula, &env, ALIASED_ENV) {
             Ok(e) => e,
             Err(err) => return SatResult::Unknown(err.to_string()),
         };
-        for w in &elimination.witnesses {
-            env.bind_var(w.clone(), Sort::Int);
-        }
-        // Normalize the element equalities the elimination introduced.
-        let formula = arena.intern(&elimination.formula);
-        let formula = lift_ites(&mut arena, formula, &mut lift_memo);
+        let formula = lift_ites(&mut arena, elimination.formula, &mut lift_memo);
         let formula = arena.simplify_id(formula);
 
         if arena.is_false(formula) {
@@ -234,7 +251,7 @@ impl Solver {
             return SatResult::Cancelled;
         }
 
-        // 7. DPLL(T) with the LIA oracle, over interned atoms.
+        // 8. DPLL(T) with the LIA oracle, over interned atoms.
         let theory = ArithTheory::new(&self.lia);
         match dpll::solve(&mut arena, formula, &theory, &self.dpll) {
             DpllResult::Unsat => SatResult::Unsat,
@@ -243,18 +260,13 @@ impl Solver {
             DpllResult::Sat {
                 assignment,
                 theory_model,
-            } => {
-                let assignment: Vec<(Term, bool)> = assignment
-                    .iter()
-                    .map(|(id, v)| (arena.term(*id), *v))
-                    .collect();
-                SatResult::Sat(self.build_model(
-                    &assignment,
-                    &theory_model,
-                    &aliases,
-                    &elimination.memberships,
-                ))
-            }
+            } => SatResult::Sat(self.build_model(
+                &arena,
+                &assignment,
+                &theory_model,
+                &aliases,
+                &elimination.memberships,
+            )),
         }
     }
 
@@ -278,12 +290,16 @@ impl Solver {
         )
     }
 
+    /// The model of a `Sat` answer (stage 9), read from the DPLL trail and
+    /// the theory model: the caller's variables, set values and the
+    /// interpretations of the aliased measure applications.
     fn build_model(
         &self,
-        assignment: &[(Term, bool)],
+        arena: &TermArena,
+        assignment: &[(TermId, bool)],
         theory_model: &BTreeMap<String, Rat>,
-        aliases: &BTreeMap<String, (Term, String, Sort)>,
-        memberships: &BTreeMap<String, Vec<(Term, String)>>,
+        aliases: &[Alias],
+        memberships: &BTreeMap<String, Vec<(TermId, TermId)>>,
     ) -> Model {
         let mut model = Model::new();
         // Integer values for every numeric variable of the *caller's* env.
@@ -294,6 +310,15 @@ impl Solver {
                 .map(|r| r.floor() as i64)
                 .unwrap_or(0)
         };
+        // The truth value of each boolean-variable atom on the trail (the
+        // first assignment wins; an unassigned one reads `false`).
+        let mut bool_vars: HashMap<&str, bool> = HashMap::new();
+        for &(atom, value) in assignment {
+            if let Node::Var(name) = arena.node(atom) {
+                bool_vars.entry(name.as_str()).or_insert(value);
+            }
+        }
+        let truth = |name: &str| bool_vars.get(name).copied().unwrap_or(false);
         for (name, sort) in self.env.vars() {
             match sort {
                 Sort::Int | Sort::Uninterp(_) => {
@@ -302,21 +327,16 @@ impl Solver {
                     int_model.insert(name.clone(), Value::Int(v));
                 }
                 Sort::Bool => {
-                    let v = assignment
-                        .iter()
-                        .find(|(a, _)| *a == Term::var(name.clone()))
-                        .map(|(_, v)| *v)
-                        .unwrap_or(false);
-                    model.insert(name.clone(), Value::Bool(v));
+                    model.insert(name.clone(), Value::Bool(truth(name)));
                 }
                 Sort::Set => {}
             }
         }
         // Also include values for alias variables (needed to evaluate element
         // terms that mention measure applications).
-        for (_, alias, sort) in aliases.values() {
-            if matches!(sort, Sort::Int | Sort::Uninterp(_)) {
-                int_model.insert(alias.clone(), Value::Int(value_of(alias)));
+        for alias in aliases {
+            if matches!(alias.sort, Sort::Int | Sort::Uninterp(_)) {
+                int_model.insert(alias.name.clone(), Value::Int(value_of(&alias.name)));
             }
         }
 
@@ -324,14 +344,13 @@ impl Solver {
         let mut set_values: BTreeMap<String, BTreeSet<i64>> = BTreeMap::new();
         for (set_var, members) in memberships {
             let mut elems = BTreeSet::new();
-            for (elem_term, atom_name) in members {
+            for &(elem, atom) in members {
                 let is_member = assignment
                     .iter()
-                    .find(|(a, _)| *a == Term::var(atom_name.clone()))
-                    .map(|(_, v)| *v)
-                    .unwrap_or(false);
+                    .find(|(a, _)| *a == atom)
+                    .is_some_and(|(_, v)| *v);
                 if is_member {
-                    if let Ok(v) = elem_term.eval_int(&int_model) {
+                    if let Ok(v) = arena.term(elem).eval_int(&int_model) {
                         elems.insert(v);
                     }
                 }
@@ -346,23 +365,39 @@ impl Solver {
         }
 
         // Interpretations for the aliased measure applications.
-        for (app, alias, sort) in aliases.values() {
-            let value = match sort {
-                Sort::Int | Sort::Uninterp(_) => Value::Int(value_of(alias)),
-                Sort::Bool => Value::Bool(
-                    assignment
-                        .iter()
-                        .find(|(a, _)| *a == Term::var(alias.clone()))
-                        .map(|(_, v)| *v)
-                        .unwrap_or(false),
-                ),
-                Sort::Set => Value::Set(set_values.get(alias).cloned().unwrap_or_default()),
+        for alias in aliases {
+            let value = match alias.sort {
+                Sort::Int | Sort::Uninterp(_) => Value::Int(value_of(&alias.name)),
+                Sort::Bool => Value::Bool(truth(&alias.name)),
+                Sort::Set => Value::Set(set_values.get(&alias.name).cloned().unwrap_or_default()),
             };
-            model.insert_app(app, value.clone());
-            model.insert(alias.clone(), value);
+            model.insert_app(&arena.term(alias.app), value.clone());
+            model.insert(alias.name.clone(), value);
         }
         model
     }
+}
+
+/// Sorting-memo key of the caller's environment ([`TermArena::sort_of_id`]).
+const CALLER_ENV: u64 = 0;
+/// Sorting-memo key of the caller's environment extended with the aliases.
+const ALIASED_ENV: u64 = 1;
+
+/// Does the interned formula contain an unknown predicate?
+fn mentions_unknown(arena: &TermArena, formula: TermId) -> bool {
+    let mut seen = HashSet::new();
+    let mut stack = vec![formula];
+    while let Some(id) = stack.pop() {
+        if !seen.insert(id) {
+            continue;
+        }
+        let node = arena.node(id);
+        if let Node::Unknown(_, _) = node {
+            return true;
+        }
+        node.for_each_child(|child| stack.push(child));
+    }
+    false
 }
 
 /// The arithmetic theory oracle: literals over comparisons are translated to
@@ -386,13 +421,13 @@ impl<'a> ArithTheory<'a> {
 
     /// Linearize an interned operand, memoized per id: DPLL consults the
     /// theory many times per query, and the same atoms reappear on every
-    /// trail, so each operand is converted (and its tree reconstructed) at
-    /// most once per query. `None` marks a non-linearizable operand.
+    /// trail, so each operand is converted at most once per query. `None`
+    /// marks a non-linearizable operand.
     fn linearize(&self, arena: &TermArena, id: TermId) -> Option<LinExpr> {
         if let Some(r) = self.lin_cache.borrow().get(&id) {
             return r.clone();
         }
-        let r = LinExpr::from_term(&arena.term(id)).ok();
+        let r = LinExpr::from_id(arena, id).ok();
         self.lin_cache.borrow_mut().insert(id, r.clone());
         r
     }
@@ -509,50 +544,88 @@ fn arith_constraint(op: BinOp, value: bool, a: &LinExpr, b: &LinExpr) -> LinCons
     }
 }
 
-/// Replace measure applications by fresh alias variables (same application →
-/// same alias), binding the aliases in `env` and recording them in `aliases`.
-fn alias_apps(
-    t: &Term,
-    orig_env: &SortingEnv,
-    env: &mut SortingEnv,
-    aliases: &mut BTreeMap<String, (Term, String, Sort)>,
-) -> Term {
-    match t {
-        Term::App(_, args) => {
-            // Alias arguments first (nested applications).
-            let aliased_args: Vec<Term> = args
-                .iter()
-                .map(|a| alias_apps(a, orig_env, env, aliases))
-                .collect();
-            let rebuilt = match t {
-                Term::App(name, _) => Term::App(name.clone(), aliased_args),
-                _ => unreachable!(),
-            };
-            let key = rebuilt.to_string();
-            if let Some((_, alias, _)) = aliases.get(&key) {
-                return Term::var(alias.clone());
-            }
-            let sort = orig_env.sort_of(t).unwrap_or(Sort::Int);
-            let alias = format!("__m{}", aliases.len());
-            env.bind_var(alias.clone(), sort.clone());
-            aliases.insert(key, (rebuilt, alias.clone(), sort));
-            Term::var(alias)
+/// A measure application replaced by a fresh variable.
+struct Alias {
+    /// The application, with its own argument applications aliased.
+    app: TermId,
+    /// The alias variable's name, `__m<k>` for the `k`-th distinct
+    /// application.
+    name: String,
+    /// The application's sort under the caller's environment (`Int` when it
+    /// does not sort).
+    sort: Sort,
+}
+
+/// Replaces measure applications by fresh alias variables (same application
+/// → same alias), binding the aliases in `env`. Aliases are numbered in
+/// order of first occurrence, left to right, arguments first.
+struct Aliaser<'a> {
+    caller_env: &'a SortingEnv,
+    env: &'a mut SortingEnv,
+    /// The aliased form of each subterm already visited.
+    memo: HashMap<TermId, TermId>,
+    /// The alias variable of each (argument-aliased) application.
+    by_app: HashMap<TermId, TermId>,
+    aliases: Vec<Alias>,
+}
+
+impl Aliaser<'_> {
+    fn alias(&mut self, arena: &mut TermArena, id: TermId) -> TermId {
+        if let Some(&r) = self.memo.get(&id) {
+            return r;
         }
-        Term::Var(_) | Term::Bool(_) | Term::Int(_) | Term::EmptySet | Term::SetLit(_) => t.clone(),
-        Term::Singleton(x) => Term::Singleton(Box::new(alias_apps(x, orig_env, env, aliases))),
-        Term::Unary(op, x) => Term::Unary(*op, Box::new(alias_apps(x, orig_env, env, aliases))),
-        Term::Mul(k, x) => Term::Mul(*k, Box::new(alias_apps(x, orig_env, env, aliases))),
-        Term::Binary(op, a, b) => Term::Binary(
-            *op,
-            Box::new(alias_apps(a, orig_env, env, aliases)),
-            Box::new(alias_apps(b, orig_env, env, aliases)),
-        ),
-        Term::Ite(c, a, b) => Term::Ite(
-            Box::new(alias_apps(c, orig_env, env, aliases)),
-            Box::new(alias_apps(a, orig_env, env, aliases)),
-            Box::new(alias_apps(b, orig_env, env, aliases)),
-        ),
-        Term::Unknown(_, _) => t.clone(),
+        let out = match arena.node(id).clone() {
+            Node::App(name, args) => {
+                // Alias arguments first (nested applications).
+                let args = args.into_iter().map(|a| self.alias(arena, a)).collect();
+                let app = arena.mk(Node::App(name, args));
+                match self.by_app.get(&app) {
+                    Some(&var) => var,
+                    None => {
+                        let sort = arena
+                            .sort_of_id(id, self.caller_env, CALLER_ENV)
+                            .unwrap_or(Sort::Int);
+                        let name = format!("__m{}", self.aliases.len());
+                        self.env.bind_var(name.clone(), sort.clone());
+                        let var = arena.mk(Node::Var(name.clone()));
+                        self.by_app.insert(app, var);
+                        self.aliases.push(Alias { app, name, sort });
+                        var
+                    }
+                }
+            }
+            Node::Var(_)
+            | Node::Bool(_)
+            | Node::Int(_)
+            | Node::EmptySet
+            | Node::SetLit(_)
+            | Node::Unknown(_, _) => id,
+            Node::Singleton(x) => {
+                let x = self.alias(arena, x);
+                arena.mk(Node::Singleton(x))
+            }
+            Node::Unary(op, x) => {
+                let x = self.alias(arena, x);
+                arena.mk(Node::Unary(op, x))
+            }
+            Node::Mul(k, x) => {
+                let x = self.alias(arena, x);
+                arena.mk(Node::Mul(k, x))
+            }
+            Node::Binary(op, a, b) => {
+                let a = self.alias(arena, a);
+                let b = self.alias(arena, b);
+                arena.mk(Node::Binary(op, a, b))
+            }
+            Node::Ite(c, a, b) => {
+                let c = self.alias(arena, c);
+                let a = self.alias(arena, a);
+                let b = self.alias(arena, b);
+                arena.mk(Node::Ite(c, a, b))
+            }
+        };
+        self.memo.insert(id, out);
+        out
     }
 }
 
@@ -560,7 +633,8 @@ fn alias_apps(
 /// stages only see convex arithmetic atoms and implication-free booleans.
 /// Runs over interned ids, memoized per id: shared subformulas (which the
 /// premise-heavy validity queries of type checking are full of) are
-/// normalized once.
+/// normalized once. `env` is the aliased environment; sorts are memoized
+/// under [`ALIASED_ENV`].
 fn normalize(
     arena: &mut TermArena,
     id: TermId,
@@ -593,8 +667,8 @@ fn normalize_uncached(
         }
         Node::Binary(BinOp::Eq, a, b) => {
             let sort = arena
-                .sort_of_id(a, env, 0)
-                .or_else(|_| arena.sort_of_id(b, env, 0));
+                .sort_of_id(a, env, ALIASED_ENV)
+                .or_else(|_| arena.sort_of_id(b, env, ALIASED_ENV));
             match sort {
                 Ok(Sort::Bool) => {
                     let (a, b) = (
@@ -615,8 +689,8 @@ fn normalize_uncached(
         }
         Node::Binary(BinOp::Neq, a, b) => {
             let sort = arena
-                .sort_of_id(a, env, 0)
-                .or_else(|_| arena.sort_of_id(b, env, 0));
+                .sort_of_id(a, env, ALIASED_ENV)
+                .or_else(|_| arena.sort_of_id(b, env, ALIASED_ENV));
             match sort {
                 Ok(Sort::Bool) => {
                     let (a, b) = (

@@ -59,6 +59,9 @@ pub struct SynthStats {
     pub solver_cache_misses: u64,
     /// Terms newly interned into the cache's hash-consing arena by this run.
     pub interned_terms: usize,
+    /// Solver misses of this run that gave up with an `Unknown` verdict
+    /// (the checker reads one as "not valid").
+    pub solver_unknowns: u64,
 }
 
 impl SynthStats {
@@ -76,6 +79,7 @@ impl SynthStats {
         self.solver_cache_hits += other.solver_cache_hits;
         self.solver_cache_misses += other.solver_cache_misses;
         self.interned_terms += other.interned_terms;
+        self.solver_unknowns += other.solver_unknowns;
     }
 }
 
@@ -423,6 +427,7 @@ impl Synthesizer {
         stats.solver_cache_hits = cs.hits - before.hits;
         stats.solver_cache_misses = cs.misses - before.misses;
         stats.interned_terms = cs.interned_terms - before.interned_terms;
+        stats.solver_unknowns = cs.unknowns - before.unknowns;
     }
 
     /// Wrap a body into the `fix`/λ chain matching the goal parameters.
