@@ -16,8 +16,7 @@
 //! * a **deadline** (`Instant`), fixed when the budget is created — this is
 //!   what `--timeout` compiles to; and
 //! * any number of **[`CancelToken`]s** (shared `AtomicBool`s) — this is how
-//!   a server cancels a job whose client disconnected, and how the first-win
-//!   skeleton pool stops losing workers the moment a winner is known.
+//!   a server cancels a job whose client disconnected.
 //!
 //! Budgets are cheap to clone (an `Instant` plus a couple of `Arc`s) and
 //! cheap to poll (atomic loads plus one monotonic clock read), so
@@ -28,9 +27,7 @@
 //! "whenever the current phase happens to finish".
 //!
 //! Cancellation composes by *union*: [`Budget::attach`] adds a token to the
-//! set, and [`Budget::child`] derives a budget that additionally obeys a
-//! fresh token — cancel the child without disturbing siblings, while a
-//! parent-level cancel (or the shared deadline) still stops everyone.
+//! set, and the budget is exceeded as soon as any of them trips.
 //!
 //! # Progress observation
 //!
@@ -39,8 +36,7 @@
 //! [`Budget::with_progress`] piggybacks on [`Budget::is_exceeded`], firing
 //! a callback at most once per configured interval no matter how hot the
 //! loop calling the checkpoint is (the throttle is an atomic
-//! compare-exchange, so concurrent clones — e.g. the first-win skeleton
-//! pool's workers — never double-fire an interval). This is what the
+//! compare-exchange, so concurrent clones never double-fire an interval). This is what the
 //! server's streamed `resyn-wire/2` `progress` frames hang off: no layer of
 //! the synthesis stack knows it is being watched.
 
@@ -189,23 +185,12 @@ impl Budget {
     }
 
     /// This budget, additionally reporting liveness through `sink` at every
-    /// checkpoint (throttled by the sink's interval). Clones and
-    /// [`child`](Budget::child) budgets share the sink, so a parallel
-    /// search emits one coherent progress stream.
+    /// checkpoint (throttled by the sink's interval). Clones share the
+    /// sink, so every clone of one job's budget feeds one progress stream.
     #[must_use]
     pub fn with_progress(mut self, sink: ProgressSink) -> Budget {
         self.progress = Some(sink);
         self
-    }
-
-    /// Derive a budget that obeys everything this one does *plus* a fresh
-    /// token, which is returned so the caller can cancel the child alone.
-    /// The first-win skeleton pool gives every skeleton such a child: the
-    /// winner's announcement cancels the losers without touching the
-    /// parent's deadline or the server-side job token.
-    pub fn child(&self) -> (Budget, CancelToken) {
-        let token = CancelToken::new();
-        (self.clone().attach(token.clone()), token)
     }
 
     /// Whether the deadline has passed or any attached token was cancelled.
@@ -371,24 +356,5 @@ mod tests {
             (1..=10).contains(&emitted),
             "expected interval-bounded emissions, got {emitted}"
         );
-    }
-
-    #[test]
-    fn children_cancel_independently_but_inherit_the_parent() {
-        let parent_token = CancelToken::new();
-        let parent = Budget::unlimited().attach(parent_token.clone());
-        let (child_a, token_a) = parent.child();
-        let (child_b, _token_b) = parent.child();
-
-        // Cancelling one child leaves its sibling and the parent alone.
-        token_a.cancel();
-        assert!(child_a.is_exceeded());
-        assert!(!child_b.is_exceeded());
-        assert!(!parent.is_exceeded());
-
-        // Cancelling the parent reaches every child.
-        parent_token.cancel();
-        assert!(child_b.is_exceeded());
-        assert!(parent.is_exceeded());
     }
 }

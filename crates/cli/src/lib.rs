@@ -108,11 +108,6 @@ pub struct Options {
     /// `eval`: worker threads (`--jobs`); defaults to the machine's
     /// available parallelism, capped at 8.
     pub jobs: Option<usize>,
-    /// `synth`/`eval`/`serve`: threads fanned across the skeletons of each
-    /// *single* goal (`--goal-jobs`); defaults to 1 (sequential in-goal
-    /// search). The synthesized program is identical whatever the value —
-    /// the pool's winner is deterministic.
-    pub goal_jobs: Option<usize>,
     /// `eval`: benchmark-id substring filters (`--filter a,b`).
     pub filters: Vec<String>,
     /// `eval`: which paper table to run (`--table 1|2`).
@@ -160,7 +155,6 @@ impl Default for Options {
             goal: None,
             stats: false,
             jobs: None,
-            goal_jobs: None,
             filters: Vec::new(),
             table: 1,
             json: None,
@@ -191,24 +185,16 @@ impl Default for Options {
 pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
     let allowed: &[&str] = match command {
         "parse" => &[],
-        "synth" => &["--mode", "--timeout", "--goal", "--stats", "--goal-jobs"],
+        "synth" => &["--mode", "--timeout", "--goal", "--stats"],
         "check" => &["--mode", "--timeout", "--goal"],
         "measure" => &["--goal"],
-        "eval" => &[
-            "--table",
-            "--jobs",
-            "--timeout",
-            "--filter",
-            "--json",
-            "--goal-jobs",
-        ],
+        "eval" => &["--table", "--jobs", "--timeout", "--filter", "--json"],
         "serve" => &[
             "--addr",
             "--jobs",
             "--timeout",
             "--queue",
             "--max-conns",
-            "--goal-jobs",
             "--cache-budget",
         ],
         "client" => &[
@@ -292,12 +278,6 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
             "--goal" => opts.goal = Some(flag_value(&mut it, flag)?.clone()),
             "--stats" => opts.stats = true,
             "--jobs" => opts.jobs = Some(positive_count(flag_value(&mut it, flag)?, "job count")?),
-            "--goal-jobs" => {
-                opts.goal_jobs = Some(positive_count(
-                    flag_value(&mut it, flag)?,
-                    "goal-job count",
-                )?);
-            }
             "--filter" => {
                 let value = flag_value(&mut it, flag)?;
                 let before = opts.filters.len();
@@ -499,9 +479,7 @@ pub fn run_lint(files: &[(String, String)], opts: &Options) -> Result<LintOutput
 /// synthesis finds no program within the timeout.
 pub fn run_synth(problem_text: &str, opts: &Options) -> Result<String, CliError> {
     let goals = load_goals(problem_text, opts)?;
-    let synthesizer = Synthesizer::with_timeout(opts.timeout)
-        .with_goal_jobs(opts.goal_jobs.unwrap_or(1))
-        .with_cache(SolverCache::new());
+    let synthesizer = Synthesizer::with_timeout(opts.timeout).with_cache(SolverCache::new());
     let mut out = String::new();
     for goal in goals {
         let outcome = synthesizer.synthesize(&goal, opts.mode);
@@ -632,7 +610,6 @@ pub fn run_eval(opts: &Options) -> Result<EvalOutput, CliError> {
         jobs: opts.jobs.unwrap_or_else(default_jobs),
         timeout: opts.timeout,
         progress: true,
-        goal_jobs: opts.goal_jobs.unwrap_or(1),
     };
     let run = resyn_eval::run_suite(&benches, &config);
     let suite_name = if opts.table == 2 { "table2" } else { "table1" };
@@ -671,7 +648,6 @@ pub fn server_config(opts: &Options) -> ServerConfig {
         },
         queue_limit: opts.queue.unwrap_or(defaults.queue_limit),
         max_conns: opts.max_conns,
-        goal_jobs: opts.goal_jobs.unwrap_or(defaults.goal_jobs),
         cache_budget: opts.cache_budget,
         ..defaults
     }
@@ -942,15 +918,14 @@ resyn — resource-guided program synthesis
 
 USAGE:
     resyn synth <problem-file> [--mode MODE] [--timeout SECS] [--goal NAME] [--stats]
-                [--goal-jobs N]
     resyn check <problem-file> <program-file> [--mode MODE] [--goal NAME]
     resyn measure <problem-file> <program-file> [--goal NAME]
     resyn parse <problem-file>
     resyn lint <problem-file-or-dir> [--format human|json] [--timeout SECS]
     resyn eval [--table 1|2] [--jobs N] [--timeout SECS] [--filter SUBSTR,...]
-               [--json PATH] [--goal-jobs N]
+               [--json PATH]
     resyn serve [--addr HOST:PORT] [--jobs N] [--timeout SECS] [--queue N]
-                [--max-conns N] [--goal-jobs N] [--cache-budget BYTES]
+                [--max-conns N] [--cache-budget BYTES]
     resyn client <problem-file> [--addr HOST:PORT] [--mode MODE]
                  [--timeout SECS] [--goal NAME] [--stream]
     resyn client --stats [--addr HOST:PORT]
@@ -965,12 +940,6 @@ MODES: resyn (default), synquid, eac, noinc, ct
 cooperatively, so a run reports `timed out` within one checkpoint interval
 of the deadline instead of overrunning it.
 
-`--goal-jobs N` fans the candidate skeletons of each single goal across N
-first-win worker threads (deterministic winner: the same program a
-sequential search returns, found faster on hard goals). The search
-counters (candidates, cache hits and misses) then vary from run to run;
-they are comparable only at N = 1.
-
 `--stats` additionally reports, per goal, the solver query-cache hit/miss
 counters and the size of the term intern table.
 
@@ -983,11 +952,11 @@ query). `--format json` emits the stable `resyn-lint/1` schema. Exit status:
 Inline `-- resyn: allow(check-name)` comments suppress a check for the
 declaration on the same or the next line.
 
-`eval` runs a paper benchmark suite through the parallel batch harness
-(every benchmark runs each mode on a fresh solver cache; results are
-row-for-row identical whatever `--jobs` is, modulo rows right at the
-wall-clock timeout boundary)
-and with `--json` writes the machine-readable `resyn-bench-eval/4` report
+`eval` runs a paper benchmark suite through the parallel batch harness:
+`--jobs` workers claim one (benchmark, mode) run at a time, each on a fresh
+solver cache, so results (search counters included) are identical whatever
+`--jobs` is, modulo runs right at the wall-clock timeout boundary. With
+`--json` it writes the machine-readable `resyn-bench-eval/4` report
 to PATH.
 
 `gen` prints a seeded batch of generated, well-typed synthesis problems —
@@ -1192,44 +1161,6 @@ mod tests {
         assert_eq!(positional, vec!["file.re".to_string()]);
         assert!(opts.stats);
         assert!(!Options::default().stats);
-    }
-
-    #[test]
-    fn goal_jobs_flag_is_parsed_scoped_and_validated() {
-        let args: Vec<String> = ["file.re", "--goal-jobs", "4"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (positional, opts) = parse_flags(&args).unwrap();
-        assert_eq!(positional, vec!["file.re".to_string()]);
-        assert_eq!(opts.goal_jobs, Some(4));
-        assert!(check_flag_scope("synth", &opts).is_ok());
-        assert!(check_flag_scope("serve", &opts).is_ok());
-        assert!(check_flag_scope("eval", &opts).is_ok());
-        // The in-goal pool is a synthesis knob; `check`/`client` do not
-        // search.
-        assert!(matches!(
-            check_flag_scope("check", &opts),
-            Err(CliError::Usage(msg)) if msg.contains("--goal-jobs")
-        ));
-        assert!(matches!(
-            check_flag_scope("client", &opts),
-            Err(CliError::Usage(_))
-        ));
-
-        for bad in [vec!["--goal-jobs", "0"], vec!["--goal-jobs", "many"]] {
-            let bad: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                matches!(parse_flags(&bad), Err(CliError::Usage(_))),
-                "{bad:?}"
-            );
-        }
-
-        // And the flag reaches the server configuration.
-        let args: Vec<String> = ["--goal-jobs", "3"].iter().map(|s| s.to_string()).collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        assert_eq!(server_config(&opts).goal_jobs, 3);
-        assert_eq!(server_config(&parse_flags(&[]).unwrap().1).goal_jobs, 1);
     }
 
     #[test]

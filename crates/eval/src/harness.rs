@@ -47,6 +47,35 @@ impl ModeOutcome {
     }
 }
 
+/// One finished (benchmark, mode) run, reduced to what its row reports: the
+/// outcome, plus the code size and measured bound of the program it found.
+#[derive(Debug, Clone)]
+pub struct ModeRun {
+    /// Time, timeout flag and search statistics.
+    pub outcome: ModeOutcome,
+    /// Code size (AST nodes) of the program, 0 if none was found.
+    pub code: usize,
+    /// Measured bound of the program ([`BoundClass::Unknown`] if none, or
+    /// if the row reports no bound for this mode).
+    pub bound: BoundClass,
+}
+
+impl ModeRun {
+    /// Reduce the outcome of running `bench` in `mode`. The program's bound
+    /// is measured only in the modes whose bound a row reports (`B`, `B-NR`).
+    pub fn of(bench: &Benchmark, mode: Mode, outcome: &SynthOutcome) -> ModeRun {
+        let reported = !matches!(mode, Mode::Eac | Mode::ReSynNoInc);
+        ModeRun {
+            outcome: ModeOutcome::of(outcome),
+            code: outcome.code_size(),
+            bound: match &outcome.program {
+                Some(p) if reported => classify(&bench.goal, p),
+                _ => BoundClass::Unknown,
+            },
+        }
+    }
+}
+
 /// One row of an output table.
 #[derive(Debug, Clone)]
 pub struct BenchmarkRow {
@@ -88,6 +117,22 @@ impl BenchmarkRow {
             bound_resyn: BoundClass::Unknown,
             bound_synquid: BoundClass::Unknown,
             error: Some(error),
+        }
+    }
+
+    /// Assemble a row from its four mode runs, given in [`row_modes`] order.
+    pub fn assemble(bench: &Benchmark, [resyn, synquid, eac, noinc]: [ModeRun; 4]) -> BenchmarkRow {
+        BenchmarkRow {
+            id: bench.id.clone(),
+            group: bench.group.clone(),
+            code: resyn.code,
+            bound_resyn: resyn.bound,
+            bound_synquid: synquid.bound,
+            resyn: resyn.outcome,
+            synquid: synquid.outcome,
+            eac: eac.outcome,
+            noinc: noinc.outcome,
+            error: None,
         }
     }
 
@@ -185,67 +230,43 @@ impl BenchmarkRow {
 pub struct Harness {
     /// Per-benchmark, per-mode timeout.
     pub timeout: Duration,
-    /// Threads fanned across the skeletons of each goal (the synthesizer's
-    /// first-win pool); `1` keeps each mode's search sequential.
-    pub goal_jobs: usize,
 }
 
 impl Default for Harness {
     fn default() -> Self {
-        Harness {
-            timeout: Duration::from_secs(600),
-            goal_jobs: 1,
-        }
+        Harness::with_timeout(Duration::from_secs(600))
     }
 }
 
 impl Harness {
     /// A harness with a per-run timeout.
     pub fn with_timeout(timeout: Duration) -> Harness {
-        Harness {
-            timeout,
-            ..Harness::default()
-        }
+        Harness { timeout }
     }
 
     /// Run one mode of one benchmark on a fresh synthesizer, and so on a
     /// fresh solver cache: its time and cache counters are its own.
     pub fn run_mode(&self, bench: &Benchmark, mode: Mode) -> SynthOutcome {
-        Synthesizer::with_timeout(self.timeout)
-            .with_goal_jobs(self.goal_jobs)
-            .synthesize(&bench.goal, mode)
+        Synthesizer::with_timeout(self.timeout).synthesize(&bench.goal, mode)
     }
 }
 
-/// Run one benchmark in the modes required for its table and produce a row.
-pub fn run_benchmark(harness: &Harness, bench: &Benchmark) -> BenchmarkRow {
-    let resyn_mode = if bench.constant_time {
+/// The modes of a row, in column order: ReSyn (constant-resource on a
+/// constant-time row), Synquid, enumerate-and-check and NoInc.
+pub fn row_modes(bench: &Benchmark) -> [Mode; 4] {
+    let resyn = if bench.constant_time {
         Mode::ConstantTime
     } else {
         Mode::ReSyn
     };
-    let resyn = harness.run_mode(bench, resyn_mode);
-    let synquid = harness.run_mode(bench, Mode::Synquid);
-    let eac = harness.run_mode(bench, Mode::Eac);
-    let noinc = harness.run_mode(bench, Mode::ReSynNoInc);
+    [resyn, Mode::Synquid, Mode::Eac, Mode::ReSynNoInc]
+}
 
-    let bound = |outcome: &SynthOutcome| match &outcome.program {
-        Some(p) => classify(&bench.goal, p),
-        None => BoundClass::Unknown,
-    };
-
-    BenchmarkRow {
-        id: bench.id.clone(),
-        group: bench.group.clone(),
-        code: resyn.code_size(),
-        bound_resyn: bound(&resyn),
-        bound_synquid: bound(&synquid),
-        resyn: ModeOutcome::of(&resyn),
-        synquid: ModeOutcome::of(&synquid),
-        eac: ModeOutcome::of(&eac),
-        noinc: ModeOutcome::of(&noinc),
-        error: None,
-    }
+/// Run one benchmark in the modes required for its table and produce a row.
+pub fn run_benchmark(harness: &Harness, bench: &Benchmark) -> BenchmarkRow {
+    let runs =
+        row_modes(bench).map(|mode| ModeRun::of(bench, mode, &harness.run_mode(bench, mode)));
+    BenchmarkRow::assemble(bench, runs)
 }
 
 /// The median ReSyn/Synquid time ratio over the rows where both modes

@@ -11,8 +11,8 @@
 //! Coverage relative to the paper is documented in `EXPERIMENTS.md`.
 //!
 //! Two subsystems turn the serial harness into an evaluation service: the
-//! [`parallel`] worker pool shards a suite over threads, each (benchmark,
-//! mode) run on a fresh solver cache (deterministic row order, per-benchmark
+//! [`parallel`] worker pool shards a suite's (benchmark, mode) runs over
+//! threads, each on a fresh solver cache (deterministic row order, per-row
 //! panic isolation), and
 //! [`report`] serializes runs to the stable machine-readable
 //! `resyn-bench-eval/4` JSON schema (`BENCH_eval.json`).

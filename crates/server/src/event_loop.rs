@@ -35,8 +35,7 @@
 //! # Ordering
 //!
 //! A job's progress heartbeats and its final response are pushed to the
-//! same mailbox by its worker (the in-goal pool joins before the job
-//! returns), and the mailbox is drained FIFO — so clients always observe
+//! same mailbox by its worker, and the mailbox is drained FIFO — so clients always observe
 //! `progress… → final`, never a frame after the verdict.
 
 use std::collections::HashMap;

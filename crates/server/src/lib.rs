@@ -89,11 +89,6 @@ pub struct ServerConfig {
     /// streaming request (ticked from the synthesis budget's checkpoints,
     /// so heartbeats can be sparser, never denser).
     pub progress_interval: Duration,
-    /// Threads fanned across the skeletons of each goal *within* one
-    /// request (the synthesizer's first-win pool; `resyn serve
-    /// --goal-jobs`). `1` keeps each job single-threaded — the default,
-    /// since cross-request concurrency already comes from `jobs`.
-    pub goal_jobs: usize,
     /// Approximate byte budget for the shared solver cache's verdict
     /// entries (`--cache-budget`); `None` leaves the cache unbounded.
     pub cache_budget: Option<usize>,
@@ -114,7 +109,6 @@ impl Default for ServerConfig {
             max_request_bytes: 1 << 20,
             max_output_bytes: 64 << 20,
             progress_interval: Duration::from_millis(100),
-            goal_jobs: 1,
             cache_budget: None,
             max_conns: None,
         }
@@ -501,9 +495,7 @@ pub fn run_synth_request_with(
     let mut programs = String::new();
     let mut failed_goal = None;
     for goal in &goals {
-        let synthesizer = Synthesizer::new()
-            .with_cache(cache.clone())
-            .with_goal_jobs(config.goal_jobs);
+        let synthesizer = Synthesizer::new().with_cache(cache.clone());
         let outcome = synthesizer.synthesize_with_budget(goal, mode, &budget);
         merged.merge(&outcome.stats);
         match outcome.program {

@@ -240,9 +240,9 @@ impl SolverCache {
 
     /// A handle sharing this cache's table but with **fresh** per-handle
     /// counters. Use one scope per logical run (the synthesizer takes one per
-    /// instance): the server's sessions share one cache concurrently, and so
-    /// do a goal's first-win skeleton workers, so diffing the *global*
-    /// counters would attribute every other sharer's activity to this run.
+    /// instance): the server's sessions share one cache concurrently, so
+    /// diffing the *global* counters would attribute every other sharer's
+    /// activity to this run.
     /// [`handle_stats`] reads the scope's own counters instead.
     ///
     /// [`handle_stats`]: SolverCache::handle_stats

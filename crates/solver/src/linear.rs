@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use resyn_logic::intern::Node;
-use resyn_logic::{BinOp, Term, TermArena, TermId, UnOp};
+use resyn_logic::{BinOp, TermArena, TermId, UnOp};
 
 use crate::rational::Rat;
 
@@ -171,33 +171,6 @@ impl LinExpr {
             _ => Err(LinearizeError::NonLinear(arena.term(id).to_string())),
         }
     }
-
-    /// Render back into a refinement [`Term`], multiplying through by the
-    /// least common denominator so that all coefficients are integers.
-    pub fn to_term(&self) -> Term {
-        let mut terms: Vec<Term> = Vec::new();
-        for (v, c) in &self.coeffs {
-            // Coefficients are integers whenever this is used (potential
-            // templates); fall back to floor for robustness.
-            let k = if c.is_integer() {
-                c.numerator() as i64
-            } else {
-                c.floor() as i64
-            };
-            if k != 0 {
-                terms.push(Term::var(v.clone()).times(k));
-            }
-        }
-        let c = if self.constant.is_integer() {
-            self.constant.numerator() as i64
-        } else {
-            self.constant.floor() as i64
-        };
-        if c != 0 || terms.is_empty() {
-            terms.push(Term::int(c));
-        }
-        Term::sum(terms)
-    }
 }
 
 impl fmt::Display for LinExpr {
@@ -223,6 +196,7 @@ impl fmt::Display for LinExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resyn_logic::Term;
 
     fn linearize(t: &Term) -> Result<LinExpr, LinearizeError> {
         let mut arena = TermArena::new();
@@ -269,15 +243,6 @@ mod tests {
         let s = e.subst("x", &replacement);
         assert_eq!(s.coeff("y"), Rat::int(3));
         assert_eq!(s.constant_part(), Rat::int(5));
-    }
-
-    #[test]
-    fn to_term_roundtrip_for_integer_coefficients() {
-        let t = Term::var("a").times(3) + Term::int(2);
-        let e = linearize(&t).unwrap();
-        let back = e.to_term();
-        let e2 = linearize(&back).unwrap();
-        assert_eq!(e, e2);
     }
 
     #[test]

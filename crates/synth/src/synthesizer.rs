@@ -12,22 +12,10 @@
 //! loop, each Re² check, the CEGIS loop and the DPLL(T) search — so a hit
 //! deadline unwinds as a clean `timed_out` outcome within one checkpoint
 //! interval instead of whenever the current phase happens to finish.
-//!
-//! # Parallel in-goal search
-//!
-//! With [`goal_jobs`](Synthesizer::goal_jobs) > 1 the skeleton list of a
-//! single goal is fanned across a first-win worker pool
-//! (`std::thread::scope`, shared [`SolverCache`], one claimed skeleton at a
-//! time per worker). The winner is deterministic — the *lowest* skeleton
-//! index among successes, exactly the skeleton the sequential search would
-//! have returned — because a success only cancels the workers on *higher*
-//! indices; lower-index fills always run to completion first.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use resyn_budget::{Budget, CancelToken};
+use resyn_budget::Budget;
 use resyn_lang::Expr;
 use resyn_rescon::{CegisSolver, IncrementalCegis, RcResult};
 use resyn_solver::SolverCache;
@@ -108,10 +96,6 @@ pub struct Synthesizer {
     pub timeout: Duration,
     /// Cap on E-term candidates per hole.
     pub eterm_cap: usize,
-    /// Worker threads fanned across the skeletons of a *single* goal
-    /// (first-win pool with deterministic lowest-index winner); `1` keeps
-    /// the sequential search.
-    pub goal_jobs: usize,
     /// The solver query cache shared by every check issued through this
     /// synthesizer — the round-robin search re-proves nothing twice.
     cache: SolverCache,
@@ -123,7 +107,6 @@ impl Default for Synthesizer {
             datatypes: Datatypes::standard(),
             timeout: Duration::from_secs(600),
             eterm_cap: 600,
-            goal_jobs: 1,
             cache: SolverCache::new(),
         }
     }
@@ -158,11 +141,10 @@ impl Synthesizer {
         self
     }
 
-    /// Fan the skeletons of each goal across `jobs` first-win workers
-    /// (clamped to at least 1). The synthesized program is identical to the
-    /// sequential search's — see the module documentation.
-    pub fn with_goal_jobs(mut self, jobs: usize) -> Synthesizer {
-        self.goal_jobs = jobs.max(1);
+    // Kept only for perfbench's `exec.rs`, which still calls it with 1.
+    #[doc(hidden)]
+    pub fn with_goal_jobs(self, jobs: usize) -> Synthesizer {
+        debug_assert_eq!(jobs, 1);
         self
     }
 
@@ -275,9 +257,9 @@ impl Synthesizer {
     }
 
     /// Synthesize a program for `goal` in the given mode under an external
-    /// [`Budget`] — typically one carrying a [`CancelToken`] so the caller
-    /// (the synthesis server, a first-win pool) can abort the search
-    /// mid-flight. The configured [`timeout`](Synthesizer::timeout) is
+    /// [`Budget`] — typically one carrying a
+    /// [`CancelToken`](resyn_budget::CancelToken) so the caller (the
+    /// synthesis server) can abort the search mid-flight. The configured [`timeout`](Synthesizer::timeout) is
     /// ignored; the budget is the only limit.
     pub fn synthesize_with_budget(&self, goal: &Goal, mode: Mode, budget: &Budget) -> SynthOutcome {
         let start = Instant::now();
@@ -303,118 +285,22 @@ impl Synthesizer {
         let guard_fn = |scope: &[(String, Shape)]| enumerate::guards(goal, scope, budget);
         let skeletons = skeleton::generate(&param_shapes, &self.datatypes, &guard_fn, budget);
 
-        let program = if self.goal_jobs > 1 && skeletons.len() > 1 {
-            self.fill_first_win(
-                goal, mode, &skeletons, &params, &ret_shape, &mut stats, budget,
-            )
-        } else {
-            let mut found = None;
-            for skel in &skeletons {
-                if budget.is_exceeded() {
-                    break;
-                }
-                stats.skeletons += 1;
-                if let Some(program) =
-                    self.fill_skeleton(goal, mode, skel, &params, &ret_shape, &mut stats, budget)
-                {
-                    found = Some(program);
-                    break;
-                }
+        let mut program = None;
+        for skel in &skeletons {
+            if budget.is_exceeded() {
+                break;
             }
-            found
-        };
+            stats.skeletons += 1;
+            program = self.fill_skeleton(goal, mode, skel, &params, &ret_shape, &mut stats, budget);
+            if program.is_some() {
+                break;
+            }
+        }
 
         stats.duration = start.elapsed();
         stats.timed_out = program.is_none() && budget.is_exceeded();
         self.record_cache_stats(&mut stats, &cache_before);
         SynthOutcome { program, stats }
-    }
-
-    /// Fan the skeletons across a first-win worker pool. Workers claim
-    /// skeleton indices from a shared counter; a success at index `i`
-    /// cancels every worker on an index above `i` (they can no longer win)
-    /// while fills below `i` always run to completion, so the returned
-    /// program is the one at the *lowest* successful index — exactly what
-    /// the sequential search returns.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_first_win(
-        &self,
-        goal: &Goal,
-        mode: Mode,
-        skeletons: &[Skeleton],
-        params: &[(String, Ty, i64)],
-        ret_shape: &Shape,
-        stats: &mut SynthStats,
-        budget: &Budget,
-    ) -> Option<Expr> {
-        let jobs = self.goal_jobs.min(skeletons.len());
-        // One child budget per skeleton: cancelling a child stops exactly
-        // that fill, while the parent deadline/token still stops them all.
-        let children: Vec<(Budget, CancelToken)> =
-            skeletons.iter().map(|_| budget.child()).collect();
-        let next = AtomicUsize::new(0);
-        let best: Mutex<Option<(usize, Expr)>> = Mutex::new(None);
-        let merged: Mutex<SynthStats> = Mutex::new(SynthStats::default());
-        // A worker panic mid-update cannot tear the winner slot (it is
-        // replaced atomically under the lock), so poisoning is benign.
-        fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-            m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    let mut local = SynthStats::default();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::SeqCst);
-                        if idx >= skeletons.len() {
-                            break;
-                        }
-                        // Indices only grow per worker: once the current
-                        // winner sits below this claim, nothing left to
-                        // claim can win.
-                        if matches!(*lock(&best), Some((winner, _)) if winner < idx) {
-                            break;
-                        }
-                        if budget.is_exceeded() {
-                            break;
-                        }
-                        local.skeletons += 1;
-                        let (child_budget, _) = &children[idx];
-                        if let Some(program) = self.fill_skeleton(
-                            goal,
-                            mode,
-                            &skeletons[idx],
-                            params,
-                            ret_shape,
-                            &mut local,
-                            child_budget,
-                        ) {
-                            let mut best = lock(&best);
-                            let improves = !matches!(*best, Some((winner, _)) if winner < idx);
-                            if improves {
-                                *best = Some((idx, program));
-                                // First-win cancellation: everything on a
-                                // higher index is now a guaranteed loser.
-                                for (_, token) in &children[idx + 1..] {
-                                    token.cancel();
-                                }
-                            }
-                        }
-                    }
-                    merged
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .merge(&local);
-                });
-            }
-        });
-        let merged = merged
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        stats.merge(&merged);
-        best.into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .map(|(_, program)| program)
     }
 
     /// Record the cache activity of this run: the difference between this

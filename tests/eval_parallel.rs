@@ -1,12 +1,15 @@
 //! Contracts of the parallel batch-evaluation subsystem, end to end:
-//! determinism (parallel rows equal serial rows), wall-clock overlap, and
-//! report integration. Panic isolation has unit coverage in
-//! `resyn_eval::parallel`; here the whole pipeline runs real benchmarks.
+//! determinism (parallel rows equal serial rows, search counters included),
+//! wall-clock overlap, and report integration. Panic isolation has unit
+//! coverage in `resyn_eval::parallel`; here the whole pipeline runs real
+//! benchmarks.
 
+use std::sync::OnceLock;
 use std::time::Duration;
 
-use resyn::eval::parallel::{run_suite, run_suite_with, ParallelConfig};
-use resyn::eval::{suite, Benchmark, BenchmarkRow};
+use resyn::eval::parallel::{run_suite, run_suite_with, ParallelConfig, SuiteRun};
+use resyn::eval::{suite, Benchmark};
+use resyn::synth::{SynthOutcome, SynthStats};
 
 /// A fast deterministic slice of Table 1.
 fn fast_slice() -> Vec<Benchmark> {
@@ -33,15 +36,24 @@ fn config(jobs: usize) -> ParallelConfig {
         jobs,
         timeout: Duration::from_secs(60),
         progress: false,
-        goal_jobs: 1,
     }
+}
+
+/// The fast slice at one worker and at four, run once for every test here.
+fn serial_and_parallel() -> &'static (SuiteRun, SuiteRun) {
+    static RUNS: OnceLock<(SuiteRun, SuiteRun)> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let benches = fast_slice();
+        (
+            run_suite(&benches, &config(1)),
+            run_suite(&benches, &config(4)),
+        )
+    })
 }
 
 #[test]
 fn four_workers_produce_row_for_row_identical_results_to_one() {
-    let benches = fast_slice();
-    let serial = run_suite(&benches, &config(1));
-    let parallel = run_suite(&benches, &config(4));
+    let (serial, parallel) = serial_and_parallel();
     assert_eq!(serial.rows.len(), parallel.rows.len());
     assert_eq!(serial.jobs, 1);
     assert_eq!(parallel.jobs, 4);
@@ -61,18 +73,44 @@ fn four_workers_produce_row_for_row_identical_results_to_one() {
 }
 
 #[test]
+fn every_mode_counts_the_same_search_at_one_and_four_workers() {
+    // Each (row, mode) runs on its own fresh cache, so which worker runs it
+    // and what runs beside it cannot change what it searches.
+    let (serial, parallel) = serial_and_parallel();
+    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
+        for (mode, a, b) in [
+            ("resyn", &s.resyn, &p.resyn),
+            ("synquid", &s.synquid, &p.synquid),
+            ("eac", &s.eac, &p.eac),
+            ("noinc", &s.noinc, &p.noinc),
+        ] {
+            assert_eq!(
+                (a.stats.candidates_checked, a.stats.solver_cache_misses),
+                (b.stats.candidates_checked, b.stats.solver_cache_misses),
+                "{} {mode}: (candidates, misses) differ between jobs=1 and jobs=4",
+                s.id
+            );
+        }
+    }
+}
+
+#[test]
 fn the_pool_overlaps_waiting_work() {
     // Synthesis on a many-core machine overlaps CPU work; this test pins the
     // pool *mechanics* (true overlap, not serialization) in a way that holds
     // even on a single-CPU CI runner, by using wait-bound stand-in work.
-    let benches: Vec<Benchmark> = suite::table1().into_iter().take(8).collect();
+    // Two benchmarks are eight (benchmark, mode) units.
+    let benches: Vec<Benchmark> = suite::table1().into_iter().take(2).collect();
     let run_sleeping = |jobs: usize| {
         let start = std::time::Instant::now();
-        let rows = run_suite_with(&benches, jobs, |_, bench| {
+        let rows = run_suite_with(&benches, jobs, |_, _| {
             std::thread::sleep(Duration::from_millis(50));
-            BenchmarkRow::failed(&bench.id, &bench.group, String::new())
+            SynthOutcome {
+                program: None,
+                stats: SynthStats::default(),
+            }
         });
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), 2);
         start.elapsed()
     };
     let serial = run_sleeping(1); // ≥ 400ms: 8 × 50ms back to back

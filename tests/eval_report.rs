@@ -22,7 +22,6 @@ fn run_json(benches: &[Benchmark], timeout: Duration) -> Json {
         jobs: 2,
         timeout,
         progress: false,
-        goal_jobs: 1,
     };
     let run = run_suite(benches, &config);
     let json = render_json(&EvalReport::of_run("table1", timeout, &run));

@@ -27,7 +27,6 @@ fn test_server(jobs: usize) -> resyn::server::ServerHandle {
         timeout: Duration::from_secs(60),
         queue_limit: 32,
         max_request_bytes: 64 * 1024,
-        goal_jobs: 1,
         ..ServerConfig::default()
     })
     .expect("server binds an ephemeral port")
