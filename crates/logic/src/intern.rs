@@ -408,14 +408,6 @@ impl TermArena {
         out
     }
 
-    /// Flatten a disjunction spine into its disjuncts, mirroring
-    /// [`Term::disjuncts`].
-    pub fn disjuncts_id(&self, id: TermId) -> Vec<TermId> {
-        let mut out = Vec::new();
-        self.push_spine(BinOp::Or, id, &mut out);
-        out
-    }
-
     /// Append the operands of the `op` spine rooted at `id` (`And` or `Or`)
     /// to `out`, left to right, skipping the spine's unit (`true` for `And`,
     /// `false` for `Or`).

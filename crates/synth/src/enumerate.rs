@@ -68,39 +68,58 @@ fn atoms(scope: &[(String, Shape)], shape: &Shape) -> Vec<Expr> {
     out
 }
 
-/// All full applications of a callable using atoms from scope (bounded).
-/// Returns nothing when the budget runs out mid-product (the intermediate
-/// stages hold *partial* applications, which must never leak into the
-/// candidate list) — a missing candidate list only shrinks the search.
-fn applications(scope: &[(String, Shape)], c: &Callable, cap: usize, budget: &Budget) -> Vec<Expr> {
-    let mut arg_choices: Vec<Vec<Expr>> = Vec::new();
-    for p in &c.params {
-        let opts = atoms(scope, p);
-        if opts.is_empty() {
-            return Vec::new();
-        }
-        arg_choices.push(opts);
-    }
-    let mut results = vec![Expr::var(c.name.clone())];
-    for choices in arg_choices {
-        if budget.is_exceeded() {
-            return Vec::new();
-        }
+/// Every way to pick one expression from each list, the first list varying
+/// slowest. At most `cap + 1` picks are kept after each list, so a capped
+/// product stays cheap however wide its lists are.
+fn product(lists: &[Vec<Expr>], cap: usize) -> Vec<Vec<Expr>> {
+    let mut picks = vec![Vec::new()];
+    for list in lists {
         let mut next = Vec::new();
-        for partial in &results {
-            for arg in &choices {
-                next.push(Expr::app(partial.clone(), arg.clone()));
+        'picks: for pick in &picks {
+            for e in list {
+                next.push([pick.as_slice(), std::slice::from_ref(e)].concat());
                 if next.len() > cap {
-                    break;
+                    break 'picks;
                 }
             }
-            if next.len() > cap {
-                break;
-            }
         }
-        results = next;
+        picks = next;
     }
-    results
+    picks
+}
+
+/// `f a₀ … aₖ`.
+fn call(f: &str, args: Vec<Expr>) -> Expr {
+    args.into_iter().fold(Expr::var(f), Expr::app)
+}
+
+/// `C head tail`.
+fn wrap(ctor: &str, head: &Expr, tail: Expr) -> Expr {
+    Expr::ctor(ctor, vec![head.clone(), tail])
+}
+
+/// All full applications of a callable using atoms from scope (bounded).
+/// Returns nothing when the budget has run out.
+fn applications(scope: &[(String, Shape)], c: &Callable, cap: usize, budget: &Budget) -> Vec<Expr> {
+    if budget.is_exceeded() {
+        return Vec::new();
+    }
+    let lists: Vec<Vec<Expr>> = c.params.iter().map(|p| atoms(scope, p)).collect();
+    product(&lists, cap)
+        .into_iter()
+        .map(|args| call(&c.name, args))
+        .collect()
+}
+
+/// Every application of a callable to scope atoms with the variable `var`
+/// as its argument at position `slot`.
+fn applications_with(scope: &[(String, Shape)], c: &Callable, slot: usize, var: &str) -> Vec<Expr> {
+    let mut lists: Vec<Vec<Expr>> = c.params.iter().map(|p| atoms(scope, p)).collect();
+    lists[slot] = vec![Expr::var(var)];
+    product(&lists, usize::MAX)
+        .into_iter()
+        .map(|args| call(&c.name, args))
+        .collect()
 }
 
 /// Boolean guard candidates for a scope: applications of boolean-returning
@@ -171,6 +190,26 @@ pub fn eterms(
         }
     };
 
+    let cs = callables(goal);
+    // Each binary constructor of the result datatype with the atoms that fit
+    // its head: the ways to put a value in front of a result, `C h r`.
+    let wraps: Vec<(&str, Vec<Expr>)> = match ret {
+        Shape::Data(dname) => datatypes
+            .get(dname)
+            .map(|decl| {
+                decl.ctors
+                    .iter()
+                    .filter(|c| c.args.len() == 2)
+                    .map(|c| {
+                        let head = Shape::of(&c.args[0].1).unwrap_or(Shape::Elem);
+                        (c.name.as_str(), atoms(scope, &head))
+                    })
+                    .collect()
+            })
+            .unwrap_or_default(),
+        _ => Vec::new(),
+    };
+
     // 1. Variables of the right shape.
     for (n, s) in scope {
         if s == ret {
@@ -186,7 +225,9 @@ pub fn eterms(
         push(Expr::bool(false), &mut out);
     }
 
-    // 2. Constructors of the result datatype applied to atoms.
+    // 2. Constructors of the result datatype applied to atoms, then each
+    //    binary one around those of its own constructor (`ICons x (ICons h
+    //    t)`).
     let ctor_terms: Vec<Expr> = match ret {
         Shape::Data(dname) => ctor_applications(datatypes, dname, scope, budget),
         _ => Vec::new(),
@@ -194,9 +235,21 @@ pub fn eterms(
     for e in &ctor_terms {
         push(e.clone(), &mut out);
     }
+    for (ctor, heads) in &wraps {
+        if budget.is_exceeded() {
+            return out;
+        }
+        for head in heads {
+            for inner in &ctor_terms {
+                if matches!(inner, Expr::Ctor(n, args) if n == ctor && args.len() == 2) {
+                    push(wrap(ctor, head, inner.clone()), &mut out);
+                }
+            }
+        }
+    }
 
     // 3. Applications whose result shape matches (recursive function first).
-    let calls: Vec<Expr> = callables(goal)
+    let calls: Vec<Expr> = cs
         .iter()
         .filter(|c| !c.params.is_empty() && c.ret.fits(ret))
         .flat_map(|c| applications(scope, c, 128, budget))
@@ -208,131 +261,61 @@ pub fn eterms(
         return out;
     }
 
-    // 4. Constructor around a call: `let r = f … in C x r` (e.g.
-    //    `Cons x (rec xs ys)`).
-    if let Shape::Data(dname) = ret {
-        if let Some(decl) = datatypes.get(dname) {
-            for ctor in &decl.ctors {
-                if ctor.args.len() != 2 {
-                    continue;
-                }
-                let head_shape = Shape::of(&ctor.args[0].1).unwrap_or(Shape::Elem);
-                let tail_shape = Shape::of(&ctor.args[1].1).unwrap_or(Shape::Elem);
-                let heads = atoms(scope, &head_shape);
-                for head in &heads {
-                    if budget.is_exceeded() {
-                        return out;
-                    }
-                    for call in calls.iter().filter(|_| true) {
-                        // Only tail-shaped calls are useful here.
-                        let _ = &tail_shape;
-                        let e = Expr::let_(
-                            "_r",
-                            call.clone(),
-                            Expr::ctor(ctor.name.clone(), vec![head.clone(), Expr::var("_r")]),
-                        );
-                        push(e, &mut out);
-                        // Two-level constructor around the call:
-                        // `let r = f … in C h (C h' r)` (stutter duplicates
-                        // its head element this way).
-                        for head2 in &heads {
-                            let e2 = Expr::let_(
-                                "_r",
-                                call.clone(),
-                                Expr::ctor(
-                                    ctor.name.clone(),
-                                    vec![
-                                        head.clone(),
-                                        Expr::ctor(
-                                            ctor.name.clone(),
-                                            vec![head2.clone(), Expr::var("_r")],
-                                        ),
-                                    ],
-                                ),
-                            );
-                            push(e2, &mut out);
-                        }
-                    }
+    // 4. Constructor around a call, once or twice: `let r = f … in C x r`
+    //    (e.g. `Cons x (rec xs ys)`) and `let r = f … in C h (C h' r)`
+    //    (stutter duplicates its head element this way).
+    for (ctor, heads) in &wraps {
+        for head in heads {
+            if budget.is_exceeded() {
+                return out;
+            }
+            for call in &calls {
+                let bind = |body: Expr| Expr::let_("_r", call.clone(), body);
+                push(bind(wrap(ctor, head, Expr::var("_r"))), &mut out);
+                for head2 in heads {
+                    let twice = wrap(ctor, head, wrap(ctor, head2, Expr::var("_r")));
+                    push(bind(twice), &mut out);
                 }
             }
         }
     }
 
     // 4b. Calls whose integer argument is first transformed by a unary
-    //      component: `let _m = dec n in C x (f _m …)` and the bare variant
-    //      (needed for replicate, range, take, drop, …).
-    let unary_int: Vec<Callable> = callables(goal)
-        .into_iter()
-        .filter(|c| {
-            c.params.len() == 1 && matches!(c.params[0], Shape::Int) && matches!(c.ret, Shape::Int)
-        })
+    //      component: `let _m = dec n in f … _m …` and the same call under a
+    //      binary constructor (needed for replicate, range, take, drop, …).
+    let unary_int: Vec<&Callable> = cs
+        .iter()
+        .filter(|c| c.params == [Shape::Int] && c.ret == Shape::Int)
         .collect();
     if !unary_int.is_empty() {
-        let rec: Vec<Callable> = callables(goal)
-            .into_iter()
-            .filter(|c| c.ret.fits(ret) && c.params.iter().any(|p| matches!(p, Shape::Int)))
-            .collect();
-        for f in &rec {
+        for f in cs.iter().filter(|c| c.ret.fits(ret)) {
             for (i, p) in f.params.iter().enumerate() {
-                if !matches!(p, Shape::Int) {
+                if *p != Shape::Int {
                     continue;
                 }
+                let m_calls = applications_with(scope, f, i, "_m");
                 for u in &unary_int {
                     if budget.is_exceeded() {
                         return out;
                     }
                     for base in atoms(scope, &Shape::Int) {
-                        // Build f a₀ … _m … aₖ with _m in position i.
-                        let mut arg_sets: Vec<Vec<Expr>> = Vec::new();
-                        for (j, q) in f.params.iter().enumerate() {
-                            if j == i {
-                                arg_sets.push(vec![Expr::var("_m")]);
-                            } else {
-                                arg_sets.push(atoms(scope, q));
-                            }
-                        }
-                        if arg_sets.iter().any(Vec::is_empty) {
-                            continue;
-                        }
-                        let mut apps = vec![Expr::var(f.name.clone())];
-                        for set in &arg_sets {
-                            let mut next = Vec::new();
-                            for partial in &apps {
-                                for a in set {
-                                    next.push(Expr::app(partial.clone(), a.clone()));
-                                }
-                            }
-                            apps = next;
-                        }
-                        for call in apps {
-                            let bound = Expr::let_(
+                        let bind = |body: Expr| {
+                            Expr::let_(
                                 "_m",
                                 Expr::app(Expr::var(u.name.clone()), base.clone()),
-                                call.clone(),
-                            );
-                            push(bound.clone(), &mut out);
-                            // Constructor around it, for list-building recursion.
-                            if let Shape::Data(dname) = ret {
-                                if let Some(decl) = datatypes.get(dname) {
-                                    for ctor in decl.ctors.iter().filter(|c| c.args.len() == 2) {
-                                        let head_shape =
-                                            Shape::of(&ctor.args[0].1).unwrap_or(Shape::Elem);
-                                        for head in atoms(scope, &head_shape) {
-                                            let e = Expr::let_(
-                                                "_m",
-                                                Expr::app(Expr::var(u.name.clone()), base.clone()),
-                                                Expr::let_(
-                                                    "_r",
-                                                    call.clone(),
-                                                    Expr::ctor(
-                                                        ctor.name.clone(),
-                                                        vec![head.clone(), Expr::var("_r")],
-                                                    ),
-                                                ),
-                                            );
-                                            push(e, &mut out);
-                                        }
-                                    }
+                                body,
+                            )
+                        };
+                        for call in &m_calls {
+                            push(bind(call.clone()), &mut out);
+                            for (ctor, heads) in &wraps {
+                                for head in heads {
+                                    let e = Expr::let_(
+                                        "_r",
+                                        call.clone(),
+                                        wrap(ctor, head, Expr::var("_r")),
+                                    );
+                                    push(bind(e), &mut out);
                                 }
                             }
                         }
@@ -342,68 +325,26 @@ pub fn eterms(
         }
     }
 
-    // 5. Call around a call with the inner result as the *last* argument:
-    //    `let t = g … in f … t` (e.g. `append l (append l l)`).
-    for outer in callables(goal)
-        .iter()
-        .filter(|c| c.ret.fits(ret) && !c.params.is_empty())
-    {
-        let Some(last_shape) = outer.params.last() else {
-            continue;
-        };
-        if budget.is_exceeded() {
-            return out;
-        }
-        for inner in &calls {
-            // Extend the scope with the inner result bound to `_t`.
-            let mut ext = scope.to_vec();
-            ext.push(("_t".to_string(), last_shape.clone()));
-            let prefix_params = &outer.params[..outer.params.len() - 1];
-            let mut partials = vec![Expr::var(outer.name.clone())];
-            for p in prefix_params {
-                let opts = atoms(scope, p);
-                let mut next = Vec::new();
-                for f in &partials {
-                    for a in &opts {
-                        next.push(Expr::app(f.clone(), a.clone()));
-                    }
+    // 5. Call around a call, with the inner result `_t` as the outer call's
+    //    *last* argument, `let t = g … in f … t` (e.g. `append l (append l
+    //    l)`), then as its *first*, `let t = g … in f t …` (the
+    //    left-associated `append' (append' l l) l`, which is the efficient
+    //    composition when the component traverses its second argument).
+    for t_first in [false, true] {
+        let min_params = if t_first { 2 } else { 1 };
+        for outer in cs
+            .iter()
+            .filter(|c| c.ret.fits(ret) && c.params.len() >= min_params)
+        {
+            if budget.is_exceeded() {
+                return out;
+            }
+            let slot = if t_first { 0 } else { outer.params.len() - 1 };
+            let outer_calls = applications_with(scope, outer, slot, "_t");
+            for inner in &calls {
+                for f in &outer_calls {
+                    push(Expr::let_("_t", inner.clone(), f.clone()), &mut out);
                 }
-                partials = next;
-            }
-            for f in partials {
-                let e = Expr::let_("_t", inner.clone(), Expr::app(f.clone(), Expr::var("_t")));
-                push(e, &mut out);
-            }
-        }
-    }
-
-    // 5b. Call around a call with the inner result as the *first* argument:
-    //     `let t = g … in f t …` (e.g. the left-associated
-    //     `append' (append' l l) l`, which is the efficient composition when
-    //     the component traverses its second argument).
-    for outer in callables(goal)
-        .iter()
-        .filter(|c| c.ret.fits(ret) && c.params.len() >= 2)
-    {
-        if budget.is_exceeded() {
-            return out;
-        }
-        for inner in &calls {
-            let suffix_params = &outer.params[1..];
-            let mut partials = vec![Expr::app(Expr::var(outer.name.clone()), Expr::var("_t"))];
-            for p in suffix_params {
-                let opts = atoms(scope, p);
-                let mut next = Vec::new();
-                for f in &partials {
-                    for a in &opts {
-                        next.push(Expr::app(f.clone(), a.clone()));
-                    }
-                }
-                partials = next;
-            }
-            for f in partials {
-                let e = Expr::let_("_t", inner.clone(), f.clone());
-                push(e, &mut out);
             }
         }
     }
@@ -414,24 +355,22 @@ pub fn eterms(
     //       `let a = f l in let b = f r in g a b`            (tree-member)
     //       `let a = … in let b = … in let c = g a b in u c` (tree-count)
     //       `let a = … in let b = … in let c = g a b in C x c` (tree-flatten)
-    let all = callables(goal);
-    let rec_calls: Vec<Expr> = all
+    let rec_calls: Vec<Expr> = cs
         .iter()
         .filter(|c| c.name == goal.name)
         .flat_map(|c| applications(scope, c, 24, budget))
         .collect();
-    let rec_ret = all
-        .iter()
-        .find(|c| c.name == goal.name)
-        .map(|c| c.ret.clone());
-    if let Some(rec_ret) = rec_ret {
-        for g in all.iter().filter(|c| {
+    if let Some(rec) = cs.iter().find(|c| c.name == goal.name) {
+        for g in cs.iter().filter(|c| {
             c.name != goal.name
                 && c.params.len() == 2
-                && rec_ret.fits(&c.params[0])
-                && rec_ret.fits(&c.params[1])
+                && rec.ret.fits(&c.params[0])
+                && rec.ret.fits(&c.params[1])
         }) {
-            let unary_wraps: Vec<&Callable> = all
+            let combined = Expr::app2(Expr::var(g.name.clone()), Expr::var("_a"), Expr::var("_b"));
+            // The wrappers of `_c = g _a _b`: unary components, then
+            // binary constructors.
+            let c_wraps: Vec<Expr> = cs
                 .iter()
                 .filter(|u| {
                     u.name != goal.name
@@ -439,6 +378,10 @@ pub fn eterms(
                         && g.ret.fits(&u.params[0])
                         && u.ret.fits(ret)
                 })
+                .map(|u| Expr::app(Expr::var(u.name.clone()), Expr::var("_c")))
+                .chain(wraps.iter().flat_map(|(ctor, heads)| {
+                    heads.iter().map(|head| wrap(ctor, head, Expr::var("_c")))
+                }))
                 .collect();
             for a in &rec_calls {
                 if budget.is_exceeded() {
@@ -450,36 +393,14 @@ pub fn eterms(
                     }
                     let bind =
                         |body: Expr| Expr::let_("_a", a.clone(), Expr::let_("_b", b.clone(), body));
-                    let combined =
-                        Expr::app2(Expr::var(g.name.clone()), Expr::var("_a"), Expr::var("_b"));
                     if g.ret.fits(ret) {
                         push(bind(combined.clone()), &mut out);
                     }
-                    for u in &unary_wraps {
-                        let e = bind(Expr::let_(
-                            "_c",
-                            combined.clone(),
-                            Expr::app(Expr::var(u.name.clone()), Expr::var("_c")),
-                        ));
-                        push(e, &mut out);
-                    }
-                    if let Shape::Data(dname) = ret {
-                        if let Some(decl) = datatypes.get(dname) {
-                            for ctor in decl.ctors.iter().filter(|c| c.args.len() == 2) {
-                                let head_shape = Shape::of(&ctor.args[0].1).unwrap_or(Shape::Elem);
-                                for head in atoms(scope, &head_shape) {
-                                    let e = bind(Expr::let_(
-                                        "_c",
-                                        combined.clone(),
-                                        Expr::ctor(
-                                            ctor.name.clone(),
-                                            vec![head.clone(), Expr::var("_c")],
-                                        ),
-                                    ));
-                                    push(e, &mut out);
-                                }
-                            }
-                        }
+                    for w in &c_wraps {
+                        push(
+                            bind(Expr::let_("_c", combined.clone(), w.clone())),
+                            &mut out,
+                        );
                     }
                 }
             }
@@ -489,8 +410,9 @@ pub fn eterms(
     out
 }
 
-/// Constructor applications of a datatype to scope atoms (including nested
-/// two-level constructions such as `ICons x (ICons h t)`).
+/// Constructor applications of a datatype to scope atoms, nullary
+/// constructors first; a nullary constructor may also fill an argument of
+/// its own datatype (`ICons x INil`).
 fn ctor_applications(
     datatypes: &Datatypes,
     dname: &str,
@@ -500,75 +422,34 @@ fn ctor_applications(
     let Some(decl) = datatypes.get(dname) else {
         return Vec::new();
     };
-    let mut out = Vec::new();
-    let mut simple = Vec::new();
-    for ctor in &decl.ctors {
-        if ctor.args.is_empty() {
-            let e = Expr::ctor(ctor.name.clone(), vec![]);
-            simple.push(e.clone());
-            out.push(e);
-        }
-    }
-    for ctor in &decl.ctors {
-        if ctor.args.is_empty() {
-            continue;
-        }
+    let nullary: Vec<Expr> = decl
+        .ctors
+        .iter()
+        .filter(|c| c.args.is_empty())
+        .map(|c| Expr::ctor(c.name.clone(), vec![]))
+        .collect();
+    let mut out = nullary.clone();
+    for ctor in decl.ctors.iter().filter(|c| !c.args.is_empty()) {
         if budget.is_exceeded() {
             return out;
         }
-        let shapes: Vec<Shape> = ctor
+        let lists: Vec<Vec<Expr>> = ctor
             .args
             .iter()
-            .map(|(_, t)| Shape::of(t).unwrap_or(Shape::Elem))
+            .map(|(_, t)| {
+                let shape = Shape::of(t).unwrap_or(Shape::Elem);
+                let mut opts = atoms(scope, &shape);
+                if matches!(&shape, Shape::Data(d) if d == dname) {
+                    opts.extend(nullary.iter().cloned());
+                }
+                opts
+            })
             .collect();
-        let mut args_options: Vec<Vec<Expr>> = Vec::new();
-        for s in &shapes {
-            let mut opts = atoms(scope, s);
-            // Allow nullary constructors (e.g. Nil) and simple one-level
-            // constructions in argument positions of the same datatype.
-            if let Shape::Data(d) = s {
-                if d == dname {
-                    opts.extend(simple.clone());
-                }
-            }
-            args_options.push(opts);
-        }
-        let mut combos = vec![Vec::new()];
-        for opts in &args_options {
-            let mut next = Vec::new();
-            for combo in &combos {
-                for o in opts {
-                    let mut c = combo.clone();
-                    c.push(o.clone());
-                    next.push(c);
-                }
-            }
-            combos = next;
-        }
-        for combo in combos {
-            out.push(Expr::ctor(ctor.name.clone(), combo));
-        }
-    }
-    // Two-level: C a (C b c) for binary constructors.
-    let one_level = out.clone();
-    for ctor in &decl.ctors {
-        if ctor.args.len() != 2 {
-            continue;
-        }
-        if budget.is_exceeded() {
-            return out;
-        }
-        let head_shape = Shape::of(&ctor.args[0].1).unwrap_or(Shape::Elem);
-        for head in atoms(scope, &head_shape) {
-            for inner in &one_level {
-                if matches!(inner, Expr::Ctor(n, args) if n == &ctor.name && args.len() == 2) {
-                    out.push(Expr::ctor(
-                        ctor.name.clone(),
-                        vec![head.clone(), inner.clone()],
-                    ));
-                }
-            }
-        }
+        out.extend(
+            product(&lists, usize::MAX)
+                .into_iter()
+                .map(|args| Expr::ctor(ctor.name.clone(), args)),
+        );
     }
     out
 }
@@ -612,6 +493,30 @@ mod tests {
         assert_eq!(cs[0].name, "insert");
         assert_eq!(cs[0].params.len(), 2);
         assert!(cs.iter().any(|c| c.name == "leq" && c.ret == Shape::Bool));
+    }
+
+    #[test]
+    fn product_varies_the_first_list_slowest_and_keeps_cap_plus_one_picks_per_stage() {
+        let list = |names: &[&str]| names.iter().map(|n| Expr::var(*n)).collect::<Vec<_>>();
+        let lists = [list(&["a", "b"]), list(&["c", "d", "e"]), list(&["f", "g"])];
+        let all = product(&lists, usize::MAX);
+        assert_eq!(all.len(), 12);
+        assert_eq!(all[0], list(&["a", "c", "f"]));
+        assert_eq!(all[1], list(&["a", "c", "g"]));
+        assert_eq!(all[2], list(&["a", "d", "f"]));
+        assert_eq!(all[6], list(&["b", "c", "f"]));
+        // With cap 1, each stage stops at its second pick: [a] [b], then
+        // [a c] [a d], then [a c f] [a c g].
+        assert_eq!(
+            product(&lists, 1),
+            vec![list(&["a", "c", "f"]), list(&["a", "c", "g"])]
+        );
+        // With cap 3 the second stage keeps [a c] [a d] [a e] [b c], so the
+        // last keeps the first four picks of the full product.
+        assert_eq!(product(&lists, 3), all[..4].to_vec());
+        // An empty list leaves nothing to pick; no lists leave one empty pick.
+        assert!(product(&[list(&["a"]), Vec::new()], usize::MAX).is_empty());
+        assert_eq!(product(&[], 0), vec![Vec::<Expr>::new()]);
     }
 
     #[test]

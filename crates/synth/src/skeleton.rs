@@ -113,6 +113,18 @@ impl Builder {
     }
 }
 
+/// The skeleton whose body `body` builds, with its holes numbered in the
+/// order `body` allocates them; `None` when `body` builds nothing.
+fn build(guards: usize, body: impl FnOnce(&mut Builder) -> Option<Expr>) -> Option<Skeleton> {
+    let mut b = Builder { holes: Vec::new() };
+    let body = body(&mut b)?;
+    Some(Skeleton {
+        body,
+        holes: b.holes,
+        guards,
+    })
+}
+
 /// Build a match on `var` (of datatype `dname`) whose arm bodies are produced
 /// by `leaf` (given the accumulated binders of the arm).
 fn match_on(
@@ -163,6 +175,49 @@ fn guard_split(builder: &mut Builder, binders: &[(String, Shape)], guards: &[Exp
     }
 }
 
+/// The guard combinations tried at one scope, in search order: no guard,
+/// then each guard alone, then each ordered pair of distinct guards.
+fn guard_combos(guards: &[Expr]) -> impl Iterator<Item = Vec<Expr>> + '_ {
+    let singles = guards.iter().map(|g| vec![g.clone()]);
+    let pairs = guards.iter().flat_map(move |g1| {
+        guards
+            .iter()
+            .filter(move |g2| *g2 != g1)
+            .map(move |g2| vec![g1.clone(), g2.clone()])
+    });
+    std::iter::once(Vec::new()).chain(singles).chain(pairs)
+}
+
+/// A match on `outer` whose arms re-match `inner`: every arm when
+/// `in_every_arm` (a parameter), otherwise only the arm that binds it (a
+/// binder of `outer`); the other arms keep a plain hole. A leaf whose arms
+/// bind something on both levels is split by `guards`.
+fn nested_match(
+    builder: &mut Builder,
+    datatypes: &Datatypes,
+    (outer, outer_d): (&str, &str),
+    (inner, inner_d): (&str, &str),
+    in_every_arm: bool,
+    guards: &[Expr],
+) -> Option<Expr> {
+    match_on(builder, datatypes, outer, outer_d, 1, |b, outer_binders| {
+        if !in_every_arm && !outer_binders.iter().any(|(n, _)| n == inner) {
+            return b.hole(outer_binders);
+        }
+        let inner_match = match_on(b, datatypes, inner, inner_d, 2, |b, inner_binders| {
+            let split = if outer_binders.is_empty() || inner_binders.is_empty() {
+                &[][..]
+            } else {
+                guards
+            };
+            let mut binders = outer_binders.clone();
+            binders.extend(inner_binders);
+            guard_split(b, &binders, split)
+        });
+        inner_match.unwrap_or_else(|| b.hole(outer_binders))
+    })
+}
+
 /// A function from the binders in scope to the guard expressions to try.
 pub type GuardCandidates<'a> = &'a dyn Fn(&[(String, Shape)]) -> Vec<Expr>;
 
@@ -182,161 +237,60 @@ pub fn generate(
     let mut out = Vec::new();
 
     // 1. A single hole (straight-line programs such as `triple`).
-    {
-        let mut b = Builder { holes: Vec::new() };
-        let body = b.hole(Vec::new());
-        out.push(Skeleton {
-            body,
-            holes: b.holes,
-            guards: 0,
-        });
-    }
+    out.extend(build(0, |b| Some(b.hole(Vec::new()))));
 
     // 2. Guard-split at the top (integer recursion: replicate, range, …).
     for g in guard_candidates(params) {
-        let mut b = Builder { holes: Vec::new() };
-        let body = guard_split(&mut b, &[], &[g]);
-        out.push(Skeleton {
-            body,
-            holes: b.holes,
-            guards: 1,
-        });
+        out.extend(build(1, |b| Some(guard_split(b, &[], &[g]))));
     }
 
-    // 3. Match on each datatype parameter; the recursive arm may be split by
-    //    zero, one or two guards.
-    let data_params: Vec<(String, String)> = params
+    let data_params: Vec<(&str, &str)> = params
         .iter()
         .filter_map(|(n, s)| match s {
-            Shape::Data(d) => Some((n.clone(), d.clone())),
+            Shape::Data(d) => Some((n.as_str(), d.as_str())),
             _ => None,
         })
         .collect();
+    let guards_at = |binders: &[&[(String, Shape)]]| {
+        let mut scope = params.to_vec();
+        scope.extend(binders.iter().flat_map(|bs| bs.iter().cloned()));
+        guard_candidates(&scope)
+    };
 
-    for (p, d) in &data_params {
-        for depth in 0..=2usize {
+    // 3. Match on each datatype parameter; the recursive arm may be split by
+    //    zero, one or two guards.
+    for &(p, d) in &data_params {
+        let guards = guards_at(&[&recursive_arm_binders(datatypes, d, 1)]);
+        for combo in guard_combos(&guards) {
             if budget.is_exceeded() {
                 return out;
             }
-            let guard_sets: Vec<Vec<Expr>> = if depth == 0 {
-                vec![Vec::new()]
-            } else {
-                // Guard choices are computed per arm below; use a marker here.
-                vec![Vec::new()]
-            };
-            let _ = guard_sets;
-            // depth 0: plain match; depth 1/2: enumerate guard combinations.
-            if depth == 0 {
-                let mut b = Builder { holes: Vec::new() };
-                if let Some(body) =
-                    match_on(&mut b, datatypes, p, d, 1, |b, binders| b.hole(binders))
-                {
-                    out.push(Skeleton {
-                        body,
-                        holes: b.holes,
-                        guards: 0,
-                    });
-                }
-            } else {
-                // Build one skeleton per guard combination in the recursive arm.
-                // The binders of the recursive arm are known from the datatype.
-                let arm_binders = recursive_arm_binders(datatypes, d, 1);
-                let mut scope = params.to_vec();
-                scope.extend(arm_binders.clone());
-                let guards = guard_candidates(&scope);
-                let combos: Vec<Vec<Expr>> = if depth == 1 {
-                    guards.iter().map(|g| vec![g.clone()]).collect()
-                } else {
-                    let mut cs = Vec::new();
-                    for g1 in &guards {
-                        for g2 in &guards {
-                            if g1 != g2 {
-                                cs.push(vec![g1.clone(), g2.clone()]);
-                            }
-                        }
-                    }
-                    cs
-                };
-                for combo in combos {
-                    if budget.is_exceeded() {
-                        return out;
-                    }
-                    let mut b = Builder { holes: Vec::new() };
-                    if let Some(body) = match_on(&mut b, datatypes, p, d, 1, |b, binders| {
-                        if binders.is_empty() {
-                            b.hole(binders)
-                        } else {
-                            guard_split(b, &binders, &combo)
-                        }
-                    }) {
-                        out.push(Skeleton {
-                            body,
-                            holes: b.holes,
-                            guards: combo.len(),
-                        });
-                    }
-                }
-            }
+            out.extend(build(combo.len(), |b| {
+                match_on(b, datatypes, p, d, 1, |b, binders| {
+                    let split = if binders.is_empty() { &[][..] } else { &combo };
+                    guard_split(b, &binders, split)
+                })
+            }));
         }
     }
 
     // 4. Nested match on the first two datatype parameters, with the innermost
     //    arm split by zero, one or two guards (common, diff, zip, compare, …).
-    if data_params.len() >= 2 {
-        let (p1, d1) = &data_params[0];
-        let (p2, d2) = &data_params[1];
-        for depth in 0..=2usize {
+    //    The second parameter is matched in *every* arm of the first: the
+    //    base arm of e.g. `compare`/`common` still needs to distinguish an
+    //    empty from a non-empty second argument.
+    if let [(p1, d1), (p2, d2), ..] = data_params[..] {
+        let guards = guards_at(&[
+            &recursive_arm_binders(datatypes, d1, 1),
+            &recursive_arm_binders(datatypes, d2, 2),
+        ]);
+        for combo in guard_combos(&guards) {
             if budget.is_exceeded() {
                 return out;
             }
-            let outer_binders = recursive_arm_binders(datatypes, d1, 1);
-            let inner_binders = recursive_arm_binders(datatypes, d2, 2);
-            let mut scope = params.to_vec();
-            scope.extend(outer_binders.clone());
-            scope.extend(inner_binders.clone());
-            let guards = guard_candidates(&scope);
-            let combos: Vec<Vec<Expr>> = match depth {
-                0 => vec![Vec::new()],
-                1 => guards.iter().map(|g| vec![g.clone()]).collect(),
-                _ => {
-                    let mut cs = Vec::new();
-                    for g1 in &guards {
-                        for g2 in &guards {
-                            if g1 != g2 {
-                                cs.push(vec![g1.clone(), g2.clone()]);
-                            }
-                        }
-                    }
-                    cs
-                }
-            };
-            for combo in combos {
-                if budget.is_exceeded() {
-                    return out;
-                }
-                let mut b = Builder { holes: Vec::new() };
-                let p2c = p2.clone();
-                let d2c = d2.clone();
-                let combo_ref = combo.clone();
-                let body = match_on(&mut b, datatypes, p1, d1, 1, |b, outer| {
-                    // Nest the match on the second list in *every* arm of the
-                    // outer match (guards only split the recursive arm): the
-                    // base arm of e.g. `compare`/`common` still needs to
-                    // distinguish an empty from a non-empty second argument.
-                    let inner_guards: &[Expr] = if outer.is_empty() { &[] } else { &combo_ref };
-                    match match_on_inner(b, datatypes, &p2c, &d2c, 2, &outer, inner_guards) {
-                        Some(e) => e,
-                        None => b.hole(outer),
-                    }
-                });
-                if let Some(body) = body {
-                    out.push(Skeleton {
-                        body,
-                        holes: b.holes,
-                        guards: combo.len(),
-                    });
-                }
-            }
+            out.extend(build(combo.len(), |b| {
+                nested_match(b, datatypes, (p1, d1), (p2, d2), true, &combo)
+            }));
         }
     }
 
@@ -346,92 +300,25 @@ pub fn generate(
     //    head and the head-of-tail, and may be split by zero, one or two
     //    guards comparing them. Appended after the flatter families so the
     //    lowest-index-wins search order still prefers simpler programs.
-    for (p, d) in &data_params {
+    for &(p, d) in &data_params {
         let outer_binders = recursive_arm_binders(datatypes, d, 1);
-        let tails: Vec<(String, String)> = outer_binders
-            .iter()
-            .filter_map(|(n, s)| match s {
-                Shape::Data(inner) => Some((n.clone(), inner.clone())),
-                _ => None,
-            })
-            .collect();
-        for (tail, td) in &tails {
-            for depth in 0..=2usize {
+        for (tail, shape) in &outer_binders {
+            let Shape::Data(td) = shape else {
+                continue;
+            };
+            let guards = guards_at(&[&outer_binders, &recursive_arm_binders(datatypes, td, 2)]);
+            for combo in guard_combos(&guards) {
                 if budget.is_exceeded() {
                     return out;
                 }
-                let inner_binders = recursive_arm_binders(datatypes, td, 2);
-                let mut scope = params.to_vec();
-                scope.extend(outer_binders.clone());
-                scope.extend(inner_binders.clone());
-                let guards = guard_candidates(&scope);
-                let combos: Vec<Vec<Expr>> = match depth {
-                    0 => vec![Vec::new()],
-                    1 => guards.iter().map(|g| vec![g.clone()]).collect(),
-                    _ => {
-                        let mut cs = Vec::new();
-                        for g1 in &guards {
-                            for g2 in &guards {
-                                if g1 != g2 {
-                                    cs.push(vec![g1.clone(), g2.clone()]);
-                                }
-                            }
-                        }
-                        cs
-                    }
-                };
-                for combo in combos {
-                    if budget.is_exceeded() {
-                        return out;
-                    }
-                    let mut b = Builder { holes: Vec::new() };
-                    let tail_c = tail.clone();
-                    let td_c = td.clone();
-                    let combo_ref = combo.clone();
-                    let body = match_on(&mut b, datatypes, p, d, 1, |b, outer| {
-                        // Only the arm that actually binds the tail can
-                        // re-match it; the other arms keep a plain hole.
-                        if !outer.iter().any(|(n, _)| n == &tail_c) {
-                            return b.hole(outer);
-                        }
-                        match match_on_inner(b, datatypes, &tail_c, &td_c, 2, &outer, &combo_ref) {
-                            Some(e) => e,
-                            None => b.hole(outer),
-                        }
-                    });
-                    if let Some(body) = body {
-                        out.push(Skeleton {
-                            body,
-                            holes: b.holes,
-                            guards: combo.len(),
-                        });
-                    }
-                }
+                out.extend(build(combo.len(), |b| {
+                    nested_match(b, datatypes, (p, d), (tail, td), false, &combo)
+                }));
             }
         }
     }
 
     out
-}
-
-fn match_on_inner(
-    builder: &mut Builder,
-    datatypes: &Datatypes,
-    var: &str,
-    dname: &str,
-    suffix: usize,
-    outer_binders: &[(String, Shape)],
-    guards: &[Expr],
-) -> Option<Expr> {
-    match_on(builder, datatypes, var, dname, suffix, |b, inner| {
-        let mut binders = outer_binders.to_vec();
-        binders.extend(inner.clone());
-        if inner.is_empty() || guards.is_empty() {
-            b.hole(binders)
-        } else {
-            guard_split(b, &binders, guards)
-        }
-    })
 }
 
 /// The binders of the (first) recursive constructor arm of a datatype, using

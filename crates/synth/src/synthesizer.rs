@@ -212,7 +212,6 @@ impl Synthesizer {
             .with_budget(budget.clone());
         let mut cegis = IncrementalCegis::new(solver, outcome.unknowns.clone());
         let result = if matches!(mode, Mode::ReSynNoInc) {
-            cegis.add_unknowns(&outcome.unknowns);
             let r = cegis.add_constraints(&outcome.constraints);
             // The non-incremental ablation re-solves the whole system from
             // scratch, discarding the incremental state.
@@ -225,12 +224,6 @@ impl Synthesizer {
             cegis.add_constraints(&outcome.constraints)
         };
         matches!(result, RcResult::Solved(_))
-    }
-
-    /// The final resource check used by EAC mode once a functionally-correct
-    /// program has been found.
-    fn resource_accepts(&self, goal: &Goal, program: &Expr, budget: &Budget) -> bool {
-        self.accepts(goal, Mode::ReSyn, program, false, budget)
     }
 
     /// Check a complete candidate program against a goal in the given mode:
@@ -291,7 +284,16 @@ impl Synthesizer {
                 break;
             }
             stats.skeletons += 1;
-            program = self.fill_skeleton(goal, mode, skel, &params, &ret_shape, &mut stats, budget);
+            program = self.fill_skeleton(
+                goal,
+                mode,
+                skel,
+                &params,
+                &param_shapes,
+                &ret_shape,
+                &mut stats,
+                budget,
+            );
             if program.is_some() {
                 break;
             }
@@ -337,15 +339,11 @@ impl Synthesizer {
         mode: Mode,
         skel: &Skeleton,
         params: &[(String, Ty, i64)],
+        param_shapes: &[(String, Shape)],
         ret_shape: &Shape,
         stats: &mut SynthStats,
         budget: &Budget,
     ) -> Option<Expr> {
-        let param_shapes: Vec<(String, Shape)> = params
-            .iter()
-            .filter_map(|(n, t, _)| Shape::of(t).map(|s| (n.clone(), s)))
-            .collect();
-
         // Candidate lists per hole (each enumeration observes the budget
         // internally; a cancelled enumeration yields a truncated list and
         // the loop checkpoint below stops the fill).
@@ -354,7 +352,7 @@ impl Synthesizer {
             if budget.is_exceeded() {
                 return None;
             }
-            let mut scope = param_shapes.clone();
+            let mut scope = param_shapes.to_vec();
             scope.extend(hole.binders.clone());
             candidates.push(enumerate::eterms(
                 goal,
@@ -397,8 +395,10 @@ impl Synthesizer {
                     if !matches!(mode, Mode::Eac) {
                         return Some(program);
                     }
+                    // EAC: the program is functionally correct; now check
+                    // its resources.
                     stats.resource_rechecks += 1;
-                    if self.resource_accepts(goal, &program, budget) {
+                    if self.accepts(goal, Mode::ReSyn, &program, false, budget) {
                         return Some(program);
                     }
                 }
