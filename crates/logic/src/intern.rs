@@ -36,7 +36,9 @@
 //! assert_eq!(arena.term(s), p);
 //! ```
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
+
+use crate::fxhash::{FxHashMap, FxHashSet};
 
 use crate::sort::{self, Sort, SortError, SortingEnv};
 use crate::term::{BinOp, Term, UnOp};
@@ -47,7 +49,9 @@ use crate::term::{BinOp, Term, UnOp};
 pub struct TermId(u32);
 
 impl TermId {
-    fn index(self) -> usize {
+    /// The id's position in its arena: ids are handed out densely from 0,
+    /// in interning order.
+    pub fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -119,9 +123,9 @@ pub struct InternStats {
 #[derive(Debug, Clone, Default)]
 pub struct TermArena {
     nodes: Vec<Node>,
-    index: HashMap<Node, TermId>,
-    simplify_memo: HashMap<TermId, TermId>,
-    sort_memo: HashMap<(TermId, u64), Result<Sort, SortError>>,
+    index: FxHashMap<Node, TermId>,
+    simplify_memo: FxHashMap<TermId, TermId>,
+    sort_memo: FxHashMap<(TermId, u64), Result<Sort, SortError>>,
     memo_hits: u64,
     memo_misses: u64,
 }
@@ -501,7 +505,7 @@ impl TermArena {
     /// dropped, and an absorbing literal short-circuits.
     fn simplify_spine_id(&mut self, op: BinOp, operands: Vec<TermId>) -> TermId {
         let and = op == BinOp::And;
-        let mut seen: HashSet<TermId> = HashSet::new();
+        let mut seen: FxHashSet<TermId> = FxHashSet::default();
         let mut kept: Vec<TermId> = Vec::new();
         let mut flat = Vec::new();
         for operand in operands {
@@ -635,6 +639,15 @@ impl TermArena {
         let out = self.sort_uncached(id, env, env_key);
         self.sort_memo.insert((id, env_key), out.clone());
         out
+    }
+
+    /// Record `sort` as the sort of `id` under `env_key`, as if the
+    /// environment behind that key bound it. The solver binds its alias
+    /// variables this way instead of extending a copy of the caller's
+    /// environment; it must do so before any term mentioning them is sorted
+    /// under that key.
+    pub fn assume_sort(&mut self, id: TermId, env_key: u64, sort: Sort) {
+        self.sort_memo.insert((id, env_key), Ok(sort));
     }
 
     /// Check that an interned term has the expected sort, mirroring

@@ -17,7 +17,8 @@
 //! substitution, free-variable computation, evaluation under a [`Model`] and
 //! simplification. The [`intern`] module adds a hash-consing [`TermArena`]:
 //! copyable [`TermId`] handles with O(1) equality and memoized id-based
-//! versions of the simplification and sorting passes.
+//! versions of the simplification and sorting passes. Tables keyed on ids
+//! hash with the [`fxhash`] hasher.
 //!
 //! # Example
 //!
@@ -34,6 +35,7 @@
 
 pub mod eval;
 pub mod fv;
+pub mod fxhash;
 pub mod intern;
 pub mod pretty;
 pub mod simplify;
@@ -42,6 +44,7 @@ pub mod subst;
 pub mod term;
 
 pub use eval::{EvalError, Model, Value};
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use intern::{InternStats, TermArena, TermId};
 pub use sort::{Sort, SortError, SortingEnv};
 pub use term::{BinOp, Term, UnOp, VALUE_VAR};

@@ -51,11 +51,11 @@
 //! casualties and [`CacheStats::resident_bytes`] the surviving footprint.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use resyn_logic::{Model, SortingEnv, Term, TermArena, TermId, Value};
+use resyn_logic::{FxHashMap, Model, SortingEnv, Term, TermArena, TermId, Value};
 
 use crate::smt::SatResult;
 
@@ -107,7 +107,7 @@ struct Entry {
 #[derive(Debug, Default)]
 struct Inner {
     arena: TermArena,
-    table: HashMap<QueryKey, Entry>,
+    table: FxHashMap<QueryKey, Entry>,
     /// Second-chance ring over the table's keys, oldest at the front.
     /// Evicted entries leave their key behind as a stale reference, dropped
     /// when the hand reaches it.

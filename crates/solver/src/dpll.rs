@@ -29,11 +29,9 @@
 //! of their literals are forced and most of their theory conflicts surface
 //! before the first decision.
 
-use std::collections::HashMap;
-
 use resyn_budget::Budget;
 use resyn_logic::intern::Node;
-use resyn_logic::{BinOp, TermArena, TermId, UnOp};
+use resyn_logic::{BinOp, FxHashMap, TermArena, TermId, UnOp};
 
 /// Verdict of a theory oracle on a conjunction of literals.
 #[derive(Debug, Clone)]
@@ -268,7 +266,7 @@ impl<T: Theory> Search<'_, T> {
 /// The distinct literals on the top-level `And` spine of `formula`, in
 /// traversal order; `None` when one atom occurs with both polarities.
 fn spine_literals(arena: &TermArena, formula: TermId) -> Option<Vec<(TermId, bool)>> {
-    let mut seen: HashMap<TermId, bool> = HashMap::new();
+    let mut seen: FxHashMap<TermId, bool> = FxHashMap::default();
     let mut literals = Vec::new();
     for conjunct in arena.conjuncts_id(formula) {
         let literal = match arena.node(conjunct) {
@@ -323,7 +321,7 @@ pub fn find_atom(arena: &TermArena, id: TermId) -> Option<TermId> {
 pub fn assign_all(arena: &mut TermArena, t: TermId, literals: &[(TermId, bool)]) -> TermId {
     // Seeding the memo with the literals makes each atom rewrite to its
     // value wherever the traversal meets it.
-    let mut memo = HashMap::with_capacity(literals.len() * 4);
+    let mut memo = FxHashMap::with_capacity_and_hasher(literals.len() * 4, Default::default());
     for &(atom, value) in literals {
         let constant = if value { arena.tt_id() } else { arena.ff_id() };
         memo.insert(atom, constant);
@@ -331,7 +329,7 @@ pub fn assign_all(arena: &mut TermArena, t: TermId, literals: &[(TermId, bool)])
     assign_rec(arena, t, &mut memo)
 }
 
-fn assign_rec(arena: &mut TermArena, t: TermId, memo: &mut HashMap<TermId, TermId>) -> TermId {
+fn assign_rec(arena: &mut TermArena, t: TermId, memo: &mut FxHashMap<TermId, TermId>) -> TermId {
     if let Some(&r) = memo.get(&t) {
         return r;
     }
@@ -622,9 +620,10 @@ mod tests {
         // Fifty arithmetic conjuncts are all forced: propagation alone
         // reaches the leaf, so even a zero decision limit decides them.
         let lia = crate::lia::LiaSolver::new();
-        let theory = crate::smt::ArithTheory::new(&lia);
         let f = Term::and_all((0..50).map(|i| Term::var(format!("x{i}")).ge(Term::int(i))));
         let mut arena = TermArena::new();
+        let id = arena.intern(&f);
+        let theory = crate::smt::ArithTheory::new(&lia, &arena, id);
         match solve_with(&mut arena, &f, &theory, 0) {
             DpllResult::Sat {
                 assignment,
@@ -632,7 +631,8 @@ mod tests {
             } => {
                 assert_eq!(assignment.len(), 50);
                 assert!(assignment.iter().all(|(_, v)| *v));
-                assert_eq!(theory_model.get("x49").map(|r| r.floor()), Some(49));
+                let model = theory.named_model(&arena, &theory_model);
+                assert_eq!(model.get("x49").map(|r| r.floor()), Some(49));
             }
             other => panic!("expected sat, got {other:?}"),
         }
@@ -643,13 +643,14 @@ mod tests {
         // x ≥ 1 ∧ x ≤ 0 is forced and inconsistent: the early theory check
         // closes the search before any of the 30 free clauses is branched on.
         let lia = crate::lia::LiaSolver::new();
-        let theory = crate::smt::ArithTheory::new(&lia);
         let clauses = (0..30).map(|i| Term::var(format!("p{i}")).or(Term::var(format!("q{i}"))));
         let f = Term::var("x")
             .ge(Term::int(1))
             .and(Term::var("x").le(Term::int(0)))
             .and(Term::and_all(clauses));
         let mut arena = TermArena::new();
+        let id = arena.intern(&f);
+        let theory = crate::smt::ArithTheory::new(&lia, &arena, id);
         let result = solve_with(&mut arena, &f, &theory, 8);
         assert!(matches!(result, DpllResult::Unsat), "{result:?}");
     }

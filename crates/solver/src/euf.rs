@@ -9,10 +9,8 @@
 //! constraint."* The same instantiation makes the lazy DPLL(T) loop complete
 //! for the measure fragment of validity constraints.
 
-use std::collections::HashSet;
-
 use resyn_logic::intern::Node;
-use resyn_logic::{BinOp, Sort, SortingEnv, TermArena, TermId};
+use resyn_logic::{BinOp, FxHashSet, Sort, SortingEnv, TermArena, TermId};
 
 /// Instantiate congruence axioms for every pair of same-measure applications
 /// in the interned `formula` whose arguments could plausibly be equated by
@@ -83,9 +81,9 @@ pub fn congruence_axioms(
 /// first-occurrence order) and the operand pairs of its equality atoms.
 #[derive(Default)]
 struct Walk {
-    seen: HashSet<TermId>,
+    seen: FxHashSet<TermId>,
     apps: Vec<TermId>,
-    equalities: HashSet<(TermId, TermId)>,
+    equalities: FxHashSet<(TermId, TermId)>,
 }
 
 impl Walk {

@@ -3,15 +3,15 @@
 //! The workhorse is Fourier–Motzkin elimination over exact rationals with
 //! strictness tracking, followed by model reconstruction in reverse
 //! elimination order. A branch-and-bound wrapper refines rational models into
-//! *integer* models for integer-sorted variables (the refinement logic's
-//! numeric sort), which is what the CEGIS resource-constraint solver needs.
+//! *integer* models (every variable the arithmetic theory hands over has the
+//! refinement logic's integer sort), which is what the CEGIS
+//! resource-constraint solver needs. Variables are dense indices `0..n` (see
+//! [`crate::linear`]) and models are `Vec<Rat>`s indexed by them.
 //!
 //! The constraint sets produced by type checking and synthesis are small
 //! (tens of literals, a dozen variables), so the exponential worst case of
 //! Fourier–Motzkin is irrelevant in practice; an explicit work limit guards
 //! against pathological inputs.
-
-use std::collections::{BTreeMap, BTreeSet};
 
 use crate::linear::LinExpr;
 use crate::rational::Rat;
@@ -39,22 +39,28 @@ impl LinConstraint {
         LinConstraint { expr, strict: true }
     }
 
-    /// Whether the constraint holds under a (total) rational assignment.
-    pub fn holds(&self, assignment: &BTreeMap<String, Rat>) -> bool {
-        let v = self.expr.eval(assignment);
-        if self.strict {
-            v.is_positive()
-        } else {
-            !v.is_negative()
-        }
+    /// Whether the constraint holds under a dense rational assignment (a
+    /// variable past its end reads zero).
+    pub fn holds(&self, assignment: &[Rat]) -> bool {
+        admits(self.expr.eval(assignment), self.strict)
+    }
+}
+
+/// Whether a left-hand side of value `v` satisfies `· ≥ 0` (`· > 0` if strict).
+fn admits(v: Rat, strict: bool) -> bool {
+    if strict {
+        v.is_positive()
+    } else {
+        !v.is_negative()
     }
 }
 
 /// Result of an (integer) satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LiaResult {
-    /// Satisfiable, with a model (integer-valued on the requested variables).
-    Sat(BTreeMap<String, Rat>),
+    /// Satisfiable, with a dense model: variable `i` takes `model[i]`, and a
+    /// variable past its end (one no constraint mentions) takes zero.
+    Sat(Vec<Rat>),
     /// Unsatisfiable.
     Unsat,
     /// The work limit was exceeded before an answer was found.
@@ -85,41 +91,42 @@ impl LiaSolver {
         Self::default()
     }
 
-    /// Find a rational model of the constraints, or `None` if unsatisfiable,
-    /// or `Some(Err(()))`-like [`LiaResult::Unknown`] if the work limit hit.
+    /// Find a rational model of the constraints: [`LiaResult::Unsat`] if
+    /// there is none, [`LiaResult::Unknown`] if the work limit hit.
     pub fn solve_rational(&self, constraints: &[LinConstraint]) -> LiaResult {
         // Quick check: constant constraints.
         let mut work: Vec<LinConstraint> = Vec::new();
+        let mut num_vars = 0;
         for c in constraints {
-            if c.expr.is_constant() {
-                let v = c.expr.constant_part();
-                let ok = if c.strict {
-                    v.is_positive()
-                } else {
-                    !v.is_negative()
-                };
-                if !ok {
-                    return LiaResult::Unsat;
+            match c.expr.vars().last() {
+                None if !admits(c.expr.constant_part(), c.strict) => return LiaResult::Unsat,
+                None => {}
+                Some(last) => {
+                    num_vars = num_vars.max(last as usize + 1);
+                    work.push(c.clone());
                 }
-            } else {
-                work.push(c.clone());
             }
         }
 
-        // Choose an elimination order: fewest occurrences first.
-        let mut vars: BTreeSet<String> = BTreeSet::new();
+        // Choose an elimination order: fewest occurrences first, ties by
+        // index.
+        let mut occurrences = vec![0usize; num_vars];
         for c in &work {
-            vars.extend(c.expr.vars().cloned());
+            for v in c.expr.vars() {
+                occurrences[v as usize] += 1;
+            }
         }
-        let mut order: Vec<String> = vars.into_iter().collect();
-        order.sort_by_key(|v| work.iter().filter(|c| !c.expr.coeff(v).is_zero()).count());
+        let mut order: Vec<u32> = (0..num_vars as u32)
+            .filter(|&v| occurrences[v as usize] > 0)
+            .collect();
+        order.sort_by_key(|&v| occurrences[v as usize]);
 
         // Eliminate variables, remembering the constraints "live" at each step
         // for model reconstruction.
-        let mut stages: Vec<(String, Vec<LinConstraint>)> = Vec::new();
+        let mut stages: Vec<(u32, Vec<LinConstraint>)> = Vec::new();
         let mut current = work;
         let mut derived = 0usize;
-        for var in &order {
+        for &var in &order {
             let (mentioning, mut rest): (Vec<_>, Vec<_>) = current
                 .into_iter()
                 .partition(|c| !c.expr.coeff(var).is_zero());
@@ -136,16 +143,11 @@ impl LiaSolver {
                     let a = lo.expr.coeff(var); // > 0
                     let b = up.expr.coeff(var); // < 0
                                                 // (-b)·lo + a·up eliminates `var`.
-                    let combined = lo.expr.scale(-b).add(&up.expr.scale(a));
+                    let mut combined = lo.expr.scale(-b);
+                    combined.add_scaled(&up.expr, a);
                     let strict = lo.strict || up.strict;
                     if combined.is_constant() {
-                        let v = combined.constant_part();
-                        let ok = if strict {
-                            v.is_positive()
-                        } else {
-                            !v.is_negative()
-                        };
-                        if !ok {
+                        if !admits(combined.constant_part(), strict) {
                             return LiaResult::Unsat;
                         }
                     } else {
@@ -160,35 +162,27 @@ impl LiaSolver {
                     }
                 }
             }
-            stages.push((var.clone(), mentioning));
+            stages.push((var, mentioning));
             current = rest;
         }
 
         // Any remaining constraints are constant (all variables eliminated).
-        for c in &current {
-            let v = c.expr.constant_part();
-            let ok = if c.strict {
-                v.is_positive()
-            } else {
-                !v.is_negative()
-            };
-            if !ok {
-                return LiaResult::Unsat;
-            }
+        if !current
+            .iter()
+            .all(|c| admits(c.expr.constant_part(), c.strict))
+        {
+            return LiaResult::Unsat;
         }
 
         // Reconstruct a model in reverse elimination order.
-        let mut model: BTreeMap<String, Rat> = BTreeMap::new();
+        let mut model = vec![Rat::ZERO; num_vars];
         for (var, constraints) in stages.iter().rev() {
             let mut lower: Option<(Rat, bool)> = None; // (bound, strict)
             let mut upper: Option<(Rat, bool)> = None;
             for c in constraints {
-                let coeff = c.expr.coeff(var);
+                let coeff = c.expr.coeff(*var);
                 // expr = coeff·var + rest  (≥|>) 0
-                let mut rest = c.expr.clone();
-                rest = rest.subst(var, &LinExpr::zero());
-                let rest_val = rest.eval(&model);
-                let bound = -rest_val / coeff;
+                let bound = -c.expr.eval_without(*var, &model) / coeff;
                 if coeff.is_positive() {
                     // var ≥ bound (or >)
                     let stricter = match lower {
@@ -208,44 +202,34 @@ impl LiaSolver {
                     }
                 }
             }
-            let value = choose_value(lower, upper);
-            model.insert(var.clone(), value);
+            model[*var as usize] = choose_value(lower, upper);
         }
         LiaResult::Sat(model)
     }
 
-    /// Find a model where every variable in `int_vars` takes an integer value.
-    pub fn solve_integer(
-        &self,
-        constraints: &[LinConstraint],
-        int_vars: &BTreeSet<String>,
-    ) -> LiaResult {
-        // Integer tightening: when every variable of a *strict* constraint is
-        // integer-valued and all coefficients are integers, `expr > 0` is
-        // equivalent to `expr − 1 ≥ 0`. This removes most of the need for
-        // branching and lets Fourier–Motzkin refute integer-infeasible chains
-        // such as `x < y < z < x + 2` directly.
-        let tightened: Vec<LinConstraint> = constraints
-            .iter()
-            .map(|c| {
-                let all_int_vars = c.expr.vars().all(|v| int_vars.contains(v));
-                let all_int_coeffs = c.expr.terms().all(|(_, k)| k.is_integer())
-                    && c.expr.constant_part().is_integer();
-                if c.strict && all_int_vars && all_int_coeffs {
-                    LinConstraint::ge0(c.expr.sub(&LinExpr::constant(Rat::ONE)))
-                } else {
-                    c.clone()
-                }
-            })
-            .collect();
+    /// Find a model where every variable takes an integer value.
+    pub fn solve_integer(&self, mut constraints: Vec<LinConstraint>) -> LiaResult {
+        // Integer tightening: when every coefficient of a *strict* constraint
+        // is an integer, `expr > 0` is equivalent to `expr − 1 ≥ 0` over the
+        // integers. This removes most of the need for branching and lets
+        // Fourier–Motzkin refute integer-infeasible chains such as
+        // `x < y < z < x + 2` directly.
+        for c in &mut constraints {
+            if c.strict
+                && c.expr.terms().all(|(_, k)| k.is_integer())
+                && c.expr.constant_part().is_integer()
+            {
+                c.expr.add_scaled(&LinExpr::constant(Rat::ONE), -Rat::ONE);
+                c.strict = false;
+            }
+        }
         let mut budget = self.branch_limit;
-        self.branch(tightened, int_vars, &mut budget, 0)
+        self.branch(constraints, &mut budget, 0)
     }
 
     fn branch(
         &self,
         constraints: Vec<LinConstraint>,
-        int_vars: &BTreeSet<String>,
         budget: &mut usize,
         depth: usize,
     ) -> LiaResult {
@@ -257,32 +241,25 @@ impl LiaSolver {
             LiaResult::Unsat => LiaResult::Unsat,
             LiaResult::Unknown => LiaResult::Unknown,
             LiaResult::Sat(model) => {
-                // Find an integer-required variable with a fractional value.
-                let fractional = int_vars
-                    .iter()
-                    .filter_map(|v| model.get(v).map(|r| (v, *r)))
-                    .find(|(_, r)| !r.is_integer());
-                match fractional {
+                // Find the first variable with a fractional value.
+                match model.iter().position(|r| !r.is_integer()) {
                     None => LiaResult::Sat(model),
-                    Some((var, value)) => {
+                    Some(var) => {
                         // Branch var ≤ ⌊value⌋  ∨  var ≥ ⌈value⌉.
+                        let (var, value) = (LinExpr::var(var as u32), model[var]);
                         let floor = Rat::int(value.floor() as i64);
                         let ceil = Rat::int(value.ceil() as i64);
-                        let le_floor = LinConstraint::ge0(
-                            LinExpr::constant(floor).sub(&LinExpr::var(var.clone())),
-                        );
-                        let ge_ceil = LinConstraint::ge0(
-                            LinExpr::var(var.clone()).sub(&LinExpr::constant(ceil)),
-                        );
+                        let le_floor = LinConstraint::ge0(LinExpr::constant(floor).sub(&var));
+                        let ge_ceil = LinConstraint::ge0(var.sub(&LinExpr::constant(ceil)));
                         let mut left = constraints.clone();
                         left.push(le_floor);
-                        match self.branch(left, int_vars, budget, depth + 1) {
+                        match self.branch(left, budget, depth + 1) {
                             LiaResult::Sat(m) => LiaResult::Sat(m),
                             LiaResult::Unknown => LiaResult::Unknown,
                             LiaResult::Unsat => {
                                 let mut right = constraints;
                                 right.push(ge_ceil);
-                                self.branch(right, int_vars, budget, depth + 1)
+                                self.branch(right, budget, depth + 1)
                             }
                         }
                     }
@@ -349,11 +326,14 @@ mod tests {
         LinConstraint::gt0(b.sub(&a))
     }
 
+    const X: usize = 0;
+    const Y: usize = 1;
+
     fn x() -> LinExpr {
-        LinExpr::var("x")
+        LinExpr::var(X as u32)
     }
     fn y() -> LinExpr {
-        LinExpr::var("y")
+        LinExpr::var(Y as u32)
     }
     fn k(n: i64) -> LinExpr {
         LinExpr::constant(Rat::int(n))
@@ -405,14 +385,13 @@ mod tests {
         ];
         match solver.solve_rational(&cs) {
             LiaResult::Sat(m) => {
-                assert_eq!(m.get("x"), Some(&Rat::int(3)));
-                assert_eq!(m.get("y"), Some(&Rat::new(3, 2)));
+                assert_eq!(m[X], Rat::int(3));
+                assert_eq!(m[Y], Rat::new(3, 2));
             }
             other => panic!("expected sat, got {other:?}"),
         }
         // Integer solving must reject y = 3/2 and fail (x=2y, x=3 has no int solution).
-        let ints: BTreeSet<String> = ["x", "y"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(solver.solve_integer(&cs, &ints), LiaResult::Unsat);
+        assert_eq!(solver.solve_integer(cs), LiaResult::Unsat);
     }
 
     #[test]
@@ -420,9 +399,8 @@ mod tests {
         let solver = LiaSolver::new();
         // 2x ≥ 5 ∧ x ≤ 3: rational minimum 2.5, integer model x = 3.
         let cs = vec![le(k(5), x().scale(Rat::int(2))), le(x(), k(3))];
-        let ints: BTreeSet<String> = ["x".to_string()].into_iter().collect();
-        match solver.solve_integer(&cs, &ints) {
-            LiaResult::Sat(m) => assert_eq!(m.get("x"), Some(&Rat::int(3))),
+        match solver.solve_integer(cs) {
+            LiaResult::Sat(m) => assert_eq!(m[X], Rat::int(3)),
             other => panic!("expected sat, got {other:?}"),
         }
     }
@@ -430,10 +408,11 @@ mod tests {
     #[test]
     fn unconstrained_variables_default_to_zero() {
         let solver = LiaSolver::new();
-        let cs = vec![le(k(0), x())];
+        // Only y is constrained: x, below it, reads zero in the dense model.
+        let cs = vec![le(k(0), y())];
         match solver.solve_rational(&cs) {
             LiaResult::Sat(m) => {
-                assert_eq!(m.get("x"), Some(&Rat::ZERO));
+                assert_eq!(m, [Rat::ZERO, Rat::ZERO]);
             }
             other => panic!("expected sat, got {other:?}"),
         }
@@ -443,24 +422,22 @@ mod tests {
     fn chained_inequalities() {
         let solver = LiaSolver::new();
         // x < y ∧ y < z ∧ z < x+2 has no integer solution but a rational one.
-        let z = LinExpr::var("z");
+        let z = LinExpr::var(2);
         let cs = vec![
             lt(x(), y()),
             lt(y(), z.clone()),
             lt(z.clone(), x().add(&k(2))),
         ];
         assert!(matches!(solver.solve_rational(&cs), LiaResult::Sat(_)));
-        let ints: BTreeSet<String> = ["x", "y", "z"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(solver.solve_integer(&cs, &ints), LiaResult::Unsat);
+        assert_eq!(solver.solve_integer(cs), LiaResult::Unsat);
     }
 
     #[test]
     fn holds_checks_assignments() {
         let c = le(x(), k(3));
-        let mut m = BTreeMap::new();
-        m.insert("x".to_string(), Rat::int(2));
-        assert!(c.holds(&m));
-        m.insert("x".to_string(), Rat::int(4));
-        assert!(!c.holds(&m));
+        assert!(c.holds(&[Rat::int(2)]));
+        assert!(!c.holds(&[Rat::int(4)]));
+        // An assignment too short for the constraint reads x as zero.
+        assert!(c.holds(&[]));
     }
 }

@@ -13,6 +13,9 @@ use proptest::prelude::*;
 
 use resyn_logic::{Model, Sort, SortingEnv, Term, Value};
 
+use crate::lia::{LiaResult, LiaSolver, LinConstraint};
+use crate::linear::LinExpr;
+use crate::rational::Rat;
 use crate::smt::{SatResult, Solver, ValidityResult};
 
 const VARS: [&str; 3] = ["x", "y", "z"];
@@ -98,6 +101,99 @@ fn brute_force_sat(f: &Term) -> bool {
         }
     }
     false
+}
+
+/// A raw linear constraint `Σ coeffs[i]·xᵢ + constant ≥ 0` (`> 0` when
+/// strict) over at most four variables, with coefficients in `[-3, 3]`.
+type RawConstraint = (Vec<i64>, i64, bool);
+
+/// A variable count in `1..=4` and 1–8 raw constraints over that many
+/// variables. Each constraint's constant puts its left-hand side at a
+/// value in `[-2, 2]` at one anchor point of `[-3, 3]ⁿ`, so many systems
+/// are feasible only near the anchor, where a strict constraint is tight.
+fn arb_lia_system() -> impl Strategy<Value = (usize, Vec<RawConstraint>)> {
+    let constraint = (
+        proptest::collection::vec(-3i64..4, 4..5),
+        -2i64..3,
+        prop_oneof![Just(false), Just(true)],
+    );
+    (
+        1usize..5,
+        proptest::collection::vec(-3i64..4, 4..5),
+        proptest::collection::vec(constraint, 1..9),
+    )
+        .prop_map(|(n, anchor, raw)| {
+            let raw = raw
+                .into_iter()
+                .map(|(mut coeffs, at_anchor, strict)| {
+                    coeffs.truncate(n);
+                    let dot: i64 = coeffs.iter().zip(&anchor).map(|(k, x)| k * x).sum();
+                    (coeffs, at_anchor - dot, strict)
+                })
+                .collect();
+            (n, raw)
+        })
+}
+
+fn lin_constraint((coeffs, constant, strict): &RawConstraint) -> LinConstraint {
+    let mut expr = LinExpr::constant(Rat::int(*constant));
+    for (v, &k) in coeffs.iter().enumerate() {
+        expr.add_scaled(&LinExpr::var(v as u32), Rat::int(k));
+    }
+    LinConstraint {
+        expr,
+        strict: *strict,
+    }
+}
+
+/// Whether some point of `[-6, 6]ⁿ` satisfies every raw constraint.
+fn integer_point_exists(n: usize, raw: &[RawConstraint]) -> bool {
+    let mut point = vec![-6i64; n];
+    loop {
+        let holds = raw.iter().all(|(coeffs, constant, strict)| {
+            let value: i64 = constant + coeffs.iter().zip(&point).map(|(k, x)| k * x).sum::<i64>();
+            if *strict {
+                value > 0
+            } else {
+                value >= 0
+            }
+        });
+        if holds {
+            return true;
+        }
+        // Advance the point like an odometer; done after the last one.
+        let Some(i) = point.iter().position(|&x| x < 6) else {
+            return false;
+        };
+        point[i] += 1;
+        point[..i].iter_mut().for_each(|x| *x = -6);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The integer LIA kernel against brute force: a `Sat` model is
+    /// integral and satisfies every constraint, and `Unsat` means no point
+    /// of `[-6, 6]ⁿ` does. (`Unknown`, branch-and-bound giving up on an
+    /// unbounded integer-infeasible system, claims nothing.)
+    #[test]
+    fn lia_agrees_with_integer_brute_force((n, raw) in arb_lia_system()) {
+        let constraints: Vec<LinConstraint> = raw.iter().map(lin_constraint).collect();
+        match LiaSolver::new().solve_integer(constraints.clone()) {
+            LiaResult::Sat(m) => {
+                prop_assert!(m.iter().all(|r| r.is_integer()), "fractional model {m:?}");
+                for c in &constraints {
+                    prop_assert!(c.holds(&m), "model {m:?} violates {c:?}");
+                }
+            }
+            LiaResult::Unsat => prop_assert!(
+                !integer_point_exists(n, &raw),
+                "claimed unsat, but a point of [-6, 6]^{n} satisfies {raw:?}"
+            ),
+            LiaResult::Unknown => {}
+        }
+    }
 }
 
 proptest! {

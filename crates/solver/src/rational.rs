@@ -3,6 +3,9 @@
 //! Rationals are kept normalized (positive denominator, reduced by gcd).
 //! The solver's constraint sets are tiny, so `i128` headroom is ample; all
 //! operations use checked arithmetic in debug builds via plain operators.
+//! `+`, `−` and `×` of two integers skip the gcd (their result is already
+//! normalized) but perform the same `i128` operations, so they overflow
+//! exactly where the general path would.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -49,6 +52,11 @@ impl Rat {
                 den: den / g,
             }
         }
+    }
+
+    /// An integer already in `i128`: normalized by construction, so no gcd.
+    fn integral(num: i128) -> Rat {
+        Rat { num, den: 1 }
     }
 
     /// Construct from an integer.
@@ -163,6 +171,9 @@ impl From<i64> for Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::integral(self.num + rhs.num);
+        }
         Rat::new(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
     }
 }
@@ -170,6 +181,9 @@ impl Add for Rat {
 impl Sub for Rat {
     type Output = Rat;
     fn sub(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::integral(self.num - rhs.num);
+        }
         Rat::new(self.num * rhs.den - rhs.num * self.den, self.den * rhs.den)
     }
 }
@@ -177,6 +191,9 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::integral(self.num * rhs.num);
+        }
         Rat::new(self.num * rhs.num, self.den * rhs.den)
     }
 }
@@ -243,6 +260,20 @@ mod tests {
         assert_eq!(half * third, Rat::new(1, 6));
         assert_eq!(half / third, Rat::new(3, 2));
         assert_eq!(-half, Rat::new(-1, 2));
+    }
+
+    #[test]
+    fn integer_operands_take_the_gcd_free_path_to_the_same_values() {
+        for (a, b) in [(7, -3), (-12, 4), (0, 9), (i64::MAX, 2)] {
+            let (x, y) = (Rat::int(a), Rat::int(b));
+            let (a, b) = (i128::from(a), i128::from(b));
+            assert_eq!(x + y, Rat::new(a + b, 1));
+            assert_eq!(x - y, Rat::new(a - b, 1));
+            assert_eq!(x * y, Rat::new(a * b, 1));
+        }
+        // A fraction on either side still takes the general path.
+        assert_eq!(Rat::int(1) + Rat::new(1, 2), Rat::new(3, 2));
+        assert_eq!(Rat::new(2, 3) * Rat::int(3), Rat::int(2));
     }
 
     #[test]

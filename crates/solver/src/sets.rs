@@ -18,11 +18,11 @@
 //! The construction is sound and complete for the quantifier-free set algebra
 //! with membership used by the paper's benchmarks.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use resyn_logic::intern::Node;
-use resyn_logic::{BinOp, Sort, SortingEnv, TermArena, TermId, UnOp};
+use resyn_logic::{BinOp, FxHashSet, Sort, SortingEnv, TermArena, TermId, UnOp};
 
 /// The result of eliminating set atoms from a formula.
 #[derive(Debug, Clone)]
@@ -59,7 +59,7 @@ pub fn mentions_sets(
     env: &SortingEnv,
     env_key: u64,
 ) -> bool {
-    let mut seen = HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut stack = vec![formula];
     while let Some(id) = stack.pop() {
         if !seen.insert(id) {
@@ -67,8 +67,9 @@ pub fn mentions_sets(
         }
         let local = match arena.node(id) {
             Node::EmptySet | Node::SetLit(_) | Node::Singleton(_) => true,
-            Node::Var(x) => matches!(env.var_sort(x), Some(Sort::Set)),
-            Node::App(_, _) => matches!(arena.sort_of_id(id, env, env_key), Ok(Sort::Set)),
+            Node::Var(_) | Node::App(_, _) => {
+                matches!(arena.sort_of_id(id, env, env_key), Ok(Sort::Set))
+            }
             Node::Binary(op, _, _) => matches!(
                 op,
                 BinOp::Union | BinOp::Intersect | BinOp::Diff | BinOp::Member | BinOp::Subset
@@ -92,7 +93,8 @@ pub fn mentions_sets(
 ///
 /// The formula must already be free of `⟺` connectives and of set-sorted
 /// measure applications (the SMT layer aliases those to set variables first).
-/// Sorts are read under `env`, memoized under `env_key`.
+/// Sorts are read under `env`, memoized under `env_key` (which also holds
+/// the sorts bound with [`TermArena::assume_sort`]).
 ///
 /// # Errors
 ///
@@ -117,7 +119,6 @@ pub fn eliminate_sets(
         memberships: BTreeMap::new(),
         witnesses: Vec::new(),
         element_terms: Vec::new(),
-        element_names: HashMap::new(),
         used: 0,
     };
 
@@ -166,8 +167,6 @@ struct Eliminator<'a> {
     witnesses: Vec<TermId>,
     /// `E*`: the element terms, in order of discovery.
     element_terms: Vec<TermId>,
-    /// The printed form of each element, which names its membership atoms.
-    element_names: HashMap<TermId, String>,
     /// How many pre-allocated witnesses have been consumed during rewriting.
     used: usize,
 }
@@ -267,14 +266,13 @@ impl Eliminator<'_> {
         }
     }
 
-    /// Membership atom `__in$S$e` for element `e` in base set variable `S`.
+    /// Membership atom `__in$S$k` for the element of id `k` in base set
+    /// variable `S`. Ids are unique per query arena, and the name never
+    /// leaves it: the model reads set values through `memberships`.
     fn in_atom(&mut self, e: TermId, set_var: &str) -> TermId {
-        let arena = &*self.arena;
-        let elem = self
-            .element_names
-            .entry(e)
-            .or_insert_with(|| arena.term(e).to_string());
-        let atom = self.arena.mk(Node::Var(format!("__in${set_var}${elem}")));
+        let atom = self
+            .arena
+            .mk(Node::Var(format!("__in${set_var}${}", e.index())));
         let entry = self.memberships.entry(set_var.to_string()).or_default();
         if !entry.iter().any(|&(_, a)| a == atom) {
             entry.push((e, atom));
@@ -485,13 +483,16 @@ mod tests {
         let (arena, r, residual) = eliminate(&f, &env()).unwrap();
         assert!(!residual);
         // The witness is the only element; the membership atoms are named
-        // after the set and the element.
+        // after the set and the element's id.
         for set in ["s", "t"] {
             let atoms: Vec<(Term, Term)> = r.memberships[set]
                 .iter()
                 .map(|&(e, atom)| (arena.term(e), arena.term(atom)))
                 .collect();
-            let atom = Term::var(format!("__in${set}$__w0"));
+            let [(element, _)] = r.memberships[set][..] else {
+                panic!("one membership atom expected on {set}");
+            };
+            let atom = Term::var(format!("__in${set}${}", element.index()));
             assert_eq!(atoms, [(Term::var("__w0"), atom)]);
         }
     }

@@ -18,13 +18,14 @@
 //! 6. case-split conditional (`ite`) sub-terms out of atoms,
 //! 7. eliminate set atoms by membership expansion ([`crate::sets`]),
 //! 8. run the DPLL(T) search ([`crate::dpll`]) with a linear-integer-arithmetic
-//!    theory oracle ([`crate::lia`]) that linearizes operands from their ids,
-//!    and
+//!    theory oracle ([`crate::lia`]) that numbers the formula's variables
+//!    densely and linearizes each literal once, and
 //! 9. read a model for the caller's variables off the trail (including set
 //!    values and interpretations for the aliased measure applications).
 //!
-//! Trees are rebuilt only for the returned [`Model`], for error messages, and
-//! to print each set element once for the name of its membership atoms.
+//! Trees are rebuilt only for the returned [`Model`] and for error messages.
+//! The aliases of step 4 are bound in the arena's sorting memo
+//! ([`TermArena::assume_sort`]), not in a copy of the caller's environment.
 //!
 //! A solver can additionally carry a shared [`SolverCache`]
 //! ([`Solver::with_cache`]): the public [`Solver::check_sat`] /
@@ -32,11 +33,15 @@
 //! interned query, so the checking pipeline never re-proves a structurally
 //! equal obligation.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use resyn_budget::Budget;
 use resyn_logic::intern::Node;
-use resyn_logic::{BinOp, Model, Sort, SortingEnv, Term, TermArena, TermId, UnOp, Value};
+use resyn_logic::{
+    BinOp, FxHashMap, FxHashSet, Model, Sort, SortingEnv, Term, TermArena, TermId, UnOp, Value,
+};
 
 use crate::cache::SolverCache;
 use crate::dpll::{self, DpllConfig, DpllResult, Theory, TheoryResult};
@@ -209,32 +214,31 @@ impl Solver {
             .into_iter()
             .fold(formula, |acc, ax| arena.and_id(acc, ax));
 
-        // 4. Alias measure applications.
-        let mut env = self.env.clone();
+        // 4. Alias measure applications. Each alias variable's sort is bound
+        //    under `ALIASED_ENV`, on top of the caller's environment.
         let mut aliaser = Aliaser {
-            caller_env: &self.env,
-            env: &mut env,
-            memo: HashMap::new(),
-            by_app: HashMap::new(),
+            env: &self.env,
+            memo: FxHashMap::default(),
+            by_app: FxHashMap::default(),
             aliases: Vec::new(),
         };
         let formula = aliaser.alias(&mut arena, formula);
         let aliases = aliaser.aliases;
 
         // 5. Normalize equalities and bi-implications.
-        let mut memo = HashMap::new();
-        let formula = match normalize(&mut arena, formula, &env, &mut memo) {
+        let mut memo = FxHashMap::default();
+        let formula = match normalize(&mut arena, formula, &self.env, &mut memo) {
             Ok(f) => f,
             Err(msg) => return SatResult::Unknown(msg),
         };
 
         // 6. Case-split conditionals out of atoms.
-        let mut lift_memo = HashMap::new();
+        let mut lift_memo = FxHashMap::default();
         let formula = lift_ites(&mut arena, formula, &mut lift_memo);
 
         // 7. Eliminate set atoms, then lift and simplify the element
         //    equalities the elimination introduced.
-        let elimination = match sets::eliminate_sets(&mut arena, formula, &env, ALIASED_ENV) {
+        let elimination = match sets::eliminate_sets(&mut arena, formula, &self.env, ALIASED_ENV) {
             Ok(e) => e,
             Err(err) => return SatResult::Unknown(err.to_string()),
         };
@@ -252,7 +256,7 @@ impl Solver {
         }
 
         // 8. DPLL(T) with the LIA oracle, over interned atoms.
-        let theory = ArithTheory::new(&self.lia);
+        let theory = ArithTheory::new(&self.lia, &arena, formula);
         match dpll::solve(&mut arena, formula, &theory, &self.dpll) {
             DpllResult::Unsat => SatResult::Unsat,
             DpllResult::Cancelled => SatResult::Cancelled,
@@ -263,7 +267,7 @@ impl Solver {
             } => SatResult::Sat(self.build_model(
                 &arena,
                 &assignment,
-                &theory_model,
+                &theory.named_model(&arena, &theory_model),
                 &aliases,
                 &elimination.memberships,
             )),
@@ -297,7 +301,7 @@ impl Solver {
         &self,
         arena: &TermArena,
         assignment: &[(TermId, bool)],
-        theory_model: &BTreeMap<String, Rat>,
+        theory_model: &FxHashMap<&str, Rat>,
         aliases: &[Alias],
         memberships: &BTreeMap<String, Vec<(TermId, TermId)>>,
     ) -> Model {
@@ -312,7 +316,7 @@ impl Solver {
         };
         // The truth value of each boolean-variable atom on the trail (the
         // first assignment wins; an unassigned one reads `false`).
-        let mut bool_vars: HashMap<&str, bool> = HashMap::new();
+        let mut bool_vars: FxHashMap<&str, bool> = FxHashMap::default();
         for &(atom, value) in assignment {
             if let Node::Var(name) = arena.node(atom) {
                 bool_vars.entry(name.as_str()).or_insert(value);
@@ -380,12 +384,13 @@ impl Solver {
 
 /// Sorting-memo key of the caller's environment ([`TermArena::sort_of_id`]).
 const CALLER_ENV: u64 = 0;
-/// Sorting-memo key of the caller's environment extended with the aliases.
+/// Sorting-memo key of the caller's environment with the alias variables
+/// bound on top ([`TermArena::assume_sort`]).
 const ALIASED_ENV: u64 = 1;
 
 /// Does the interned formula contain an unknown predicate?
 fn mentions_unknown(arena: &TermArena, formula: TermId) -> bool {
-    let mut seen = HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut stack = vec![formula];
     while let Some(id) = stack.pop() {
         if !seen.insert(id) {
@@ -404,71 +409,100 @@ fn mentions_unknown(arena: &TermArena, formula: TermId) -> bool {
 /// linear constraints and handed to the Fourier–Motzkin / branch-and-bound
 /// solver. Boolean variables and opaque boolean applications carry no
 /// arithmetic content.
+///
+/// The oracle numbers the query's variables once, densely and in name order,
+/// and the LIA kernel works on those indices. Name order is what makes this
+/// invisible: the kernel breaks elimination-order ties and picks its
+/// branch-and-bound variable by lowest index, which is the lowest name, so
+/// every verdict and model is the one a name-keyed kernel computes.
 pub(crate) struct ArithTheory<'a> {
     lia: &'a LiaSolver,
-    /// Per-query memo of operand linearizations (`None` = non-linear).
-    lin_cache: std::cell::RefCell<HashMap<TermId, Option<LinExpr>>>,
+    /// The query's variables in name order: index `i` stands for `vars[i]`.
+    vars: Vec<TermId>,
+    /// The index of each of `vars`.
+    index: FxHashMap<TermId, u32>,
+    /// The constraints each literal asserts, per (atom, value): the search
+    /// consults the theory many times per query and the same literals
+    /// reappear on every trail, so each is linearized once. `Err` explains a
+    /// literal the oracle cannot interpret.
+    literals: RefCell<FxHashMap<(TermId, bool), Rc<LiteralConstraints>>>,
 }
 
+/// The constraints one literal asserts, or why the oracle cannot read it.
+type LiteralConstraints = Result<Vec<LinConstraint>, String>;
+
 impl<'a> ArithTheory<'a> {
-    /// An oracle for one query, deciding with `lia`.
-    pub(crate) fn new(lia: &'a LiaSolver) -> Self {
+    /// An oracle for one query, deciding with `lia`: it numbers the `Var`
+    /// nodes of `formula`.
+    pub(crate) fn new(lia: &'a LiaSolver, arena: &TermArena, formula: TermId) -> Self {
+        let mut seen = FxHashSet::default();
+        let mut stack = vec![formula];
+        let mut vars = Vec::new();
+        while let Some(id) = stack.pop() {
+            if !seen.insert(id) {
+                continue;
+            }
+            let node = arena.node(id);
+            if let Node::Var(_) = node {
+                vars.push(id);
+            }
+            node.for_each_child(|child| stack.push(child));
+        }
+        vars.sort_by(|&a, &b| var_name(arena, a).cmp(var_name(arena, b)));
+        let index = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, i as u32))
+            .collect();
         ArithTheory {
             lia,
-            lin_cache: std::cell::RefCell::new(HashMap::new()),
+            vars,
+            index,
+            literals: RefCell::new(FxHashMap::default()),
         }
     }
 
-    /// Linearize an interned operand, memoized per id: DPLL consults the
-    /// theory many times per query, and the same atoms reappear on every
-    /// trail, so each operand is converted at most once per query. `None`
-    /// marks a non-linearizable operand.
-    fn linearize(&self, arena: &TermArena, id: TermId) -> Option<LinExpr> {
-        if let Some(r) = self.lin_cache.borrow().get(&id) {
-            return r.clone();
+    /// The constraints a literal asserts, memoized per (atom, value).
+    fn literal(&self, arena: &TermArena, atom: TermId, value: bool) -> Rc<LiteralConstraints> {
+        if let Some(known) = self.literals.borrow().get(&(atom, value)) {
+            return Rc::clone(known);
         }
-        let r = LinExpr::from_id(arena, id).ok();
-        self.lin_cache.borrow_mut().insert(id, r.clone());
-        r
+        let constraints = Rc::new(self.constraints_of(arena, atom, value));
+        self.literals
+            .borrow_mut()
+            .insert((atom, value), Rc::clone(&constraints));
+        constraints
     }
 
-    /// Append the linear constraints a literal asserts to `out` (none for a
-    /// literal without arithmetic content). `Err` explains a literal the
-    /// oracle cannot interpret.
+    /// The linear constraints a literal asserts (none for a literal without
+    /// arithmetic content). `Err` explains a literal the oracle cannot
+    /// interpret.
     fn constraints_of(
         &self,
         arena: &TermArena,
         atom_id: TermId,
         value: bool,
-        out: &mut Vec<LinConstraint>,
-    ) -> Result<(), String> {
+    ) -> LiteralConstraints {
+        let linearize = |id| LinExpr::from_id(arena, id, &self.index).ok();
         match arena.node(atom_id) {
-            Node::Var(_) | Node::App(_, _) | Node::Unknown(_, _) => {}
+            Node::Var(_) | Node::App(_, _) | Node::Unknown(_, _) => Ok(Vec::new()),
             Node::Binary(op, a, b) if op.is_arith_comparison() => {
-                let (op, a, b) = (*op, *a, *b);
-                let (ea, eb) = match (self.linearize(arena, a), self.linearize(arena, b)) {
-                    (Some(ea), Some(eb)) => (ea, eb),
-                    _ => {
-                        return Err(format!(
-                            "non-linear arithmetic atom: {}",
-                            arena.term(atom_id)
-                        ))
-                    }
-                };
-                out.push(arith_constraint(op, value, &ea, &eb));
+                match (linearize(*a), linearize(*b)) {
+                    (Some(ea), Some(eb)) => Ok(vec![arith_constraint(*op, value, &ea, &eb)]),
+                    _ => Err(format!(
+                        "non-linear arithmetic atom: {}",
+                        arena.term(atom_id)
+                    )),
+                }
             }
             Node::Binary(BinOp::Eq, a, b) => {
                 // Residual equalities (e.g. between uninterpreted-sorted
                 // terms) are treated as integer equalities.
-                let (a, b) = (*a, *b);
-                let (ea, eb) = match (self.linearize(arena, a), self.linearize(arena, b)) {
-                    (Some(ea), Some(eb)) => (ea, eb),
-                    _ => {
-                        return Err(format!(
-                            "cannot interpret equality atom: {}",
-                            arena.term(atom_id)
-                        ))
-                    }
+                let (Some(ea), Some(eb)) = (linearize(*a), linearize(*b)) else {
+                    return Err(format!(
+                        "cannot interpret equality atom: {}",
+                        arena.term(atom_id)
+                    ));
                 };
                 if !value {
                     // A negated equality is non-convex; it should have been
@@ -478,31 +512,52 @@ impl<'a> ArithTheory<'a> {
                         arena.term(atom_id)
                     ));
                 }
-                out.push(LinConstraint::ge0(ea.sub(&eb)));
-                out.push(LinConstraint::ge0(eb.sub(&ea)));
+                Ok(vec![
+                    LinConstraint::ge0(ea.sub(&eb)),
+                    LinConstraint::ge0(eb.sub(&ea)),
+                ])
             }
-            _ => return Err(format!("unsupported theory atom: {}", arena.term(atom_id))),
+            _ => Err(format!("unsupported theory atom: {}", arena.term(atom_id))),
         }
-        Ok(())
+    }
+
+    /// A dense model from [`check`](Theory::check), keyed by variable name
+    /// (for [`Solver::build_model`]); a variable past the model's end is
+    /// left out and reads zero there.
+    pub(crate) fn named_model<'t>(
+        &self,
+        arena: &'t TermArena,
+        model: &[Rat],
+    ) -> FxHashMap<&'t str, Rat> {
+        self.vars
+            .iter()
+            .zip(model)
+            .map(|(&id, &value)| (var_name(arena, id), value))
+            .collect()
+    }
+}
+
+/// The name of a `Var` node.
+fn var_name(arena: &TermArena, id: TermId) -> &str {
+    match arena.node(id) {
+        Node::Var(name) => name,
+        _ => unreachable!("only variables are numbered"),
     }
 }
 
 impl<'a> Theory for ArithTheory<'a> {
-    type Model = BTreeMap<String, Rat>;
+    type Model = Vec<Rat>;
 
     fn check(&self, arena: &TermArena, literals: &[(TermId, bool)]) -> TheoryResult<Self::Model> {
         let mut constraints: Vec<LinConstraint> = Vec::new();
-        for (atom_id, value) in literals {
-            if let Err(msg) = self.constraints_of(arena, *atom_id, *value, &mut constraints) {
-                return TheoryResult::Unknown(msg);
+        for &(atom_id, value) in literals {
+            match &*self.literal(arena, atom_id, value) {
+                Ok(cs) => constraints.extend(cs.iter().cloned()),
+                Err(msg) => return TheoryResult::Unknown(msg.clone()),
             }
         }
         // Every variable occurring in an arithmetic constraint is integer-sorted.
-        let mut int_vars: BTreeSet<String> = BTreeSet::new();
-        for c in &constraints {
-            int_vars.extend(c.expr.vars().cloned());
-        }
-        match self.lia.solve_integer(&constraints, &int_vars) {
+        match self.lia.solve_integer(constraints) {
             LiaResult::Sat(m) => TheoryResult::Consistent(m),
             LiaResult::Unsat => TheoryResult::Inconsistent,
             LiaResult::Unknown => TheoryResult::Unknown("arithmetic work limit exceeded".into()),
@@ -519,13 +574,12 @@ impl<'a> Theory for ArithTheory<'a> {
         literals: &[(TermId, bool)],
         model: &Self::Model,
     ) -> bool {
-        let mut constraints = Vec::new();
-        literals.iter().all(|(atom_id, value)| {
-            constraints.clear();
-            self.constraints_of(arena, *atom_id, *value, &mut constraints)
-                .is_ok()
-                && constraints.iter().all(|c| c.holds(model))
-        })
+        literals.iter().all(
+            |&(atom_id, value)| match &*self.literal(arena, atom_id, value) {
+                Ok(cs) => cs.iter().all(|c| c.holds(model)),
+                Err(_) => false,
+            },
+        )
     }
 }
 
@@ -557,15 +611,16 @@ struct Alias {
 }
 
 /// Replaces measure applications by fresh alias variables (same application
-/// → same alias), binding the aliases in `env`. Aliases are numbered in
-/// order of first occurrence, left to right, arguments first.
+/// → same alias), binding each alias's sort in the arena under
+/// [`ALIASED_ENV`]. Aliases are numbered in order of first occurrence, left
+/// to right, arguments first.
 struct Aliaser<'a> {
-    caller_env: &'a SortingEnv,
-    env: &'a mut SortingEnv,
+    /// The caller's environment, which sorts the applications.
+    env: &'a SortingEnv,
     /// The aliased form of each subterm already visited.
-    memo: HashMap<TermId, TermId>,
+    memo: FxHashMap<TermId, TermId>,
     /// The alias variable of each (argument-aliased) application.
-    by_app: HashMap<TermId, TermId>,
+    by_app: FxHashMap<TermId, TermId>,
     aliases: Vec<Alias>,
 }
 
@@ -583,11 +638,11 @@ impl Aliaser<'_> {
                     Some(&var) => var,
                     None => {
                         let sort = arena
-                            .sort_of_id(id, self.caller_env, CALLER_ENV)
+                            .sort_of_id(id, self.env, CALLER_ENV)
                             .unwrap_or(Sort::Int);
                         let name = format!("__m{}", self.aliases.len());
-                        self.env.bind_var(name.clone(), sort.clone());
                         let var = arena.mk(Node::Var(name.clone()));
+                        arena.assume_sort(var, ALIASED_ENV, sort.clone());
                         self.by_app.insert(app, var);
                         self.aliases.push(Alias { app, name, sort });
                         var
@@ -633,13 +688,13 @@ impl Aliaser<'_> {
 /// stages only see convex arithmetic atoms and implication-free booleans.
 /// Runs over interned ids, memoized per id: shared subformulas (which the
 /// premise-heavy validity queries of type checking are full of) are
-/// normalized once. `env` is the aliased environment; sorts are memoized
-/// under [`ALIASED_ENV`].
+/// normalized once. `env` is the caller's environment; sorts are read under
+/// [`ALIASED_ENV`], which adds the alias variables.
 fn normalize(
     arena: &mut TermArena,
     id: TermId,
     env: &SortingEnv,
-    memo: &mut HashMap<TermId, Result<TermId, String>>,
+    memo: &mut FxHashMap<TermId, Result<TermId, String>>,
 ) -> Result<TermId, String> {
     if let Some(r) = memo.get(&id) {
         return r.clone();
@@ -653,7 +708,7 @@ fn normalize_uncached(
     arena: &mut TermArena,
     id: TermId,
     env: &SortingEnv,
-    memo: &mut HashMap<TermId, Result<TermId, String>>,
+    memo: &mut FxHashMap<TermId, Result<TermId, String>>,
 ) -> Result<TermId, String> {
     Ok(match arena.node(id).clone() {
         Node::Binary(BinOp::Iff, a, b) => {
@@ -731,7 +786,7 @@ fn normalize_uncached(
 
 /// Case-split scalar conditionals out of atoms, and turn boolean-level
 /// conditionals into disjunctions. Memoized per id over the arena.
-fn lift_ites(arena: &mut TermArena, id: TermId, memo: &mut HashMap<TermId, TermId>) -> TermId {
+fn lift_ites(arena: &mut TermArena, id: TermId, memo: &mut FxHashMap<TermId, TermId>) -> TermId {
     if let Some(&r) = memo.get(&id) {
         return r;
     }
@@ -1062,6 +1117,40 @@ mod tests {
         let solver = Solver::new(int_env(&["x"]));
         let f = Term::unknown("U0").and(Term::var("x").ge(Term::int(0)));
         assert!(matches!(solver.check_sat(&[f]), SatResult::Unknown(_)));
+    }
+
+    #[test]
+    fn arith_theory_numbers_variables_in_name_order() {
+        // Interned z, b, m, a (and the boolean p): the index follows names,
+        // not interning order, so it matches a name-keyed kernel's order.
+        let f = Term::var("z")
+            .ge(Term::var("b") + Term::int(1))
+            .and(Term::var("m").le(Term::var("a")))
+            .and(Term::var("p"));
+        let mut arena = TermArena::new();
+        let id = arena.intern(&f);
+        let lia = LiaSolver::new();
+        let theory = ArithTheory::new(&lia, &arena, id);
+        let names: Vec<&str> = theory.vars.iter().map(|&v| var_name(&arena, v)).collect();
+        assert_eq!(names, ["a", "b", "m", "p", "z"]);
+        for (i, &v) in theory.vars.iter().enumerate() {
+            assert_eq!(theory.index[&v], i as u32);
+        }
+
+        // A model is read back under the same names.
+        let literals: Vec<(TermId, bool)> = arena
+            .conjuncts_id(id)
+            .into_iter()
+            .map(|a| (a, true))
+            .collect();
+        let TheoryResult::Consistent(model) = theory.check(&arena, &literals) else {
+            panic!("z ≥ b + 1 ∧ m ≤ a ∧ p is consistent");
+        };
+        let named = theory.named_model(&arena, &model);
+        let value = |name: &str| named.get(name).copied().unwrap_or(Rat::ZERO);
+        assert!(value("z") >= value("b") + Rat::ONE, "{named:?}");
+        assert!(value("m") <= value("a"), "{named:?}");
+        assert!(named.values().all(|r| r.is_integer()));
     }
 
     #[test]

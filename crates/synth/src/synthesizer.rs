@@ -13,6 +13,8 @@
 //! deadline unwinds as a clean `timed_out` outcome within one checkpoint
 //! interval instead of whenever the current phase happens to finish.
 
+use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use resyn_budget::Budget;
@@ -278,6 +280,7 @@ impl Synthesizer {
         let guard_fn = |scope: &[(String, Shape)]| enumerate::guards(goal, scope, budget);
         let skeletons = skeleton::generate(&param_shapes, &self.datatypes, &guard_fn, budget);
 
+        let mut eterms = ETermMemo::default();
         let mut program = None;
         for skel in &skeletons {
             if budget.is_exceeded() {
@@ -291,6 +294,7 @@ impl Synthesizer {
                 &params,
                 &param_shapes,
                 &ret_shape,
+                &mut eterms,
                 &mut stats,
                 budget,
             );
@@ -341,29 +345,35 @@ impl Synthesizer {
         params: &[(String, Ty, i64)],
         param_shapes: &[(String, Shape)],
         ret_shape: &Shape,
+        eterms: &mut ETermMemo,
         stats: &mut SynthStats,
         budget: &Budget,
     ) -> Option<Expr> {
-        // Candidate lists per hole (each enumeration observes the budget
-        // internally; a cancelled enumeration yields a truncated list and
-        // the loop checkpoint below stops the fill).
-        let mut candidates: Vec<Vec<Expr>> = Vec::with_capacity(skel.holes.len());
+        // Candidate lists per hole, enumerated once per scope of the goal
+        // (each enumeration observes the budget internally; a cancelled
+        // enumeration yields a truncated list and the loop checkpoint below
+        // stops the fill, as it stops every later one).
+        let mut candidates: Vec<Rc<[Expr]>> = Vec::with_capacity(skel.holes.len());
         for hole in &skel.holes {
             if budget.is_exceeded() {
                 return None;
             }
             let mut scope = param_shapes.to_vec();
             scope.extend(hole.binders.clone());
-            candidates.push(enumerate::eterms(
-                goal,
-                &self.datatypes,
-                &scope,
-                ret_shape,
-                self.eterm_cap,
-                budget,
-            ));
+            let list = eterms.entry(scope).or_insert_with_key(|scope| {
+                enumerate::eterms(
+                    goal,
+                    &self.datatypes,
+                    scope,
+                    ret_shape,
+                    self.eterm_cap,
+                    budget,
+                )
+                .into()
+            });
+            candidates.push(Rc::clone(list));
         }
-        if candidates.iter().any(Vec::is_empty) {
+        if candidates.iter().any(|list| list.is_empty()) {
             return None;
         }
 
@@ -436,6 +446,12 @@ impl Synthesizer {
     }
 }
 
+/// The E-terms of each hole scope met in one goal's search, keyed by the full
+/// ordered scope (the goal's parameters, then the hole's binders): most
+/// skeletons of a goal share their hole scopes, and the list depends on
+/// nothing else that varies within the search.
+type ETermMemo = HashMap<Vec<(String, Shape)>, Rc<[Expr]>>;
+
 /// Assemble the skeleton body with the holes below `open` replaced by their
 /// chosen candidates, hole `open` left as its variable, and the holes above
 /// it plugged with hole markers. With `open` equal to the hole count every
@@ -445,7 +461,7 @@ impl Synthesizer {
 /// loop only deepens a level after bounds-checking its counter, and resets
 /// it on backtrack. Indexing directly turns a violation of that invariant
 /// into a loud panic instead of a wrong-but-plausible program.
-fn build_body(skel: &Skeleton, candidates: &[Vec<Expr>], choice: &[usize], open: usize) -> Expr {
+fn build_body(skel: &Skeleton, candidates: &[Rc<[Expr]>], choice: &[usize], open: usize) -> Expr {
     let mut body = skel.body.clone();
     for (idx, &c) in choice.iter().enumerate().take(open) {
         debug_assert!(
