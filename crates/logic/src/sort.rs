@@ -6,8 +6,11 @@
 //! (non-negativity of potentials is enforced by explicit well-formedness
 //! constraints emitted by the type checker).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::term::{BinOp, Term, UnOp};
 
@@ -53,11 +56,41 @@ pub struct MeasureSig {
 
 /// A sorting environment: sorts of variables, signatures of measures and
 /// sorts of unknown predicates.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The measure table is shared between clones: the checker extends one copy
+/// of a registry's measures per query, and cloning it copies a pointer. Its
+/// fingerprint is computed when a measure is declared or absorbed, so
+/// hashing an environment costs one `u64` for all its measures.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortingEnv {
     vars: BTreeMap<String, Sort>,
-    measures: BTreeMap<String, MeasureSig>,
+    measures: Arc<BTreeMap<String, MeasureSig>>,
+    /// [`fingerprint_measures`] of `measures`.
+    measures_fp: u64,
     unknowns: BTreeMap<String, Sort>,
+}
+
+impl Default for SortingEnv {
+    fn default() -> Self {
+        let measures = Arc::default();
+        SortingEnv {
+            vars: BTreeMap::new(),
+            measures_fp: fingerprint_measures(&measures),
+            measures,
+            unknowns: BTreeMap::new(),
+        }
+    }
+}
+
+/// Hash every measure signature, in name order.
+fn fingerprint_measures(measures: &BTreeMap<String, MeasureSig>) -> u64 {
+    let mut h = DefaultHasher::new();
+    for (name, sig) in measures {
+        name.hash(&mut h);
+        sig.args.hash(&mut h);
+        sig.result.hash(&mut h);
+    }
+    h.finish()
 }
 
 /// Errors reported by sorting.
@@ -136,8 +169,8 @@ impl SortingEnv {
         args: Vec<Sort>,
         result: Sort,
     ) -> &mut Self {
-        self.measures
-            .insert(name.into(), MeasureSig { args, result });
+        Arc::make_mut(&mut self.measures).insert(name.into(), MeasureSig { args, result });
+        self.measures_fp = fingerprint_measures(&self.measures);
         self
     }
 
@@ -172,6 +205,12 @@ impl SortingEnv {
         self.measures.iter()
     }
 
+    /// A fingerprint of every declared measure signature: equal for equal
+    /// measure tables, and computed when the table changes, not per call.
+    pub fn measures_fingerprint(&self) -> u64 {
+        self.measures_fp
+    }
+
     /// Iterate over the declared unknowns and their sorts.
     pub fn unknowns(&self) -> impl Iterator<Item = (&String, &Sort)> {
         self.unknowns.iter()
@@ -182,10 +221,17 @@ impl SortingEnv {
         for (v, s) in &other.vars {
             self.vars.entry(v.clone()).or_insert_with(|| s.clone());
         }
-        for (m, sig) in &other.measures {
-            self.measures
-                .entry(m.clone())
-                .or_insert_with(|| sig.clone());
+        let adds_measures = !Arc::ptr_eq(&self.measures, &other.measures)
+            && other
+                .measures
+                .keys()
+                .any(|m| !self.measures.contains_key(m));
+        if adds_measures {
+            let measures = Arc::make_mut(&mut self.measures);
+            for (m, sig) in other.measures.iter() {
+                measures.entry(m.clone()).or_insert_with(|| sig.clone());
+            }
+            self.measures_fp = fingerprint_measures(measures);
         }
         for (u, s) in &other.unknowns {
             self.unknowns.entry(u.clone()).or_insert_with(|| s.clone());
@@ -386,6 +432,36 @@ mod tests {
             .declare_measure("elems", vec![Sort::Int], Sort::Set)
             .declare_unknown("U0", Sort::Bool);
         e
+    }
+
+    #[test]
+    fn measure_fingerprints_follow_the_measure_table() {
+        let fp = |e: &SortingEnv| e.measures_fingerprint();
+        // Built separately, with different variables: equal measure tables.
+        let mut other = SortingEnv::new();
+        other
+            .declare_measure("elems", vec![Sort::Int], Sort::Set)
+            .declare_measure("len", vec![Sort::Int], Sort::Int)
+            .bind_var("y", Sort::Int);
+        assert_eq!(fp(&env()), fp(&other));
+        assert_ne!(fp(&env()), fp(&SortingEnv::new()));
+
+        // Re-declaring a measure with another signature changes it.
+        let mut redeclared = env();
+        redeclared.declare_measure("len", vec![Sort::Int], Sort::Bool);
+        assert_ne!(fp(&env()), fp(&redeclared));
+
+        // Absorbing a new measure changes it; absorbing known ones does not.
+        let mut absorbed = env();
+        absorbed.absorb(&other);
+        assert_eq!(fp(&env()), fp(&absorbed));
+        let mut extra = SortingEnv::new();
+        extra.declare_measure("numgt", vec![Sort::Int, Sort::Int], Sort::Int);
+        absorbed.absorb(&extra);
+        assert_ne!(fp(&env()), fp(&absorbed));
+        assert!(absorbed.measure_sig("numgt").is_some());
+        // The environment absorbed from is untouched.
+        assert_eq!(other.measures().count(), 2);
     }
 
     #[test]

@@ -390,12 +390,8 @@ fn fingerprint_env(env: &SortingEnv) -> u64 {
         name.hash(&mut h);
         sort.hash(&mut h);
     }
-    for (name, sig) in env.measures() {
-        "m".hash(&mut h);
-        name.hash(&mut h);
-        sig.args.hash(&mut h);
-        sig.result.hash(&mut h);
-    }
+    "m".hash(&mut h);
+    env.measures_fingerprint().hash(&mut h);
     for (name, sort) in env.unknowns() {
         "u".hash(&mut h);
         name.hash(&mut h);

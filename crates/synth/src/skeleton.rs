@@ -177,15 +177,15 @@ fn guard_split(builder: &mut Builder, binders: &[(String, Shape)], guards: &[Exp
 
 /// The guard combinations tried at one scope, in search order: no guard,
 /// then each guard alone, then each ordered pair of distinct guards.
-fn guard_combos(guards: &[Expr]) -> impl Iterator<Item = Vec<Expr>> + '_ {
-    let singles = guards.iter().map(|g| vec![g.clone()]);
-    let pairs = guards.iter().flat_map(move |g1| {
-        guards
-            .iter()
-            .filter(move |g2| *g2 != g1)
-            .map(move |g2| vec![g1.clone(), g2.clone()])
-    });
-    std::iter::once(Vec::new()).chain(singles).chain(pairs)
+fn guard_combos(guards: Vec<Expr>) -> impl Iterator<Item = Vec<Expr>> {
+    let n = guards.len();
+    let picks = std::iter::once(Vec::new())
+        .chain((0..n).map(|i| vec![i]))
+        .chain((0..n).flat_map(move |i| (0..n).map(move |j| vec![i, j])));
+    picks.filter_map(move |pick| match pick[..] {
+        [i, j] if guards[i] == guards[j] => None,
+        _ => Some(pick.iter().map(|&i| guards[i].clone()).collect()),
+    })
 }
 
 /// A match on `outer` whose arms re-match `inner`: every arm when
@@ -218,81 +218,112 @@ fn nested_match(
     })
 }
 
+/// The match structure of one scope of the guarded families (3–5): every
+/// guard combination of the scope splits its innermost arms.
+enum Matches<'a> {
+    /// A match on one datatype parameter (family 3).
+    One(&'a str, &'a str),
+    /// A match on `outer` whose arms re-match `inner` (families 4 and 5; see
+    /// `nested_match`).
+    Nested {
+        outer: (&'a str, &'a str),
+        inner: (String, String),
+        in_every_arm: bool,
+    },
+}
+
+impl Matches<'_> {
+    /// The skeleton of this structure with its innermost arms split by
+    /// `guards`; `None` when a matched datatype is unknown.
+    fn build(&self, datatypes: &Datatypes, guards: &[Expr]) -> Option<Skeleton> {
+        build(guards.len(), |b| match self {
+            Matches::One(p, d) => match_on(b, datatypes, p, d, 1, |b, binders| {
+                let split = if binders.is_empty() { &[][..] } else { guards };
+                guard_split(b, &binders, split)
+            }),
+            Matches::Nested {
+                outer,
+                inner,
+                in_every_arm,
+            } => nested_match(
+                b,
+                datatypes,
+                *outer,
+                (&inner.0, &inner.1),
+                *in_every_arm,
+                guards,
+            ),
+        })
+    }
+}
+
+/// One scope of the guarded families: a match structure and the binders,
+/// beyond the parameters, that its guards may use.
+struct Scope<'a> {
+    matches: Matches<'a>,
+    binders: Vec<(String, Shape)>,
+}
+
 /// A function from the binders in scope to the guard expressions to try.
 pub type GuardCandidates<'a> = &'a dyn Fn(&[(String, Shape)]) -> Vec<Expr>;
 
-/// Generate the skeletons for a goal with the given parameters, in order of
-/// increasing structural complexity. `guard_candidates` is a function from the
-/// binders in scope to the guard expressions to try.
+/// The skeletons for a goal with the given parameters, in order of
+/// increasing structural complexity, each built only when the caller pulls
+/// it. `guard_candidates` is a function from the binders in scope to the
+/// guard expressions to try; it is called once per scope, when the search
+/// first reaches that scope.
 ///
-/// Guard-pair enumeration is quadratic in the guard count, so the generator
-/// checks the `budget` between combinations and returns the skeletons built
-/// so far when it runs out — the caller's checkpoint reports the timeout.
-pub fn generate(
-    params: &[(String, Shape)],
-    datatypes: &Datatypes,
-    guard_candidates: GuardCandidates<'_>,
-    budget: &Budget,
-) -> Vec<Skeleton> {
-    let mut out = Vec::new();
-
-    // 1. A single hole (straight-line programs such as `triple`).
-    out.extend(build(0, |b| Some(b.hole(Vec::new()))));
-
-    // 2. Guard-split at the top (integer recursion: replicate, range, …).
-    for g in guard_candidates(params) {
-        out.extend(build(1, |b| Some(guard_split(b, &[], &[g]))));
-    }
-
-    let data_params: Vec<(&str, &str)> = params
-        .iter()
-        .filter_map(|(n, s)| match s {
+/// Guard-pair enumeration is quadratic in the guard count, so the iterator
+/// checks the `budget` before each guard combination of families 3–5 and
+/// ends when it runs out — the caller's checkpoint reports the timeout.
+pub fn skeletons<'a>(
+    params: &'a [(String, Shape)],
+    datatypes: &'a Datatypes,
+    guard_candidates: GuardCandidates<'a>,
+    budget: &'a Budget,
+) -> impl Iterator<Item = Skeleton> + 'a {
+    let data_params = move || {
+        params.iter().filter_map(|(n, s)| match s {
             Shape::Data(d) => Some((n.as_str(), d.as_str())),
             _ => None,
         })
-        .collect();
-    let guards_at = |binders: &[&[(String, Shape)]]| {
-        let mut scope = params.to_vec();
-        scope.extend(binders.iter().flat_map(|bs| bs.iter().cloned()));
-        guard_candidates(&scope)
     };
+
+    // 1. A single hole (straight-line programs such as `triple`).
+    let single = std::iter::once_with(|| build(0, |b| Some(b.hole(Vec::new()))));
+
+    // 2. Guard-split at the top (integer recursion: replicate, range, …).
+    let top = std::iter::once_with(move || guard_candidates(params))
+        .flatten()
+        .map(|g| build(1, |b| Some(guard_split(b, &[], &[g]))));
 
     // 3. Match on each datatype parameter; the recursive arm may be split by
     //    zero, one or two guards.
-    for &(p, d) in &data_params {
-        let guards = guards_at(&[&recursive_arm_binders(datatypes, d, 1)]);
-        for combo in guard_combos(&guards) {
-            if budget.is_exceeded() {
-                return out;
-            }
-            out.extend(build(combo.len(), |b| {
-                match_on(b, datatypes, p, d, 1, |b, binders| {
-                    let split = if binders.is_empty() { &[][..] } else { &combo };
-                    guard_split(b, &binders, split)
-                })
-            }));
-        }
-    }
+    let matches = data_params().map(move |(p, d)| Scope {
+        matches: Matches::One(p, d),
+        binders: recursive_arm_binders(datatypes, d, 1),
+    });
 
     // 4. Nested match on the first two datatype parameters, with the innermost
     //    arm split by zero, one or two guards (common, diff, zip, compare, …).
     //    The second parameter is matched in *every* arm of the first: the
     //    base arm of e.g. `compare`/`common` still needs to distinguish an
     //    empty from a non-empty second argument.
-    if let [(p1, d1), (p2, d2), ..] = data_params[..] {
-        let guards = guards_at(&[
-            &recursive_arm_binders(datatypes, d1, 1),
-            &recursive_arm_binders(datatypes, d2, 2),
-        ]);
-        for combo in guard_combos(&guards) {
-            if budget.is_exceeded() {
-                return out;
-            }
-            out.extend(build(combo.len(), |b| {
-                nested_match(b, datatypes, (p1, d1), (p2, d2), true, &combo)
-            }));
-        }
-    }
+    let nested = std::iter::once_with(move || {
+        let mut data = data_params();
+        let ((p1, d1), (p2, d2)) = (data.next()?, data.next()?);
+        let mut binders = recursive_arm_binders(datatypes, d1, 1);
+        binders.extend(recursive_arm_binders(datatypes, d2, 2));
+        Some(Scope {
+            matches: Matches::Nested {
+                outer: (p1, d1),
+                inner: (p2.to_string(), d2.to_string()),
+                in_every_arm: true,
+            },
+            binders,
+        })
+    })
+    .flatten();
 
     // 5. Match on a datatype parameter whose recursive arm re-matches the
     //    *tail binder* (a match binder, not a parameter) — the adjacent-pair
@@ -300,25 +331,53 @@ pub fn generate(
     //    head and the head-of-tail, and may be split by zero, one or two
     //    guards comparing them. Appended after the flatter families so the
     //    lowest-index-wins search order still prefers simpler programs.
-    for &(p, d) in &data_params {
+    let tail_rematches = data_params().flat_map(move |(p, d)| {
         let outer_binders = recursive_arm_binders(datatypes, d, 1);
-        for (tail, shape) in &outer_binders {
-            let Shape::Data(td) = shape else {
-                continue;
-            };
-            let guards = guards_at(&[&outer_binders, &recursive_arm_binders(datatypes, td, 2)]);
-            for combo in guard_combos(&guards) {
-                if budget.is_exceeded() {
-                    return out;
-                }
-                out.extend(build(combo.len(), |b| {
-                    nested_match(b, datatypes, (p, d), (tail, td), false, &combo)
-                }));
-            }
-        }
-    }
+        outer_binders
+            .clone()
+            .into_iter()
+            .filter_map(move |(tail, shape)| {
+                let Shape::Data(td) = shape else {
+                    return None;
+                };
+                let mut binders = outer_binders.clone();
+                binders.extend(recursive_arm_binders(datatypes, &td, 2));
+                Some(Scope {
+                    matches: Matches::Nested {
+                        outer: (p, d),
+                        inner: (tail, td),
+                        in_every_arm: false,
+                    },
+                    binders,
+                })
+            })
+    });
 
-    out
+    // Each scope's guards are enumerated when the search reaches it; a
+    // failed budget checkpoint (`None`) ends the iterator.
+    let guarded = matches
+        .chain(nested)
+        .chain(tail_rematches)
+        .flat_map(move |scope| {
+            let mut vars = params.to_vec();
+            vars.extend(scope.binders);
+            let matches = scope.matches;
+            guard_combos(guard_candidates(&vars))
+                .map(move |combo| (!budget.is_exceeded()).then(|| matches.build(datatypes, &combo)))
+        })
+        .map_while(|step| step);
+
+    single.chain(top).chain(guarded).flatten()
+}
+
+/// Every skeleton of [`skeletons`], collected.
+pub fn generate(
+    params: &[(String, Shape)],
+    datatypes: &Datatypes,
+    guard_candidates: GuardCandidates<'_>,
+    budget: &Budget,
+) -> Vec<Skeleton> {
+    skeletons(params, datatypes, guard_candidates, budget).collect()
 }
 
 /// The binders of the (first) recursive constructor arm of a datatype, using
@@ -506,6 +565,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn skeletons_are_built_only_when_pulled() {
+        // Guards are enumerated per scope when the search first reaches the
+        // scope, so a search that stops early never pays for later families.
+        let datatypes = Datatypes::standard();
+        let list = Shape::Data("List".into());
+        let params = vec![("xs".to_string(), list.clone()), ("ys".to_string(), list)];
+        let calls = std::cell::Cell::new(0);
+        let two_guards = |scope: &[(String, Shape)]| {
+            calls.set(calls.get() + 1);
+            scope
+                .iter()
+                .take(2)
+                .map(|(n, _)| Expr::app(Expr::var("p"), Expr::var(n.clone())))
+                .collect::<Vec<_>>()
+        };
+        let budget = Budget::unlimited();
+
+        let first: Vec<Skeleton> = skeletons(&params, &datatypes, &two_guards, &budget)
+            .take(1)
+            .collect();
+        assert_eq!(first[0].holes.len(), 1);
+        assert_eq!(calls.get(), 0, "the single-hole skeleton needs no guards");
+
+        // Families 1-2: the single hole, then one top-level split per guard.
+        let top: Vec<Skeleton> = skeletons(&params, &datatypes, &two_guards, &budget)
+            .take(3)
+            .collect();
+        let guards: Vec<usize> = top.iter().map(|s| s.guards).collect();
+        assert_eq!(guards, [0, 1, 1]);
+        assert_eq!(
+            calls.get(),
+            1,
+            "only the top-level scope's guards are enumerated"
+        );
+
+        // The lazy and collected forms agree.
+        let all = generate(&params, &datatypes, &two_guards, &budget);
+        let lazy: Vec<Skeleton> = skeletons(&params, &datatypes, &two_guards, &budget).collect();
+        assert_eq!(format!("{all:?}"), format!("{lazy:?}"));
     }
 
     #[test]

@@ -21,7 +21,9 @@ use resyn_budget::Budget;
 use resyn_lang::Expr;
 use resyn_rescon::{CegisSolver, IncrementalCegis, RcResult};
 use resyn_solver::SolverCache;
-use resyn_ty::check::{CheckError, CheckOutcome, Checker, CheckerConfig, HoleFrame, ResourceMode};
+use resyn_ty::check::{
+    CheckError, CheckOutcome, Checker, CheckerConfig, HoleFrame, Prepared, ResourceMode,
+};
 use resyn_ty::datatypes::Datatypes;
 use resyn_ty::types::Ty;
 
@@ -262,7 +264,6 @@ impl Synthesizer {
         // handle counters so the reported statistics cover this run only
         // (handle counters exclude concurrent sharers of the same tables).
         let cache_before = self.cache.handle_stats();
-        let mut stats = SynthStats::default();
 
         // Parameter shapes drive skeleton generation.
         let (params, ret_ty) = goal.schema.ty.uncurry();
@@ -273,35 +274,17 @@ impl Synthesizer {
         let Some(ret_shape) = Shape::of(&ret_ty) else {
             return SynthOutcome {
                 program: None,
-                stats,
+                stats: SynthStats::default(),
             };
         };
 
+        let mut search =
+            GoalSearch::new(self, goal, mode, budget, params, &param_shapes, ret_shape);
         let guard_fn = |scope: &[(String, Shape)]| enumerate::guards(goal, scope, budget);
-        let skeletons = skeleton::generate(&param_shapes, &self.datatypes, &guard_fn, budget);
-
-        let mut eterms = ETermMemo::default();
-        let mut program = None;
-        for skel in &skeletons {
-            if budget.is_exceeded() {
-                break;
-            }
-            stats.skeletons += 1;
-            program = self.fill_skeleton(
-                goal,
-                mode,
-                skel,
-                &params,
-                &param_shapes,
-                &ret_shape,
-                &mut eterms,
-                &mut stats,
-                budget,
-            );
-            if program.is_some() {
-                break;
-            }
-        }
+        let program = skeleton::skeletons(&param_shapes, &self.datatypes, &guard_fn, budget)
+            .take_while(|_| !budget.is_exceeded())
+            .find_map(|skel| search.fill_skeleton(&skel));
+        let mut stats = search.stats;
 
         stats.duration = start.elapsed();
         stats.timed_out = program.is_none() && budget.is_exceeded();
@@ -321,13 +304,65 @@ impl Synthesizer {
         stats.interned_terms = cs.interned_terms - before.interned_terms;
         stats.solver_unknowns = cs.unknowns - before.unknowns;
     }
+}
+
+/// The state of one goal's search, built once per goal: everything a
+/// skeleton fill needs that does not depend on the skeleton.
+struct GoalSearch<'s> {
+    synth: &'s Synthesizer,
+    goal: &'s Goal,
+    mode: Mode,
+    budget: &'s Budget,
+    /// The goal's parameters, which wrap an accepted body into a program.
+    params: Vec<(String, Ty, i64)>,
+    /// The shapes of the parameters: every hole scope starts with them.
+    param_shapes: &'s [(String, Shape)],
+    ret_shape: Shape,
+    /// Checks partial candidates at their hole.
+    partial: Checker,
+    /// Checks complete programs.
+    complete: Checker,
+    /// The goal's signature, prepared once and shared by both checkers.
+    frame: Prepared,
+    eterms: ETermMemo,
+    stats: SynthStats,
+}
+
+impl<'s> GoalSearch<'s> {
+    fn new(
+        synth: &'s Synthesizer,
+        goal: &'s Goal,
+        mode: Mode,
+        budget: &'s Budget,
+        params: Vec<(String, Ty, i64)>,
+        param_shapes: &'s [(String, Shape)],
+        ret_shape: Shape,
+    ) -> GoalSearch<'s> {
+        let partial = synth.checker(goal, mode, true, budget);
+        let complete = synth.checker(goal, mode, false, budget);
+        let frame = partial.prepare(&goal.name, &goal.schema, &goal.components);
+        GoalSearch {
+            synth,
+            goal,
+            mode,
+            budget,
+            params,
+            param_shapes,
+            ret_shape,
+            partial,
+            complete,
+            frame,
+            eterms: ETermMemo::default(),
+            stats: SynthStats::default(),
+        }
+    }
 
     /// Wrap a body into the `fix`/λ chain matching the goal parameters.
-    fn wrap(&self, goal: &Goal, params: &[(String, Ty, i64)], body: Expr) -> Expr {
+    fn wrap(&self, body: Expr) -> Expr {
         let mut expr = body;
-        for (i, (name, _, _)) in params.iter().enumerate().rev() {
+        for (i, (name, _, _)) in self.params.iter().enumerate().rev() {
             if i == 0 {
-                expr = Expr::fix(goal.name.clone(), name.clone(), expr);
+                expr = Expr::fix(self.goal.name.clone(), name.clone(), expr);
             } else {
                 expr = Expr::lambda(name.clone(), expr);
             }
@@ -336,19 +371,9 @@ impl Synthesizer {
     }
 
     /// Fill the holes of a skeleton left-to-right with backtracking.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_skeleton(
-        &self,
-        goal: &Goal,
-        mode: Mode,
-        skel: &Skeleton,
-        params: &[(String, Ty, i64)],
-        param_shapes: &[(String, Shape)],
-        ret_shape: &Shape,
-        eterms: &mut ETermMemo,
-        stats: &mut SynthStats,
-        budget: &Budget,
-    ) -> Option<Expr> {
+    fn fill_skeleton(&mut self, skel: &Skeleton) -> Option<Expr> {
+        let (synth, goal, mode, budget) = (self.synth, self.goal, self.mode, self.budget);
+        self.stats.skeletons += 1;
         // Candidate lists per hole, enumerated once per scope of the goal
         // (each enumeration observes the budget internally; a cancelled
         // enumeration yields a truncated list and the loop checkpoint below
@@ -358,15 +383,15 @@ impl Synthesizer {
             if budget.is_exceeded() {
                 return None;
             }
-            let mut scope = param_shapes.to_vec();
+            let mut scope = self.param_shapes.to_vec();
             scope.extend(hole.binders.clone());
-            let list = eterms.entry(scope).or_insert_with_key(|scope| {
+            let list = self.eterms.entry(scope).or_insert_with_key(|scope| {
                 enumerate::eterms(
                     goal,
-                    &self.datatypes,
+                    &synth.datatypes,
                     scope,
-                    ret_shape,
-                    self.eterm_cap,
+                    &self.ret_shape,
+                    synth.eterm_cap,
                     budget,
                 )
                 .into()
@@ -377,17 +402,12 @@ impl Synthesizer {
             return None;
         }
 
-        // Every candidate of this fill is checked in one prepared frame of the
-        // goal's signature. A partial candidate is checked at its hole, in a
-        // hole frame built once per (level, prefix): `frames[k]` holds the
-        // checking state at hole `k` for the current choices below `k`, and
-        // is dropped as soon as one of them changes. A complete program is
-        // checked whole; only accepted programs are wrapped.
-        let partial = self.checker(goal, mode, true, budget);
-        let complete = self.checker(goal, mode, false, budget);
-        let frame = partial.prepare(&goal.name, &goal.schema, &goal.components);
-
-        // Backtracking over candidate indices.
+        // Every candidate is checked in the goal's prepared frame. A partial
+        // candidate is checked at its hole, in a hole frame built once per
+        // (level, prefix): `frames[k]` holds the checking state at hole `k`
+        // for the current choices below `k`, and is dropped as soon as one
+        // of them changes. A complete program is checked whole; only
+        // accepted programs are wrapped.
         let n = skel.holes.len();
         let mut choice = vec![0usize; n];
         let mut frames: Vec<HoleFrame> = Vec::with_capacity(n);
@@ -399,16 +419,17 @@ impl Synthesizer {
             if level == n {
                 // Complete program: final acceptance.
                 let body = build_body(skel, &candidates, &choice, n);
-                stats.candidates_checked += 1;
-                if self.solved(mode, complete.check_body(&frame, &body), budget) {
-                    let program = self.wrap(goal, params, body);
+                self.stats.candidates_checked += 1;
+                let outcome = self.complete.check_body(&self.frame, &body);
+                if synth.solved(mode, outcome, budget) {
+                    let program = self.wrap(body);
                     if !matches!(mode, Mode::Eac) {
                         return Some(program);
                     }
                     // EAC: the program is functionally correct; now check
                     // its resources.
-                    stats.resource_rechecks += 1;
-                    if self.accepts(goal, Mode::ReSyn, &program, false, budget) {
+                    self.stats.resource_rechecks += 1;
+                    if synth.accepts(goal, Mode::ReSyn, &program, false, budget) {
                         return Some(program);
                     }
                 }
@@ -431,13 +452,16 @@ impl Synthesizer {
             }
             if frames.len() == level {
                 let open = build_body(skel, &candidates, &choice, level);
-                frames.push(partial.prepare_hole(&frame, &open, &skeleton::hole_var(level)));
+                let hole = skeleton::hole_var(level);
+                frames.push(self.partial.prepare_hole(&self.frame, &open, &hole));
             }
             // Check the partial program: the current candidate at its hole.
-            stats.candidates_checked += 1;
+            self.stats.candidates_checked += 1;
             let candidate = &candidates[level][choice[level]];
-            let outcome = partial.check_hole(&frame, &frames[level], candidate);
-            if self.solved(mode, outcome, budget) {
+            let outcome = self
+                .partial
+                .check_hole(&self.frame, &frames[level], candidate);
+            if synth.solved(mode, outcome, budget) {
                 level += 1;
             } else {
                 choice[level] += 1;
