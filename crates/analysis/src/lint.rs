@@ -310,9 +310,6 @@ fn refinement_positions(
     let (params, ret) = schema.ty.uncurry();
     let mut out = Vec::new();
     let mut ctx = Ctx::new();
-    for a in &schema.tyvars {
-        ctx.add_tyvar(a.clone());
-    }
     let positions: Vec<(String, Ty)> = params
         .iter()
         .map(|(n, t, _)| (format!("parameter `{n}`"), t.clone()))

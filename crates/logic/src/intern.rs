@@ -37,7 +37,9 @@
 //! ```
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::conj::Conj;
 use crate::fxhash::{FxHashMap, FxHashSet};
 
 use crate::sort::{self, Sort, SortError, SortingEnv};
@@ -119,9 +121,35 @@ pub struct InternStats {
     pub memo_misses: u64,
 }
 
+/// The identity of one arena, drawn fresh for every new or cloned arena: a
+/// [`Conj`] memoizes the ids it was interned to under its arena's tag, and
+/// an id is only meaningful in the arena that handed it out.
+#[derive(Debug)]
+struct ArenaTag(u64);
+
+impl ArenaTag {
+    fn fresh() -> ArenaTag {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        ArenaTag(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for ArenaTag {
+    fn default() -> ArenaTag {
+        ArenaTag::fresh()
+    }
+}
+
+impl Clone for ArenaTag {
+    fn clone(&self) -> ArenaTag {
+        ArenaTag::fresh()
+    }
+}
+
 /// The hash-consing interner.
 #[derive(Debug, Clone, Default)]
 pub struct TermArena {
+    tag: ArenaTag,
     nodes: Vec<Node>,
     index: FxHashMap<Node, TermId>,
     simplify_memo: FxHashMap<TermId, TermId>,
@@ -219,6 +247,43 @@ impl TermArena {
                 self.mk(Node::Unknown(u.clone(), pending))
             }
         }
+    }
+
+    /// Intern the conjunction `conj` stands for: the id of
+    /// `intern(&conj.to_term())`, with the same nodes created in the same
+    /// order, since `Term::and_all` is a left fold whose spine interning
+    /// visits fact by fact. Each link of `conj` memoizes the id of the
+    /// conjunction up to it for the first arena that interns it, so a later
+    /// call on that arena interns only the facts pushed since; a link
+    /// memoized for another arena is interned again on every call here. A
+    /// conjunction holding `false`
+    /// interns `false` alone, as `Term::and_all` absorbs the rest.
+    pub fn intern_conj(&mut self, conj: &Conj) -> TermId {
+        if conj.is_false() {
+            return self.ff_id();
+        }
+        // Walk back to the newest prefix this arena memoized, then fold the
+        // facts after it in oldest-first, as `Term::and_all` does.
+        let tag = self.tag.0;
+        let mut acc = None;
+        let mut pending = Vec::new();
+        for link in conj.links() {
+            if let Some(id) = link.spine(tag) {
+                acc = Some(id);
+                break;
+            }
+            pending.push(link);
+        }
+        for link in pending.into_iter().rev() {
+            let fact = self.intern(link.fact());
+            let id = match acc {
+                None => fact,
+                Some(prefix) => self.and_id(prefix, fact),
+            };
+            link.memoize(tag, id);
+            acc = Some(id);
+        }
+        acc.unwrap_or_else(|| self.tt_id())
     }
 
     /// Reconstruct the tree term of an id.

@@ -18,7 +18,9 @@
 //! simplification. The [`intern`] module adds a hash-consing [`TermArena`]:
 //! copyable [`TermId`] handles with O(1) equality and memoized id-based
 //! versions of the simplification and sorting passes. Tables keyed on ids
-//! hash with the [`fxhash`] hasher.
+//! hash with the [`fxhash`] hasher. A [`Conj`] is a persistent conjunction
+//! (a typing context's path condition) that remembers what it was interned
+//! to, so that each of its facts is interned once per arena.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 //! assert_eq!(t.eval(&m).unwrap(), Value::Bool(true));
 //! ```
 
+pub mod conj;
 pub mod eval;
 pub mod fv;
 pub mod fxhash;
@@ -43,6 +46,7 @@ pub mod sort;
 pub mod subst;
 pub mod term;
 
+pub use conj::Conj;
 pub use eval::{EvalError, Model, Value};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use intern::{InternStats, TermArena, TermId};

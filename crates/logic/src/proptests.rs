@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use crate::conj::Conj;
 use crate::eval::{Model, Value};
 use crate::intern::TermArena;
 use crate::sort::{Sort, SortingEnv};
@@ -180,6 +181,23 @@ fn arb_long_spine() -> impl Strategy<Value = Term> {
     })
 }
 
+/// A strategy producing a branching history of conjunctions over a small
+/// fact pool (with `true`, `false` and unknowns in it), plus some of the pool
+/// to intern beforehand. Each step is `(from, fact, kind)`: extend the
+/// `from`-th conjunction so far by a fact (kind 0), do that and intern the
+/// result (kind 1), or intern the `from`-th conjunction again (kind 2). So
+/// conjunctions share prefixes, and queries revisit them.
+#[allow(clippy::type_complexity)]
+fn arb_conj_history() -> impl Strategy<Value = (Vec<Term>, usize, Vec<(usize, usize, usize)>)> {
+    let pool = proptest::collection::vec(arb_symbolic_term(), 3..7).prop_map(|mut pool| {
+        pool.push(Term::tt());
+        pool.push(Term::ff());
+        pool
+    });
+    let steps = proptest::collection::vec((0usize..64, 0usize..64, 0usize..3), 1..40);
+    (pool, 0usize..4, steps)
+}
+
 fn model(x: i64, y: i64, z: i64) -> Model {
     let mut m = Model::new();
     m.insert("x", Value::Int(x))
@@ -331,6 +349,46 @@ proptest! {
             let once = arena.simplify_id(id);
             let twice = arena.simplify_id(once);
             prop_assert_eq!(once, twice);
+        }
+    }
+
+    /// A conjunction interns to the term `Term::and_all(facts)`, and to the
+    /// id `intern` gives it on an arena with the same prior contents,
+    /// creating the same number of nodes, however its prefixes were
+    /// memoized before; and its unknown answer is that of the term.
+    #[test]
+    fn conjunctions_intern_like_and_all((pool, prior, steps) in arb_conj_history()) {
+        let mut memo = TermArena::new();
+        let mut reference = TermArena::new();
+        for t in &pool[..prior.min(pool.len())] {
+            memo.intern(t);
+            reference.intern(t);
+        }
+        let mut conjs = vec![Conj::new()];
+        for (from, fact, kind) in steps {
+            let mut conj = conjs[from % conjs.len()].clone();
+            if kind < 2 {
+                conj.push(pool[fact % pool.len()].clone());
+            }
+            if kind > 0 {
+                let term = conj.to_term();
+                let id = memo.intern_conj(&conj);
+                prop_assert_eq!(id, reference.intern(&term));
+                prop_assert_eq!(memo.len(), reference.len());
+                prop_assert_eq!(memo.term(id), term);
+                prop_assert_eq!(conj.has_unknowns(), term.has_unknowns());
+            }
+            conjs.push(conj);
+        }
+    }
+
+    /// The short-circuiting predicates agree with the collecting passes.
+    #[test]
+    fn term_predicates_agree_with_collections(t in arb_any_term()) {
+        prop_assert_eq!(t.has_unknowns(), !t.unknowns().is_empty());
+        for m in ["len", "elems", "numgt", "undeclared"] {
+            let listed = t.measure_apps().iter().any(|(n, _)| n == m);
+            prop_assert_eq!(t.mentions_measure(m), listed);
         }
     }
 }

@@ -378,9 +378,32 @@ impl Term {
         }
     }
 
-    /// Does the term contain any unknown?
+    /// Does the term contain any unknown? Stops at the first one.
     pub fn has_unknowns(&self) -> bool {
-        !self.unknowns().is_empty()
+        self.any_subterm(&|t| matches!(t, Term::Unknown(_, _)))
+    }
+
+    /// Does the term apply the measure `name` anywhere (as
+    /// [`measure_apps`](Term::measure_apps) would list it)? Stops at the
+    /// first application.
+    pub fn mentions_measure(&self, name: &str) -> bool {
+        self.any_subterm(&|t| matches!(t, Term::App(m, _) if m == name))
+    }
+
+    /// Does `pred` hold of the term or of any of its subterms (an unknown's
+    /// pending substitution included)? Stops at the first match.
+    fn any_subterm(&self, pred: &impl Fn(&Term) -> bool) -> bool {
+        if pred(self) {
+            return true;
+        }
+        match self {
+            Term::Var(_) | Term::Bool(_) | Term::Int(_) | Term::EmptySet | Term::SetLit(_) => false,
+            Term::Singleton(t) | Term::Unary(_, t) | Term::Mul(_, t) => t.any_subterm(pred),
+            Term::Binary(_, a, b) => a.any_subterm(pred) || b.any_subterm(pred),
+            Term::Ite(c, t, e) => c.any_subterm(pred) || t.any_subterm(pred) || e.any_subterm(pred),
+            Term::App(_, args) => args.iter().any(|a| a.any_subterm(pred)),
+            Term::Unknown(_, subst) => subst.iter().any(|(_, t)| t.any_subterm(pred)),
+        }
     }
 
     /// Collect every measure-application subterm (name, args).

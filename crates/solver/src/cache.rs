@@ -55,7 +55,7 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use resyn_logic::{FxHashMap, Model, SortingEnv, Term, TermArena, TermId, Value};
+use resyn_logic::{Conj, FxHashMap, Model, SortingEnv, Term, TermArena, TermId, Value};
 
 use crate::smt::SatResult;
 
@@ -287,45 +287,54 @@ impl SolverCache {
             .fetch_add(interned as u64, Ordering::Relaxed);
     }
 
-    /// Look up the satisfiability of `premises` (`conclusion: None`) or the
-    /// satisfiability of `premises ∧ ¬conclusion` that decides the validity
-    /// of `premises ⟹ conclusion`. On a hit the cached verdict is returned;
-    /// on a miss the interned key is returned so the caller can solve the
-    /// query and [`store`](SolverCache::store) the verdict.
+    /// Look up the satisfiability of `path ∧ premises` (`conclusion: None`)
+    /// or the satisfiability of `path ∧ premises ∧ ¬conclusion` that decides
+    /// the validity of `path ∧ premises ⟹ conclusion`, under the
+    /// environment with fingerprint `env_fp` ([`fingerprint_env`]). The path
+    /// condition is one premise, interned through its memo
+    /// ([`TermArena::intern_conj`]): a path this arena already interned up
+    /// to its last fact costs nothing. On a hit `read` is applied to the
+    /// cached verdict in place; on a miss the interned key is returned so
+    /// the caller can solve the query and [`store`](SolverCache::store) the
+    /// verdict.
     ///
     /// # Errors
     ///
     /// The `Err` variant is the cache-miss key, not a failure.
-    pub(crate) fn lookup(
+    pub(crate) fn lookup<R>(
         &self,
-        env: &SortingEnv,
+        env_fp: u64,
         config_fp: u64,
+        path: Option<&Conj>,
         premises: &[Term],
         conclusion: Option<&Term>,
-    ) -> Result<SatResult, QueryKey> {
-        let env_fp = fingerprint_env(env);
-        let mut inner = self.lock();
-        let arena_before = inner.arena.len();
-        let mut premise_ids: Vec<TermId> = premises.iter().map(|p| inner.arena.intern(p)).collect();
+        read: impl FnOnce(&SatResult) -> R,
+    ) -> Result<R, QueryKey> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let arena = &mut inner.arena;
+        let arena_before = arena.len();
+        let mut premise_ids: Vec<TermId> = path.map(|p| arena.intern_conj(p)).into_iter().collect();
+        premise_ids.extend(premises.iter().map(|p| arena.intern(p)));
         premise_ids.sort_unstable();
         premise_ids.dedup();
         let key = QueryKey {
             env_fp,
             config_fp,
             premises: premise_ids,
-            conclusion: conclusion.map(|c| inner.arena.intern(c)),
+            conclusion: conclusion.map(|c| arena.intern(c)),
         };
-        let interned = inner.arena.len() - arena_before;
+        let interned = arena.len() - arena_before;
         let hit = inner.table.get_mut(&key).map(|entry| {
             entry.referenced = true;
-            entry.verdict.clone()
+            read(&entry.verdict)
         });
         if hit.is_some() {
             inner.hits += 1;
         } else {
             inner.misses += 1;
         }
-        drop(inner);
+        drop(guard);
         self.record_lookup(hit.is_some(), interned);
         hit.ok_or(key)
     }
@@ -383,7 +392,7 @@ impl SolverCache {
 /// signatures and unknown declarations. Two environments with the same
 /// fingerprint produce identical solver behavior for every query (modulo hash
 /// collisions over the full 64-bit space).
-fn fingerprint_env(env: &SortingEnv) -> u64 {
+pub(crate) fn fingerprint_env(env: &SortingEnv) -> u64 {
     let mut h = DefaultHasher::new();
     for (name, sort) in env.vars() {
         "v".hash(&mut h);
@@ -412,9 +421,27 @@ mod tests {
         e
     }
 
+    /// Look up `premises` (and `conclusion`) under `env` with no path
+    /// condition, cloning a hit.
+    fn lookup_in(
+        cache: &SolverCache,
+        env: &SortingEnv,
+        premises: &[Term],
+        conclusion: Option<&Term>,
+    ) -> Result<SatResult, QueryKey> {
+        cache.lookup(
+            fingerprint_env(env),
+            0,
+            None,
+            premises,
+            conclusion,
+            SatResult::clone,
+        )
+    }
+
     /// Look up `premises ⟹ goal` and, on a miss, store it as valid.
     fn prove(cache: &SolverCache, premises: &[Term], goal: &Term) {
-        if let Err(key) = cache.lookup(&env(), 0, premises, Some(goal)) {
+        if let Err(key) = lookup_in(cache, &env(), premises, Some(goal)) {
             cache.store(key, &SatResult::Unsat);
         }
     }
@@ -424,13 +451,13 @@ mod tests {
         let cache = SolverCache::new();
         let premises = [Term::var("x").lt(Term::var("y"))];
         let goal = Term::var("x").le(Term::var("y"));
-        let key = match cache.lookup(&env(), 0, &premises, Some(&goal)) {
+        let key = match lookup_in(&cache, &env(), &premises, Some(&goal)) {
             Err(key) => key,
             Ok(_) => panic!("empty cache cannot hit"),
         };
         cache.store(key, &SatResult::Unsat);
         assert!(matches!(
-            cache.lookup(&env(), 0, &premises, Some(&goal)),
+            lookup_in(&cache, &env(), &premises, Some(&goal)),
             Ok(SatResult::Unsat)
         ));
         let stats = cache.stats();
@@ -449,9 +476,7 @@ mod tests {
         let goal = Term::var("x").le(Term::var("y"));
         prove(&cache, &[p1.clone(), p2.clone()], &goal);
         // Permuted (and duplicated) premises hit the same entry.
-        assert!(cache
-            .lookup(&env(), 0, &[p2.clone(), p1.clone(), p2], Some(&goal))
-            .is_ok());
+        assert!(lookup_in(&cache, &env(), &[p2.clone(), p1.clone(), p2], Some(&goal)).is_ok());
     }
 
     #[test]
@@ -461,7 +486,7 @@ mod tests {
         prove(&cache, &[], &goal);
         let mut other = env();
         other.bind_var("x", Sort::Bool);
-        assert!(cache.lookup(&other, 0, &[], Some(&goal)).is_err());
+        assert!(lookup_in(&cache, &other, &[], Some(&goal)).is_err());
     }
 
     #[test]
@@ -471,12 +496,10 @@ mod tests {
         let cache = SolverCache::new();
         let goal = Term::var("x").ge(Term::int(0));
         prove(&cache, &[], &goal);
-        let key = cache
-            .lookup(&env(), 0, std::slice::from_ref(&goal), None)
-            .unwrap_err();
+        let key = lookup_in(&cache, &env(), std::slice::from_ref(&goal), None).unwrap_err();
         cache.store(key, &SatResult::Unknown("test".to_string()));
         assert!(matches!(
-            cache.lookup(&env(), 0, &[], Some(&goal)),
+            lookup_in(&cache, &env(), &[], Some(&goal)),
             Ok(SatResult::Unsat)
         ));
         let stats = cache.stats();
@@ -518,7 +541,7 @@ mod tests {
         // A scoped handle starts with zeroed counters but sees the verdict.
         let scope = cache.scoped();
         assert_eq!(scope.handle_stats(), HandleStats::default());
-        assert!(scope.lookup(&env(), 0, &[], Some(&goal)).is_ok());
+        assert!(lookup_in(&scope, &env(), &[], Some(&goal)).is_ok());
         let scope_stats = scope.handle_stats();
         assert_eq!((scope_stats.hits, scope_stats.misses), (1, 0));
 
@@ -531,7 +554,7 @@ mod tests {
 
         // Plain clones keep attributing to the same lineage.
         let sibling = scope.clone();
-        assert!(sibling.lookup(&env(), 0, &[], Some(&goal)).is_ok());
+        assert!(lookup_in(&sibling, &env(), &[], Some(&goal)).is_ok());
         assert_eq!(scope.handle_stats().hits, 2);
     }
 
@@ -540,12 +563,10 @@ mod tests {
         let cache = SolverCache::new();
         let clone = cache.clone();
         let goal = Term::var("x").ge(Term::int(0));
-        let key = cache
-            .lookup(&env(), 0, std::slice::from_ref(&goal), None)
-            .unwrap_err();
+        let key = lookup_in(&cache, &env(), std::slice::from_ref(&goal), None).unwrap_err();
         cache.store(key, &SatResult::Unsat);
         assert!(matches!(
-            clone.lookup(&env(), 0, &[goal], None),
+            lookup_in(&clone, &env(), &[goal], None),
             Ok(SatResult::Unsat)
         ));
     }
@@ -554,9 +575,9 @@ mod tests {
     fn cancelled_verdicts_are_never_resident() {
         let cache = SolverCache::new();
         let goal = Term::var("x").le(Term::var("y"));
-        let key = cache.lookup(&env(), 0, &[], Some(&goal)).unwrap_err();
+        let key = lookup_in(&cache, &env(), &[], Some(&goal)).unwrap_err();
         cache.store(key, &SatResult::Cancelled);
-        assert!(cache.lookup(&env(), 0, &[], Some(&goal)).is_err());
+        assert!(lookup_in(&cache, &env(), &[], Some(&goal)).is_err());
         assert_eq!(cache.stats().validity_entries, 0);
     }
 
@@ -598,7 +619,7 @@ mod tests {
         let cache = SolverCache::bounded(Some(budget));
         for i in 0..400 {
             let (premises, goal) = nth_query(i);
-            let key = cache.lookup(&env(), 0, &premises, Some(&goal)).unwrap_err();
+            let key = lookup_in(&cache, &env(), &premises, Some(&goal)).unwrap_err();
             cache.store(key, &SatResult::Unsat);
         }
         let stats = cache.stats();
@@ -613,7 +634,7 @@ mod tests {
         let mut hits = 0;
         for i in 0..400 {
             let (premises, goal) = nth_query(i);
-            if let Ok(verdict) = cache.lookup(&env(), 0, &premises, Some(&goal)) {
+            if let Ok(verdict) = lookup_in(&cache, &env(), &premises, Some(&goal)) {
                 assert!(matches!(verdict, SatResult::Unsat));
                 hits += 1;
             }
@@ -633,9 +654,7 @@ mod tests {
             prove(&cache, &premises, &goal);
             // Refresh the hot entry's referenced bit.
             assert!(
-                cache
-                    .lookup(&env(), 0, &hot_premises, Some(&hot_goal))
-                    .is_ok(),
+                lookup_in(&cache, &env(), &hot_premises, Some(&hot_goal)).is_ok(),
                 "hot entry evicted at iteration {i}"
             );
         }

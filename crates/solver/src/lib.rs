@@ -59,7 +59,7 @@ pub use cache::{CacheStats, HandleStats, SolverCache};
 pub use lia::LiaSolver;
 pub use linear::{LinExpr, LinearizeError};
 pub use rational::Rat;
-pub use smt::{SatResult, Solver, ValidityResult};
+pub use smt::{SatResult, Solver, SolverEnv, ValidityResult};
 
 #[cfg(test)]
 mod proptests;

@@ -31,16 +31,21 @@
 //! ([`Solver::with_cache`]): the public [`Solver::check_sat`] /
 //! [`Solver::check_valid`] entry points then memoize verdicts keyed on the
 //! interned query, so the checking pipeline never re-proves a structurally
-//! equal obligation.
+//! equal obligation. The type checker asks under a persistent path
+//! condition ([`Solver::is_valid_under`]) and shares one [`SolverEnv`] per
+//! binding state of its context, so a hit interns only the facts and
+//! conclusion that are new and fingerprints each environment once.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 use resyn_budget::Budget;
 use resyn_logic::intern::Node;
 use resyn_logic::{
-    BinOp, FxHashMap, FxHashSet, Model, Sort, SortingEnv, Term, TermArena, TermId, UnOp, Value,
+    BinOp, Conj, FxHashMap, FxHashSet, Model, Sort, SortingEnv, Term, TermArena, TermId, UnOp,
+    Value,
 };
 
 use crate::cache::SolverCache;
@@ -95,12 +100,54 @@ impl ValidityResult {
     pub fn is_cancelled(&self) -> bool {
         matches!(self, ValidityResult::Cancelled)
     }
+
+    /// The validity verdict a satisfiability verdict of `premises ∧
+    /// ¬conclusion` gives.
+    fn of(sat: &SatResult) -> ValidityResult {
+        match sat {
+            SatResult::Unsat => ValidityResult::Valid,
+            SatResult::Sat(m) => ValidityResult::Invalid(m.clone()),
+            SatResult::Unknown(msg) => ValidityResult::Unknown(msg.clone()),
+            SatResult::Cancelled => ValidityResult::Cancelled,
+        }
+    }
+}
+
+/// A sorting environment with its cache fingerprint, computed at most once.
+/// Solvers built over one `Arc<SolverEnv>` ([`Solver::shared`]) share both:
+/// the type checker keeps one per binding state of a context, so its queries
+/// neither rebuild nor re-hash the environment.
+#[derive(Debug)]
+pub struct SolverEnv {
+    env: SortingEnv,
+    fingerprint: OnceLock<u64>,
+}
+
+impl SolverEnv {
+    /// Wrap `env`; its fingerprint is computed by the first cache lookup.
+    pub fn new(env: SortingEnv) -> SolverEnv {
+        SolverEnv {
+            env,
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    /// The sorting environment.
+    pub fn env(&self) -> &SortingEnv {
+        &self.env
+    }
+
+    fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| crate::cache::fingerprint_env(&self.env))
+    }
 }
 
 /// The refinement-logic solver.
 #[derive(Debug, Clone)]
 pub struct Solver {
-    env: SortingEnv,
+    env: Arc<SolverEnv>,
     lia: LiaSolver,
     dpll: DpllConfig,
     cache: Option<SolverCache>,
@@ -110,6 +157,11 @@ impl Solver {
     /// Create a solver for formulas whose free variables and measures are
     /// declared in `env`.
     pub fn new(env: SortingEnv) -> Solver {
+        Solver::shared(Arc::new(SolverEnv::new(env)))
+    }
+
+    /// A solver over a shared environment (see [`SolverEnv`]).
+    pub fn shared(env: Arc<SolverEnv>) -> Solver {
         Solver {
             env,
             lia: LiaSolver::new(),
@@ -120,7 +172,7 @@ impl Solver {
 
     /// The sorting environment used by this solver.
     pub fn env(&self) -> &SortingEnv {
-        &self.env
+        self.env.env()
     }
 
     /// Attach a shared query cache: every [`Solver::check_sat`] /
@@ -164,27 +216,57 @@ impl Solver {
 
     /// Decide satisfiability of the conjunction of `assumptions`.
     pub fn check_sat(&self, assumptions: &[Term]) -> SatResult {
-        self.check_cached(assumptions, None)
+        self.check_cached(None, assumptions, None, SatResult::clone)
     }
 
-    /// Decide satisfiability of `premises ∧ ¬conclusion` (of `premises`
-    /// alone when `conclusion` is `None`), answering from and recording into
-    /// the attached cache.
-    fn check_cached(&self, premises: &[Term], conclusion: Option<&Term>) -> SatResult {
+    /// Decide satisfiability of `path ∧ premises ∧ ¬conclusion` (without
+    /// `path` when it is `None`, without the conclusion when that is
+    /// `None`), answering from and recording into the attached cache, and
+    /// return what `read` makes of the verdict. A hit is read in place,
+    /// under the cache's lock.
+    fn check_cached<R>(
+        &self,
+        path: Option<&Conj>,
+        premises: &[Term],
+        conclusion: Option<&Term>,
+        read: impl Fn(&SatResult) -> R,
+    ) -> R {
         if self.budget().is_exceeded() {
-            return SatResult::Cancelled;
+            return read(&SatResult::Cancelled);
         }
         let Some(cache) = &self.cache else {
-            return self.check_sat_inner(premises, conclusion);
+            return read(&self.solve(path, premises, conclusion));
         };
-        match cache.lookup(&self.env, self.config_fingerprint(), premises, conclusion) {
+        let env_fp = self.env.fingerprint();
+        let config_fp = self.config_fingerprint();
+        match cache.lookup(env_fp, config_fp, path, premises, conclusion, &read) {
             Ok(hit) => hit,
             Err(key) => {
-                let result = self.check_sat_inner(premises, conclusion);
+                let result = self.solve(path, premises, conclusion);
                 // The cache drops a cancelled verdict: it is an artifact of
                 // this run's budget, not a property of the query.
                 cache.store(key, &result);
-                result
+                read(&result)
+            }
+        }
+    }
+
+    /// Solve a query without the cache. The path condition goes first, as
+    /// one term: the premises are exactly those a caller passing
+    /// `path.to_term()` would pass.
+    fn solve(
+        &self,
+        path: Option<&Conj>,
+        premises: &[Term],
+        conclusion: Option<&Term>,
+    ) -> SatResult {
+        match path {
+            None => self.check_sat_inner(premises, conclusion),
+            Some(path) => {
+                let mut all = Vec::with_capacity(premises.len() + 1);
+                all.push(path.to_term());
+                all.extend_from_slice(premises);
+                self.check_sat_inner(&all, conclusion)
             }
         }
     }
@@ -209,7 +291,8 @@ impl Solver {
         }
 
         // 3. Congruence axioms for measure applications.
-        let axioms = crate::euf::congruence_axioms(&mut arena, formula, &self.env, CALLER_ENV);
+        let env = self.env();
+        let axioms = crate::euf::congruence_axioms(&mut arena, formula, env, CALLER_ENV);
         let formula = axioms
             .into_iter()
             .fold(formula, |acc, ax| arena.and_id(acc, ax));
@@ -217,7 +300,7 @@ impl Solver {
         // 4. Alias measure applications. Each alias variable's sort is bound
         //    under `ALIASED_ENV`, on top of the caller's environment.
         let mut aliaser = Aliaser {
-            env: &self.env,
+            env,
             memo: FxHashMap::default(),
             by_app: FxHashMap::default(),
             aliases: Vec::new(),
@@ -227,7 +310,7 @@ impl Solver {
 
         // 5. Normalize equalities and bi-implications.
         let mut memo = FxHashMap::default();
-        let formula = match normalize(&mut arena, formula, &self.env, &mut memo) {
+        let formula = match normalize(&mut arena, formula, env, &mut memo) {
             Ok(f) => f,
             Err(msg) => return SatResult::Unknown(msg),
         };
@@ -238,7 +321,7 @@ impl Solver {
 
         // 7. Eliminate set atoms, then lift and simplify the element
         //    equalities the elimination introduced.
-        let elimination = match sets::eliminate_sets(&mut arena, formula, &self.env, ALIASED_ENV) {
+        let elimination = match sets::eliminate_sets(&mut arena, formula, env, ALIASED_ENV) {
             Ok(e) => e,
             Err(err) => return SatResult::Unknown(err.to_string()),
         };
@@ -277,21 +360,23 @@ impl Solver {
     /// Decide validity of `premises ⟹ conclusion`: it is valid iff
     /// `premises ∧ ¬conclusion` is unsatisfiable.
     pub fn check_valid(&self, premises: &[Term], conclusion: &Term) -> ValidityResult {
-        match self.check_cached(premises, Some(conclusion)) {
-            SatResult::Unsat => ValidityResult::Valid,
-            SatResult::Sat(m) => ValidityResult::Invalid(m),
-            SatResult::Unknown(msg) => ValidityResult::Unknown(msg),
-            SatResult::Cancelled => ValidityResult::Cancelled,
-        }
+        self.check_cached(None, premises, Some(conclusion), ValidityResult::of)
     }
 
-    /// Convenience wrapper: `true` iff the implication is provably valid.
-    /// Unknown results are treated as "not valid" (sound for type checking).
+    /// `true` iff the implication is provably valid. Unknown results are
+    /// treated as "not valid" (sound for type checking). A cache hit is read
+    /// in place, without copying the stored verdict's model.
     pub fn is_valid(&self, premises: &[Term], conclusion: &Term) -> bool {
-        matches!(
-            self.check_valid(premises, conclusion),
-            ValidityResult::Valid
-        )
+        self.check_cached(None, premises, Some(conclusion), is_unsat)
+    }
+
+    /// [`is_valid`](Solver::is_valid) under a path condition: whether
+    /// `path ∧ premises ⟹ conclusion` is provably valid. It asks the same
+    /// query as `is_valid` with `path.to_term()` as the first premise, but a
+    /// cache lookup interns only the facts of `path` that its cache has not
+    /// interned yet (see [`Conj`]).
+    pub fn is_valid_under(&self, path: &Conj, premises: &[Term], conclusion: &Term) -> bool {
+        self.check_cached(Some(path), premises, Some(conclusion), is_unsat)
     }
 
     /// The model of a `Sat` answer (stage 9), read from the DPLL trail and
@@ -323,7 +408,7 @@ impl Solver {
             }
         }
         let truth = |name: &str| bool_vars.get(name).copied().unwrap_or(false);
-        for (name, sort) in self.env.vars() {
+        for (name, sort) in self.env().vars() {
             match sort {
                 Sort::Int | Sort::Uninterp(_) => {
                     let v = value_of(name);
@@ -361,7 +446,7 @@ impl Solver {
             }
             set_values.insert(set_var.clone(), elems);
         }
-        for (name, sort) in self.env.vars() {
+        for (name, sort) in self.env().vars() {
             if matches!(sort, Sort::Set) {
                 let elems = set_values.get(name).cloned().unwrap_or_default();
                 model.insert(name.clone(), Value::Set(elems));
@@ -380,6 +465,10 @@ impl Solver {
         }
         model
     }
+}
+
+fn is_unsat(sat: &SatResult) -> bool {
+    matches!(sat, SatResult::Unsat)
 }
 
 /// Sorting-memo key of the caller's environment ([`TermArena::sort_of_id`]).

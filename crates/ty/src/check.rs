@@ -16,10 +16,11 @@
 //!   path (the constant-resource extension of §3).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use resyn_budget::Budget;
 use resyn_lang::{CostMetric, Expr};
-use resyn_logic::{Sort, SortingEnv, Term};
+use resyn_logic::{SortingEnv, Term};
 use resyn_solver::{Solver, SolverCache};
 
 use crate::constraints::ResourceConstraint;
@@ -441,16 +442,22 @@ impl Checker {
         }
         let at = frame.at_hole.as_ref().map_err(Clone::clone)?;
         let mut ctx = at.ctx.clone();
+        // The traversal only appends to the outcome, so the candidate's part
+        // is collected alone and the prefix copied only for a candidate that
+        // checks.
         let mut st = St {
-            outcome: at.prefix.clone(),
+            outcome: CheckOutcome::default(),
             counter: at.counter,
             goal: prepared,
             open_hole: None,
             at_hole: None,
         };
         self.check_expr(&mut ctx, &mut st, candidate, &at.expected)?;
-        st.outcome.extend(at.suffix.as_ref().map_err(Clone::clone)?);
-        Ok(st.outcome)
+        let suffix = at.suffix.as_ref().map_err(Clone::clone)?;
+        let mut outcome = at.prefix.clone();
+        outcome.extend(&st.outcome);
+        outcome.extend(suffix);
+        Ok(outcome)
     }
 
     /// Build the frame for a body under the binders `binders` (aligned with
@@ -465,9 +472,9 @@ impl Checker {
         components: &BTreeMap<String, Schema>,
     ) -> Result<Prepared, CheckError> {
         let goal_ty = if matches!(self.config.mode, ResourceMode::Agnostic) {
-            schema.ty.strip_potential()
+            Arc::new(schema.ty.strip_potential())
         } else {
-            schema.ty.clone()
+            Arc::clone(&schema.ty)
         };
         let (params, mut ret_ty) = goal_ty.uncurry();
         if binders.len() > params.len() {
@@ -493,9 +500,6 @@ impl Checker {
         }
 
         let mut ctx = Ctx::new();
-        for a in &schema.tyvars {
-            ctx.add_tyvar(a.clone());
-        }
         // Bind the parameters, aligning binders with the signature.
         let mut remaining_params = params;
         let mut goal_params = Vec::new();
@@ -586,19 +590,15 @@ impl Checker {
             return Ok(());
         }
         ctx.withdraw(amount);
-        let premise = ctx.path_condition();
-        let potential = ctx.ledger().clone();
-        let deferred = potential
-            .measure_apps()
-            .iter()
-            .any(|(n, _)| n == crate::constraints::PROD)
-            || !premise.unknowns().is_empty()
-            || !potential.unknowns().is_empty();
+        let potential = ctx.ledger();
+        let deferred = potential.mentions_measure(crate::constraints::PROD)
+            || ctx.path().has_unknowns()
+            || potential.has_unknowns();
         if deferred {
             // Returned to CEGIS, which needs the context's sorts.
             st.outcome.constraints.push(ResourceConstraint {
-                premise,
-                potential,
+                premise: ctx.path_condition(),
+                potential: potential.clone(),
                 exact,
                 origin: origin.to_string(),
                 env: ctx.sorting_env_over(&self.measure_env),
@@ -611,16 +611,9 @@ impl Checker {
         }
         st.outcome.eager_resource_checks += 1;
         let solver = self.solver(ctx);
-        let ok_lower = solver.is_valid(
-            std::slice::from_ref(&premise),
-            &potential.clone().ge(Term::int(0)),
-        );
+        let ok_lower = solver.is_valid_under(ctx.path(), &[], &potential.clone().ge(Term::int(0)));
         let ok = if exact {
-            ok_lower
-                && solver.is_valid(
-                    std::slice::from_ref(&premise),
-                    &potential.clone().le(Term::int(0)),
-                )
+            ok_lower && solver.is_valid_under(ctx.path(), &[], &potential.clone().le(Term::int(0)))
         } else {
             ok_lower
         };
@@ -640,9 +633,8 @@ impl Checker {
     }
 
     fn solver(&self, ctx: &Ctx) -> Solver {
-        let mut env = ctx.sorting_env_over(&self.measure_env);
-        env.bind_var("_elem", Sort::Int);
-        let solver = Solver::new(env).with_budget(self.budget.clone());
+        let env = ctx.solver_env(&self.measure_env);
+        let solver = Solver::shared(env).with_budget(self.budget.clone());
         match &self.cache {
             Some(cache) => solver.with_cache(cache.clone()),
             None => solver,
@@ -674,8 +666,7 @@ impl Checker {
         }
         st.outcome.refinement_queries += 1;
         let solver = self.solver(ctx);
-        let premises = vec![ctx.path_condition(), extra_premise];
-        if solver.is_valid(&premises, &goal) {
+        if solver.is_valid_under(ctx.path(), &[extra_premise], &goal) {
             Ok(())
         } else if self.budget.is_exceeded() {
             // Mid-query cancellation, not a genuine refutation.
@@ -1279,8 +1270,9 @@ impl Checker {
                     return false;
                 }
                 let solver = self.solver(ctx);
-                solver.is_valid(
-                    &[ctx.path_condition()],
+                solver.is_valid_under(
+                    ctx.path(),
+                    &[],
                     &Term::var(v.clone())
                         .lt(Term::var(p.clone()))
                         .and(Term::var(p.clone()).ge(Term::int(0))),
@@ -1299,7 +1291,7 @@ impl Checker {
         // obligation — and the differential fuzzer reports a verdict split.
         if self
             .solver(ctx)
-            .is_valid(&[ctx.path_condition()], &Term::ff())
+            .is_valid_under(ctx.path(), &[], &Term::ff())
         {
             return Ok(());
         }
@@ -1329,17 +1321,17 @@ impl Checker {
         is_recursive: bool,
     ) -> Ty {
         if schema.is_mono() {
-            return schema.ty.clone();
+            return (*schema.ty).clone();
         }
         if is_recursive {
             // Recursive self-calls are checked with *rigid* type variables
             // (monomorphic recursion): the function must work for the caller's
             // choice of the element type, so it cannot re-instantiate its own
             // type variables with concrete types such as `Int`.
-            return schema.ty.clone();
+            return (*schema.ty).clone();
         }
         let (params, ret) = schema.ty.uncurry();
-        let mut ty = schema.ty.clone();
+        let mut ty = (*schema.ty).clone();
         for alpha in &schema.tyvars {
             let binding = self
                 .instantiate_from_expected(alpha, &ret, expected)

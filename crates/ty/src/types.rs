@@ -2,6 +2,7 @@
 //! types and type schemas.
 
 use std::fmt;
+use std::sync::Arc;
 
 use resyn_logic::{Sort, Term};
 
@@ -384,12 +385,16 @@ impl BaseType {
 }
 
 /// A type schema `∀ᾱ. T`.
+///
+/// The type is shared: cloning a schema (a goal's signature and component
+/// library are cloned per run and per report) copies a pointer, not the
+/// type's refinement terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// The quantified type variables.
     pub tyvars: Vec<String>,
     /// The quantified type.
-    pub ty: Ty,
+    pub ty: Arc<Ty>,
 }
 
 impl Schema {
@@ -397,7 +402,7 @@ impl Schema {
     pub fn mono(ty: Ty) -> Schema {
         Schema {
             tyvars: Vec::new(),
-            ty,
+            ty: Arc::new(ty),
         }
     }
 
@@ -405,7 +410,7 @@ impl Schema {
     pub fn poly(tyvars: Vec<&str>, ty: Ty) -> Schema {
         Schema {
             tyvars: tyvars.into_iter().map(String::from).collect(),
-            ty,
+            ty: Arc::new(ty),
         }
     }
 

@@ -8,7 +8,8 @@
 //! sides must return the same error, or the same residual resource
 //! constraints, unknowns and query counts. A last test pins the search's
 //! counts on two rows that backtrack below a filled hole, so that a hole
-//! frame outliving its prefix shows.
+//! frame outliving its prefix shows, and so that a query asked in another
+//! shape shows in the cache's hits and interned terms.
 
 use resyn::budget::Budget;
 use resyn::lang::{CostMetric, Expr};
@@ -94,7 +95,7 @@ fn rename_formals(schema: &Schema) -> Schema {
     }
     Schema {
         tyvars: schema.tyvars.clone(),
-        ty: go(&schema.ty, 0),
+        ty: go(&schema.ty, 0).into(),
     }
 }
 
@@ -369,18 +370,31 @@ fn the_search_checks_each_hole_in_the_frame_of_its_own_prefix() {
     // changes. A stale frame still checks complete programs whole, so it
     // keeps the verdicts; what it changes is the partial checks' queries.
     // These two rows backtrack below a filled hole, and with a stale frame
-    // they issue fewer solver misses (112 and 58).
-    for (id, candidates, misses) in [("sorted-insert", 1857, 166), ("unique-insert", 1645, 74)] {
+    // they issue fewer solver misses (112 and 58 in ReSyn mode). The cache
+    // hits and interned terms pin the shape of every query: a path
+    // condition interned in another shape, or a verdict keyed on another
+    // premise, moves them. Synquid mode adds the termination queries.
+    for (id, mode, counts) in [
+        ("sorted-insert", Mode::ReSyn, [1857, 166, 1266, 444]),
+        ("unique-insert", Mode::ReSyn, [1645, 74, 612, 351]),
+        ("sorted-insert", Mode::Synquid, [1857, 158, 867, 436]),
+        ("unique-insert", Mode::Synquid, [1645, 69, 447, 343]),
+    ] {
         let goal = rows(&[id]).remove(0);
         let outcome = Synthesizer::new()
             .with_cache(SolverCache::new())
-            .synthesize(&goal, Mode::ReSyn);
-        assert!(outcome.program.is_some(), "{id} synthesizes");
+            .synthesize(&goal, mode);
+        assert!(outcome.program.is_some(), "{id} synthesizes in {mode:?}");
         let stats = outcome.stats;
         assert_eq!(
-            (stats.candidates_checked, stats.solver_cache_misses),
-            (candidates, misses),
-            "{id}: candidates and solver misses"
+            [
+                stats.candidates_checked as u64,
+                stats.solver_cache_misses,
+                stats.solver_cache_hits,
+                stats.interned_terms as u64,
+            ],
+            counts,
+            "{id} in {mode:?}: candidates, solver misses, cache hits and interned terms"
         );
     }
 }
