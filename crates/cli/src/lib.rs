@@ -497,9 +497,11 @@ pub fn run_synth(problem_text: &str, opts: &Options) -> Result<String, CliError>
         if opts.stats {
             let _ = writeln!(
                 out,
-                "-- solver cache: {} hits, {} misses; interner: {} new terms; solver unknowns: {}",
+                "-- solver cache: {} hits, {} misses, {} refuted; interner: {} new terms; \
+                 solver unknowns: {}",
                 outcome.stats.solver_cache_hits,
                 outcome.stats.solver_cache_misses,
+                outcome.stats.solver_refuted,
                 outcome.stats.interned_terms,
                 outcome.stats.solver_unknowns
             );
@@ -576,7 +578,7 @@ pub fn run_measure(
 }
 
 /// The output of `resyn eval`: the rendered text table and, when `--json`
-/// was given, the serialized `resyn-bench-eval/4` report (the caller writes
+/// was given, the serialized `resyn-bench-eval/5` report (the caller writes
 /// it to the requested path — this library does no I/O).
 #[derive(Debug, Clone)]
 pub struct EvalOutput {
@@ -593,7 +595,7 @@ pub struct EvalOutput {
 /// whatever the worker count, except for benchmarks running right at the
 /// wall-clock timeout boundary, which core contention can tip over),
 /// `--timeout` bounds each synthesis mode, and `--json` additionally
-/// serializes the run to the `resyn-bench-eval/4` schema (see
+/// serializes the run to the `resyn-bench-eval/5` schema (see
 /// [`resyn_eval::report`]).
 ///
 /// # Errors
@@ -956,7 +958,7 @@ declaration on the same or the next line.
 `--jobs` workers claim one (benchmark, mode) run at a time, each on a fresh
 solver cache, so results (search counters included) are identical whatever
 `--jobs` is, modulo runs right at the wall-clock timeout boundary. With
-`--json` it writes the machine-readable `resyn-bench-eval/4` report
+`--json` it writes the machine-readable `resyn-bench-eval/5` report
 to PATH.
 
 `gen` prints a seeded batch of generated, well-typed synthesis problems —
@@ -1128,22 +1130,31 @@ mod tests {
             .lines()
             .find(|l| l.starts_with("-- solver cache:"))
             .expect("--stats must print a solver-cache line");
-        // "-- solver cache: N hits, M misses; interner: K new terms; solver unknowns: U"
+        // "-- solver cache: N hits, M misses, R refuted; interner: K new terms;
+        // solver unknowns: U"
         let hits: u64 = stats_line
             .split_whitespace()
             .nth(3)
             .and_then(|n| n.parse().ok())
             .expect("hit counter parses");
         assert!(hits > 0, "expected nonzero solver-cache hits: {stats_line}");
+        let refuted: Option<u64> = stats_line
+            .split_whitespace()
+            .nth(7)
+            .and_then(|n| n.parse().ok());
+        assert!(
+            refuted.is_some(),
+            "expected a refutation counter: {stats_line}"
+        );
         let terms: u64 = stats_line
             .split_whitespace()
-            .nth(8)
+            .nth(10)
             .and_then(|n| n.parse().ok())
             .expect("interner counter parses");
         assert!(terms > 0, "expected a populated intern table: {stats_line}");
         let unknowns: Option<u64> = stats_line
             .split_whitespace()
-            .nth(13)
+            .nth(15)
             .and_then(|n| n.parse().ok());
         assert!(
             unknowns.is_some(),
@@ -1223,7 +1234,7 @@ mod tests {
         let parsed = resyn_eval::parse_json(&json).expect("report must be valid JSON");
         assert_eq!(
             parsed.get("schema").and_then(resyn_eval::Json::as_str),
-            Some("resyn-bench-eval/4")
+            Some("resyn-bench-eval/5")
         );
         assert_eq!(
             parsed.get("suite").and_then(resyn_eval::Json::as_str),

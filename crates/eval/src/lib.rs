@@ -15,7 +15,7 @@
 //! threads, each on a fresh solver cache (deterministic row order, per-row
 //! panic isolation), and
 //! [`report`] serializes runs to the stable machine-readable
-//! `resyn-bench-eval/4` JSON schema (`BENCH_eval.json`).
+//! `resyn-bench-eval/5` JSON schema (`BENCH_eval.json`).
 
 pub mod components;
 pub mod harness;

@@ -7,11 +7,11 @@
 //! the parser ([`parse_json`]) is re-exported here so the schema can be
 //! round-trip-tested and so existing consumers keep their import paths.
 //!
-//! # Schema (`resyn-bench-eval/4`)
+//! # Schema (`resyn-bench-eval/5`)
 //!
 //! ```json
 //! {
-//!   "schema": "resyn-bench-eval/4",
+//!   "schema": "resyn-bench-eval/5",
 //!   "suite": "table1",
 //!   "jobs": 4,
 //!   "timeout_secs": 60.0,
@@ -21,9 +21,11 @@
 //!       "id": "list-append", "group": "List", "code": 10,
 //!       "modes": {
 //!         "resyn":   {"time_secs": 0.11, "timed_out": false,
-//!                     "candidates": 42, "cache_hits": 7, "cache_misses": 3},
+//!                     "candidates": 42, "cache_hits": 7, "cache_misses": 3,
+//!                     "cache_refuted": 1},
 //!         "synquid": {"time_secs": null, "timed_out": true,
-//!                     "candidates": 9000, "cache_hits": 1, "cache_misses": 2},
+//!                     "candidates": 9000, "cache_hits": 1, "cache_misses": 2,
+//!                     "cache_refuted": 0},
 //!         "eac":   {"time_secs": 0.52, "timed_out": false, "...": "..."},
 //!         "noinc": {"time_secs": 0.31, "timed_out": false, "...": "..."}
 //!       },
@@ -43,14 +45,15 @@
 //! }
 //! ```
 //!
-//! Version history: `/4` drops the two per-mode library-size counts that
+//! Version history: `/5` appends the per-mode `"cache_refuted"` count.
+//! `/4` drops the two per-mode library-size counts that
 //! `/3` appended (declared and reachability-pruned; the synthesizer no
 //! longer prunes its library, so the second always equalled the first).
 //! `/2` appends the per-row `"speedup_noinc"` (NoInc time over ReSyn time,
 //! `null` unless both solved) and the aggregate `"median_speedup_noinc"`,
 //! and populates the ablation columns on *every* row rather than Table 2
-//! only. A consumer that indexes by key reads `/2` and `/4` documents alike
-//! (a `/3` document merely carries two extra keys) —
+//! only. A consumer that indexes by key reads `/2`, `/4` and `/5` documents
+//! alike (a `/3` document merely carries two extra keys) —
 //! [`schema_version`] distinguishes the versions where it matters.
 //!
 //! Encoding rules downstream tooling may rely on:
@@ -62,7 +65,10 @@
 //!   parallel runner had to fail; failed rows keep their `"id"`/`"group"`.
 //! * Every mode runs on a fresh solver cache, so per-mode
 //!   `"cache_hits"`/`"cache_misses"` are that run's own, whatever the
-//!   worker count and whatever ran before it.
+//!   worker count and whatever ran before it. `"cache_misses"` counts the
+//!   queries not answered from the cache's table, solved or refuted;
+//!   `"cache_refuted"` counts the misses one of the
+//!   cache's recent counterexamples refuted instead of the solver.
 //! * The aggregate `"cache_hits"`, `"cache_misses"` and `"interned_terms"`
 //!   are sums over every mode of every row. A term interned by two runs
 //!   counts twice.
@@ -120,11 +126,11 @@ pub fn schema_version(report: &Json) -> Option<u64> {
         .ok()
 }
 
-/// Serialize a report to the `resyn-bench-eval/4` JSON schema.
+/// Serialize a report to the `resyn-bench-eval/5` JSON schema.
 pub fn render_json(report: &EvalReport<'_>) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"resyn-bench-eval/4\",");
+    let _ = writeln!(out, "  \"schema\": \"resyn-bench-eval/5\",");
     let _ = writeln!(out, "  \"suite\": {},", json_str(report.suite));
     let _ = writeln!(out, "  \"jobs\": {},", report.jobs);
     let _ = writeln!(
@@ -182,12 +188,13 @@ fn write_row(out: &mut String, row: &BenchmarkRow) {
 fn mode_json(mode: &ModeOutcome) -> String {
     format!(
         "{{\"time_secs\": {}, \"timed_out\": {}, \"candidates\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}}}",
+         \"cache_hits\": {}, \"cache_misses\": {}, \"cache_refuted\": {}}}",
         mode.time.map_or("null".to_string(), json_num),
         mode.timed_out,
         mode.stats.candidates_checked,
         mode.stats.solver_cache_hits,
         mode.stats.solver_cache_misses,
+        mode.stats.solver_refuted,
     )
 }
 
@@ -297,9 +304,9 @@ mod tests {
         }
         assert_eq!(
             parsed.get("schema").and_then(Json::as_str),
-            Some("resyn-bench-eval/4")
+            Some("resyn-bench-eval/5")
         );
-        assert_eq!(schema_version(&parsed), Some(4));
+        assert_eq!(schema_version(&parsed), Some(5));
         assert_eq!(parsed.get("jobs").and_then(Json::as_num), Some(4.0));
         assert_eq!(
             parsed.get("rows").and_then(Json::as_arr).map(<[_]>::len),
@@ -331,7 +338,8 @@ mod tests {
         let resyn = modes.get("resyn").unwrap();
         assert_eq!(resyn.get("time_secs").and_then(Json::as_num), Some(0.25));
         assert_eq!(resyn.get("timed_out"), Some(&Json::Bool(false)));
-        // `/4` dropped the per-mode library counts `/3` carried.
+        // `/4` dropped the per-mode library counts `/3` carried; `/5`
+        // appended the refuted misses.
         let keys: Vec<&str> = resyn
             .as_obj()
             .unwrap()
@@ -345,7 +353,8 @@ mod tests {
                 "timed_out",
                 "candidates",
                 "cache_hits",
-                "cache_misses"
+                "cache_misses",
+                "cache_refuted"
             ]
         );
         // Synquid found nothing *because it timed out*: null time + true flag.

@@ -143,6 +143,12 @@ impl Model {
         self.apps.iter()
     }
 
+    /// The interpretation of the measure application printed as `printed`
+    /// (the key [`insert_app`](Self::insert_app) stores it under).
+    pub fn app(&self, printed: &str) -> Option<&Value> {
+        self.apps.get(printed)
+    }
+
     /// Merge another model into this one (bindings in `other` win).
     pub fn extend(&mut self, other: &Model) {
         for (k, v) in &other.vars {

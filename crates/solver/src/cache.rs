@@ -10,8 +10,16 @@
 //!
 //! One table holds both query kinds. A satisfiability query of `premises` and
 //! a validity query `premises ⟹ conclusion` differ only in the key's
-//! `conclusion`, and both store the satisfiability verdict the solver
-//! computed (for a validity query, that of `premises ∧ ¬conclusion`).
+//! `conclusion`, and both store a satisfiability verdict (for a validity
+//! query, that of `premises ∧ ¬conclusion`).
+//!
+//! A validity query the table misses is first tried against the
+//! counterexamples of the cache's last [`WITNESSES`] `Sat` validity verdicts
+//! (see [`crate::witness`]). One that satisfies the query *refutes* it: its
+//! `Sat` verdict is stored as if the solver had computed it, and the solver
+//! is not run. A refuted query still counts as a miss.
+//!
+//! [`WITNESSES`]: crate::witness::WITNESSES
 //!
 //! # Invariants
 //!
@@ -24,14 +32,20 @@
 //!   measure signatures, unknown declarations — plus a caller-supplied
 //!   configuration fingerprint. Identical formulas under different
 //!   environments or limits never alias.
-//! * **Entries may vanish, never change.** The solver is a pure function of
-//!   (environment, configuration, query): nothing outside the key can change
-//!   a verdict, so a hit is always safe to use and the table can be shared
-//!   freely across solver instances, checker runs and CEGIS iterations. What
-//!   a caller may *not* assume is that a stored verdict stays resident: under
-//!   a byte budget ([`bounded`](SolverCache::bounded)) cold entries are
-//!   evicted and the query is simply re-proved on the next miss. Eviction
-//!   never changes an answer, only its cost.
+//! * **Entries may vanish, never change kind.** The *kind* of a verdict
+//!   (`Sat`, `Unsat`, `Unknown`) is a function of the key: the solver decides
+//!   it from (environment, configuration, query) alone, and a refutation
+//!   answers `Sat` only where the solver cannot answer `Unsat`. A `Sat`
+//!   verdict's model is *a* counterexample, not necessarily the one DPLL(T)
+//!   would build: a refuted query stores the model of the witness that
+//!   refuted it, which depends on the queries before it. A hit is always
+//!   safe to use, so the table can be shared freely across solver instances,
+//!   checker runs and CEGIS iterations (satisfiability queries, which CEGIS
+//!   reads models from, are never refuted). What a caller may *not* assume
+//!   is that a stored verdict stays resident: under a byte budget
+//!   ([`bounded`](SolverCache::bounded)) cold entries are evicted and the
+//!   query is simply decided again on the next miss. Eviction never changes
+//!   the kind of an answer, only its cost.
 //! * **Premise order is canonicalized.** Keys sort and deduplicate the
 //!   premise ids (conjunction is order-insensitive), so permuted premise
 //!   lists hit the same entry.
@@ -57,15 +71,18 @@ use std::sync::{Arc, Mutex};
 
 use resyn_logic::{Conj, FxHashMap, Model, SortingEnv, Term, TermArena, TermId, Value};
 
-use crate::smt::SatResult;
+use crate::smt::{SatResult, SolverEnv};
+use crate::witness::Witnesses;
 
 /// Counters describing a cache (see [`SolverCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that fell through to the solver.
+    /// Lookups not answered from the table: solved or refuted.
     pub misses: u64,
+    /// Misses refuted by a recent counterexample instead of solved.
+    pub refuted: u64,
     /// Distinct terms in the cache's intern arena.
     pub interned_terms: usize,
     /// Cached validity verdicts.
@@ -91,6 +108,19 @@ pub(crate) struct QueryKey {
     config_fp: u64,
     premises: Vec<TermId>,
     conclusion: Option<TermId>,
+}
+
+/// What [`SolverCache::lookup`] found.
+#[derive(Debug)]
+pub(crate) enum Lookup<R> {
+    /// The table held the verdict; this is what the caller made of it.
+    Hit(R),
+    /// The table missed, but a recent counterexample satisfies the query:
+    /// its `Sat` verdict is now stored, and this is what the caller made of
+    /// it.
+    Refuted(R),
+    /// Neither: solve the query and store its verdict under this key.
+    Miss(QueryKey),
 }
 
 /// A resident verdict plus its clock-eviction bookkeeping.
@@ -119,10 +149,29 @@ struct Inner {
     evictions: u64,
     hits: u64,
     misses: u64,
+    refuted: u64,
     unknowns: u64,
+    /// Counterexamples of the last solved `Sat` validity verdicts.
+    witnesses: Witnesses,
 }
 
 impl Inner {
+    /// Make `verdict` resident under `key` and evict to budget.
+    fn insert(&mut self, key: QueryKey, verdict: SatResult) {
+        let cost = entry_cost(&key, &verdict);
+        let entry = Entry {
+            verdict,
+            cost,
+            referenced: false,
+        };
+        if let Some(prev) = self.table.insert(key.clone(), entry) {
+            self.resident_bytes -= prev.cost;
+        }
+        self.resident_bytes += cost;
+        self.clock.push_back(key);
+        self.evict_to_budget();
+    }
+
     /// Evict unreferenced entries (second-chance order) until the table fits
     /// its budget again. Terminates: every full rotation of the ring clears
     /// referenced bits, and an empty ring ends the loop unconditionally.
@@ -155,8 +204,12 @@ impl Inner {
 pub struct HandleStats {
     /// Lookups by this lineage answered from the shared table.
     pub hits: u64,
-    /// Lookups by this lineage that fell through to the solver.
+    /// Lookups by this lineage not answered from the table: solved or
+    /// refuted.
     pub misses: u64,
+    /// Misses of this lineage refuted by a recent counterexample (see
+    /// [`CacheStats::refuted`]).
+    pub refuted: u64,
     /// Terms this lineage newly interned into the shared arena.
     pub interned_terms: usize,
     /// `Unknown` verdicts this lineage stored (see [`CacheStats::unknowns`]).
@@ -167,6 +220,7 @@ pub struct HandleStats {
 struct HandleCounters {
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
+    refuted: std::sync::atomic::AtomicU64,
     interned: std::sync::atomic::AtomicU64,
     unknowns: std::sync::atomic::AtomicU64,
 }
@@ -259,6 +313,7 @@ impl SolverCache {
         HandleStats {
             hits: self.local.hits.load(Ordering::Relaxed),
             misses: self.local.misses.load(Ordering::Relaxed),
+            refuted: self.local.refuted.load(Ordering::Relaxed),
             interned_terms: self.local.interned.load(Ordering::Relaxed) as usize,
             unknowns: self.local.unknowns.load(Ordering::Relaxed),
         }
@@ -275,13 +330,17 @@ impl SolverCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn record_lookup(&self, hit: bool, interned: usize) {
+    fn record_lookup<R>(&self, found: &Lookup<R>, interned: usize) {
         use std::sync::atomic::Ordering;
-        if hit {
-            self.local.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.local.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let counter = match found {
+            Lookup::Hit(_) => &self.local.hits,
+            Lookup::Refuted(_) => {
+                self.local.refuted.fetch_add(1, Ordering::Relaxed);
+                &self.local.misses
+            }
+            Lookup::Miss(_) => &self.local.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         self.local
             .interned
             .fetch_add(interned as u64, Ordering::Relaxed);
@@ -289,27 +348,23 @@ impl SolverCache {
 
     /// Look up the satisfiability of `path ∧ premises` (`conclusion: None`)
     /// or the satisfiability of `path ∧ premises ∧ ¬conclusion` that decides
-    /// the validity of `path ∧ premises ⟹ conclusion`, under the
-    /// environment with fingerprint `env_fp` ([`fingerprint_env`]). The path
-    /// condition is one premise, interned through its memo
+    /// the validity of `path ∧ premises ⟹ conclusion`, under `env`. The
+    /// path condition is one premise, interned through its memo
     /// ([`TermArena::intern_conj`]): a path this arena already interned up
-    /// to its last fact costs nothing. On a hit `read` is applied to the
-    /// cached verdict in place; on a miss the interned key is returned so
-    /// the caller can solve the query and [`store`](SolverCache::store) the
-    /// verdict.
-    ///
-    /// # Errors
-    ///
-    /// The `Err` variant is the cache-miss key, not a failure.
+    /// to its last fact costs nothing. On a hit `read` is applied to the cached verdict in place. A validity
+    /// query the table misses is tried against the recent counterexamples;
+    /// one that satisfies it is stored as the query's `Sat` verdict and read.
+    /// Otherwise the interned key is returned so the caller can solve the
+    /// query and [`store`](SolverCache::store) the verdict.
     pub(crate) fn lookup<R>(
         &self,
-        env_fp: u64,
+        env: &SolverEnv,
         config_fp: u64,
         path: Option<&Conj>,
         premises: &[Term],
         conclusion: Option<&Term>,
         read: impl FnOnce(&SatResult) -> R,
-    ) -> Result<R, QueryKey> {
+    ) -> Lookup<R> {
         let mut guard = self.lock();
         let inner = &mut *guard;
         let arena = &mut inner.arena;
@@ -319,28 +374,46 @@ impl SolverCache {
         premise_ids.sort_unstable();
         premise_ids.dedup();
         let key = QueryKey {
-            env_fp,
+            env_fp: env.fingerprint(),
             config_fp,
             premises: premise_ids,
             conclusion: conclusion.map(|c| arena.intern(c)),
         };
         let interned = arena.len() - arena_before;
-        let hit = inner.table.get_mut(&key).map(|entry| {
+        let found = if let Some(entry) = inner.table.get_mut(&key) {
             entry.referenced = true;
-            read(&entry.verdict)
-        });
-        if hit.is_some() {
             inner.hits += 1;
+            Lookup::Hit(read(&entry.verdict))
         } else {
             inner.misses += 1;
-        }
+            let counterexample = key.conclusion.and_then(|conclusion| {
+                inner.witnesses.refute(
+                    &inner.arena,
+                    env.env(),
+                    key.env_fp,
+                    &key.premises,
+                    conclusion,
+                )
+            });
+            match counterexample {
+                Some(model) => {
+                    let verdict = SatResult::Sat(model.clone());
+                    let out = read(&verdict);
+                    inner.refuted += 1;
+                    inner.insert(key, verdict);
+                    Lookup::Refuted(out)
+                }
+                None => Lookup::Miss(key),
+            }
+        };
         drop(guard);
-        self.record_lookup(hit.is_some(), interned);
-        hit.ok_or(key)
+        self.record_lookup(&found, interned);
+        found
     }
 
     /// Record the verdict for a previously missed query. `Cancelled`
-    /// verdicts are dropped — they say nothing about the formula.
+    /// verdicts are dropped — they say nothing about the formula. The model
+    /// of a `Sat` validity verdict becomes the newest witness.
     pub(crate) fn store(&self, key: QueryKey, result: &SatResult) {
         if result.is_cancelled() {
             return;
@@ -351,20 +424,12 @@ impl SolverCache {
                 .unknowns
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
-        let cost = entry_cost(&key, result);
         let mut inner = self.lock();
         inner.unknowns += u64::from(unknown);
-        let entry = Entry {
-            verdict: result.clone(),
-            cost,
-            referenced: false,
-        };
-        if let Some(prev) = inner.table.insert(key.clone(), entry) {
-            inner.resident_bytes -= prev.cost;
+        if let (SatResult::Sat(model), Some(_)) = (result, key.conclusion) {
+            inner.witnesses.push(model.clone());
         }
-        inner.resident_bytes += cost;
-        inner.clock.push_back(key);
-        inner.evict_to_budget();
+        inner.insert(key, result.clone());
     }
 
     /// Current counters.
@@ -378,6 +443,7 @@ impl SolverCache {
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
+            refuted: inner.refuted,
             interned_terms: inner.arena.len(),
             validity_entries,
             sat_entries: inner.table.len() - validity_entries,
@@ -412,7 +478,7 @@ pub(crate) fn fingerprint_env(env: &SortingEnv) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smt::Solver;
+    use crate::smt::{Solver, ValidityResult};
     use resyn_logic::{Sort, Term};
 
     fn env() -> SortingEnv {
@@ -422,21 +488,24 @@ mod tests {
     }
 
     /// Look up `premises` (and `conclusion`) under `env` with no path
-    /// condition, cloning a hit.
+    /// condition, cloning a hit or a refutation.
     fn lookup_in(
         cache: &SolverCache,
         env: &SortingEnv,
         premises: &[Term],
         conclusion: Option<&Term>,
     ) -> Result<SatResult, QueryKey> {
-        cache.lookup(
-            fingerprint_env(env),
+        match cache.lookup(
+            &SolverEnv::new(env.clone()),
             0,
             None,
             premises,
             conclusion,
             SatResult::clone,
-        )
+        ) {
+            Lookup::Hit(verdict) | Lookup::Refuted(verdict) => Ok(verdict),
+            Lookup::Miss(key) => Err(key),
+        }
     }
 
     /// Look up `premises ⟹ goal` and, on a miss, store it as valid.
@@ -602,6 +671,62 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.validity_entries, 64);
         assert_eq!(stats.interned_terms, distinct.len());
+    }
+
+    #[test]
+    fn a_refuted_query_is_a_counted_miss_and_then_a_hit() {
+        let cache = SolverCache::new();
+        let scope = cache.scoped();
+        let solver = Solver::new(env()).with_cache(scope.clone());
+        // Solved: `x ≤ y` is not valid, and its counterexample becomes a
+        // witness.
+        let ValidityResult::Invalid(counterexample) =
+            solver.check_valid(&[], &Term::var("x").le(Term::var("y")))
+        else {
+            panic!("x ≤ y is not valid");
+        };
+        // Refuted: the same model falsifies `x < y` under `x ≠ y`.
+        let premises = [Term::var("x").neq(Term::var("y"))];
+        let goal = Term::var("x").lt(Term::var("y"));
+        assert_eq!(
+            solver.check_valid(&premises, &goal),
+            ValidityResult::Invalid(counterexample.clone())
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.refuted), (0, 2, 1));
+        assert_eq!(stats.validity_entries, 2);
+        // The stored verdict answers the same query again.
+        assert!(!solver.is_valid(&premises, &goal));
+        assert_eq!(
+            solver.check_valid(&premises, &goal),
+            ValidityResult::Invalid(counterexample)
+        );
+        let handle = scope.handle_stats();
+        assert_eq!((handle.hits, handle.misses, handle.refuted), (2, 2, 1));
+        assert_eq!(cache.stats().refuted, 1);
+    }
+
+    #[test]
+    fn satisfiability_queries_neither_refute_nor_seed() {
+        let cache = SolverCache::new();
+        let solver = Solver::new(env()).with_cache(cache.clone());
+        // A satisfiability model is no witness: the validity query it would
+        // refute is solved.
+        let x_above_y = Term::var("x").gt(Term::var("y"));
+        assert!(matches!(
+            solver.check_sat(std::slice::from_ref(&x_above_y)),
+            SatResult::Sat(_)
+        ));
+        assert!(!solver.is_valid(&[], &Term::var("x").le(Term::var("y"))));
+        assert_eq!(cache.stats().refuted, 0);
+        // A validity counterexample refutes no satisfiability query it
+        // satisfies.
+        assert!(matches!(
+            solver.check_sat(&[x_above_y, Term::var("x").ge(Term::int(-1000))]),
+            SatResult::Sat(_)
+        ));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.refuted), (3, 0));
     }
 
     /// Distinct single-premise queries, one per index.

@@ -24,6 +24,8 @@
 //! * [`cache`] — a shared validity/SAT query cache over interned terms
 //!   ([`SolverCache`]), threaded through the checking pipeline so repeated
 //!   obligations are answered by lookup.
+//! * [`witness`] — the cache's recent counterexamples, which refute an invalid
+//!   validity query by evaluation before the solver runs.
 //!
 //! The solver is sound and complete on the fragment above and produces models,
 //! which the CEGIS resource-constraint solver requires.
@@ -54,6 +56,7 @@ pub mod linear;
 pub mod rational;
 pub mod sets;
 pub mod smt;
+pub mod witness;
 
 pub use cache::{CacheStats, HandleStats, SolverCache};
 pub use lia::LiaSolver;

@@ -7,7 +7,10 @@
 //! Validity-shaped queries (a long conjunction of premise atoms and a
 //! disjunctive conclusion, the shape type checking issues) get their own
 //! strategy: they are what the DPLL search's unit propagation and early
-//! theory pruning act on, and `arb_formula` rarely builds them.
+//! theory pruning act on, and `arb_formula` rarely builds them. Sequences
+//! of validity queries asked through one cache check its refutations: a
+//! recent counterexample may answer a query only where the solver would not
+//! find it valid.
 
 use proptest::prelude::*;
 
@@ -284,6 +287,122 @@ proptest! {
                 "model {m:?} is not a counterexample to {query}"
             ),
             other => panic!("linear validity query left undecided ({other:?}): {query}"),
+        }
+    }
+}
+
+/// The environment of a refutation query: `w` is an integer in one and a
+/// boolean in the other, next to integers `x`, `y`, a boolean `p`, a set
+/// `s`, lists `xs`, `ys` of an uninterpreted sort, a measure `f` over
+/// integers and a measure `len` over lists.
+fn refutation_env(w_is_int: bool) -> SortingEnv {
+    let mut e = SortingEnv::new();
+    e.bind_var("x", Sort::Int)
+        .bind_var("y", Sort::Int)
+        .bind_var("p", Sort::Bool)
+        .bind_var("s", Sort::Set)
+        .bind_var("xs", Sort::uninterp("a"))
+        .bind_var("ys", Sort::uninterp("a"))
+        .bind_var("w", if w_is_int { Sort::Int } else { Sort::Bool })
+        .declare_measure("f", vec![Sort::Int], Sort::Int)
+        .declare_measure("len", vec![Sort::uninterp("a")], Sort::Int);
+    e
+}
+
+/// An atom over ints, booleans, sets and measure applications, which may
+/// use `w` at either sort. A model leaves lists that only measures and
+/// list equalities mention at 0, so two lengths it gives often disagree on
+/// equal lists: the congruence the solver enforces is what tells them
+/// apart.
+fn arb_mixed_atom() -> impl Strategy<Value = Term> {
+    let len = |v: &str| Term::app("len", vec![Term::var(v)]);
+    let int = prop_oneof![
+        (-2i64..3).prop_map(Term::int),
+        prop_oneof![Just("x"), Just("y"), Just("w")].prop_map(Term::var),
+        prop_oneof![Just("x"), Just("y"), Just("w")]
+            .prop_map(|v| Term::app("f", vec![Term::var(v)])),
+        prop_oneof![Just("xs"), Just("ys")].prop_map(len),
+        prop_oneof![Just("x"), Just("y")].prop_map(|v| Term::var(v) + Term::int(1)),
+    ];
+    (int.clone(), int, 0usize..12).prop_map(move |(a, b, op)| match op {
+        0 => a.le(b),
+        1 => a.lt(b),
+        2 => a.eq_(b),
+        3 => a.neq(b),
+        4 => Term::var("p"),
+        5 => Term::var("w"),
+        6 => Term::var("w").eq_(Term::var("p")),
+        7 => a.member(Term::var("s")),
+        8 => Term::var("xs").eq_(Term::var("ys")),
+        9 => Term::var("xs").neq(Term::var("ys")),
+        10 => len("xs").neq(len("ys")),
+        _ => Term::var("s").subset(b.singleton().union(Term::var("x").singleton())),
+    })
+}
+
+/// A pool of atoms, and validity queries over it, each with the sort of
+/// `w` to ask it under. Queries that share their atoms are what a recent
+/// counterexample refutes, as candidates that share a path condition are.
+fn arb_refutation_queries() -> impl Strategy<Value = Vec<(Vec<Term>, Term, bool)>> {
+    let query = (
+        proptest::collection::vec(0usize..6, 0..5),
+        proptest::collection::vec(0usize..6, 1..3),
+        prop_oneof![Just(false), Just(true)],
+    );
+    (
+        proptest::collection::vec(arb_mixed_atom(), 6..7),
+        proptest::collection::vec(query, 8..16),
+    )
+        .prop_map(|(pool, queries)| {
+            queries
+                .into_iter()
+                .map(|(premises, alternatives, w_is_int)| {
+                    let premises = premises.into_iter().map(|i| pool[i].clone()).collect();
+                    let alternatives = alternatives.into_iter().map(|i| pool[i].clone());
+                    (premises, Term::or_all(alternatives), w_is_int)
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Queries asked in turn through one cache, each under an environment
+    /// binding `w` at one of two sorts: every verdict a witness refutes has
+    /// a model that satisfies the premises and falsifies the conclusion,
+    /// and a solver without a cache does not find the query valid.
+    #[test]
+    fn refutations_are_counterexamples_the_solver_agrees_with(
+        queries in arb_refutation_queries()
+    ) {
+        let cache = crate::SolverCache::new();
+        for (premises, conclusion, w_is_int) in queries {
+            let env = refutation_env(w_is_int);
+            let refuted_before = cache.stats().refuted;
+            let verdict = Solver::new(env.clone())
+                .with_cache(cache.clone())
+                .check_valid(&premises, &conclusion);
+            if cache.stats().refuted == refuted_before {
+                continue;
+            }
+            let ValidityResult::Invalid(model) = verdict else {
+                panic!("a refuted query reads {verdict:?}");
+            };
+            for premise in &premises {
+                prop_assert!(
+                    premise.eval_bool(&model) == Ok(true),
+                    "{model:?} does not satisfy {premise}"
+                );
+            }
+            prop_assert!(
+                conclusion.eval_bool(&model) == Ok(false),
+                "{model:?} does not falsify {conclusion}"
+            );
+            prop_assert!(
+                !matches!(Solver::new(env).check_valid(&premises, &conclusion), ValidityResult::Valid),
+                "the solver finds {conclusion} valid under {premises:?}"
+            );
         }
     }
 }

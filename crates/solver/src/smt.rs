@@ -31,7 +31,10 @@
 //! ([`Solver::with_cache`]): the public [`Solver::check_sat`] /
 //! [`Solver::check_valid`] entry points then memoize verdicts keyed on the
 //! interned query, so the checking pipeline never re-proves a structurally
-//! equal obligation. The type checker asks under a persistent path
+//! equal obligation, and a validity query the cache misses is first tried
+//! against the cache's recent counterexamples ([`crate::witness`]): one that
+//! satisfies it answers without the stages below. Debug builds solve every
+//! such query as well and assert that the solver does not find it valid. The type checker asks under a persistent path
 //! condition ([`Solver::is_valid_under`]) and shares one [`SolverEnv`] per
 //! binding state of its context, so a hit interns only the facts and
 //! conclusion that are new and fingerprints each environment once.
@@ -48,7 +51,7 @@ use resyn_logic::{
     Value,
 };
 
-use crate::cache::SolverCache;
+use crate::cache::{Lookup, SolverCache};
 use crate::dpll::{self, DpllConfig, DpllResult, Theory, TheoryResult};
 use crate::lia::{LiaResult, LiaSolver, LinConstraint};
 use crate::linear::LinExpr;
@@ -137,7 +140,7 @@ impl SolverEnv {
         &self.env
     }
 
-    fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         *self
             .fingerprint
             .get_or_init(|| crate::cache::fingerprint_env(&self.env))
@@ -150,7 +153,22 @@ pub struct Solver {
     env: Arc<SolverEnv>,
     lia: LiaSolver,
     dpll: DpllConfig,
+    /// [`config_fingerprint`] of `lia` and `dpll`, whose limits nothing
+    /// changes after construction.
+    config_fp: u64,
     cache: Option<SolverCache>,
+}
+
+/// Fingerprint of the work limits a verdict may depend on (a raised limit
+/// can turn `Unknown` into a definite answer, so solvers that differ in one
+/// must not alias in a shared cache).
+fn config_fingerprint(lia: &LiaSolver, dpll: &DpllConfig) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    dpll.decision_limit.hash(&mut h);
+    lia.branch_limit.hash(&mut h);
+    lia.constraint_limit.hash(&mut h);
+    h.finish()
 }
 
 impl Solver {
@@ -162,10 +180,17 @@ impl Solver {
 
     /// A solver over a shared environment (see [`SolverEnv`]).
     pub fn shared(env: Arc<SolverEnv>) -> Solver {
+        // Every solver starts from the default limits, so their fingerprint
+        // is hashed once per process.
+        static DEFAULT_CONFIG_FP: OnceLock<u64> = OnceLock::new();
+        let lia = LiaSolver::new();
+        let dpll = DpllConfig::default();
+        let config_fp = *DEFAULT_CONFIG_FP.get_or_init(|| config_fingerprint(&lia, &dpll));
         Solver {
             env,
-            lia: LiaSolver::new(),
-            dpll: DpllConfig::default(),
+            lia,
+            dpll,
+            config_fp,
             cache: None,
         }
     }
@@ -202,18 +227,6 @@ impl Solver {
         self.cache.as_ref()
     }
 
-    /// Fingerprint of the work limits a verdict may depend on (a raised
-    /// limit can turn `Unknown` into a definite answer, so solvers that
-    /// differ in one must not alias in a shared cache).
-    fn config_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.dpll.decision_limit.hash(&mut h);
-        self.lia.branch_limit.hash(&mut h);
-        self.lia.constraint_limit.hash(&mut h);
-        h.finish()
-    }
-
     /// Decide satisfiability of the conjunction of `assumptions`.
     pub fn check_sat(&self, assumptions: &[Term]) -> SatResult {
         self.check_cached(None, assumptions, None, SatResult::clone)
@@ -237,11 +250,16 @@ impl Solver {
         let Some(cache) = &self.cache else {
             return read(&self.solve(path, premises, conclusion));
         };
-        let env_fp = self.env.fingerprint();
-        let config_fp = self.config_fingerprint();
-        match cache.lookup(env_fp, config_fp, path, premises, conclusion, &read) {
-            Ok(hit) => hit,
-            Err(key) => {
+        match cache.lookup(&self.env, self.config_fp, path, premises, conclusion, &read) {
+            Lookup::Hit(hit) => hit,
+            Lookup::Refuted(refuted) => {
+                debug_assert!(
+                    !matches!(self.solve(path, premises, conclusion), SatResult::Unsat),
+                    "a counterexample refuted a valid query"
+                );
+                refuted
+            }
+            Lookup::Miss(key) => {
                 let result = self.solve(path, premises, conclusion);
                 // The cache drops a cancelled verdict: it is an artifact of
                 // this run's budget, not a property of the query.

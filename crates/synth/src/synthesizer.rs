@@ -47,8 +47,12 @@ pub struct SynthStats {
     pub timed_out: bool,
     /// Solver queries answered from the shared query cache during this run.
     pub solver_cache_hits: u64,
-    /// Solver queries this run had to solve (and then cached).
+    /// Solver queries of this run not answered from the cache's table:
+    /// solved or refuted (and then cached).
     pub solver_cache_misses: u64,
+    /// Misses of this run refuted by one of the cache's recent
+    /// counterexamples instead of solved.
+    pub solver_refuted: u64,
     /// Terms newly interned into the cache's hash-consing arena by this run.
     pub interned_terms: usize,
     /// Solver misses of this run that gave up with an `Unknown` verdict
@@ -70,6 +74,7 @@ impl SynthStats {
         self.timed_out |= other.timed_out;
         self.solver_cache_hits += other.solver_cache_hits;
         self.solver_cache_misses += other.solver_cache_misses;
+        self.solver_refuted += other.solver_refuted;
         self.interned_terms += other.interned_terms;
         self.solver_unknowns += other.solver_unknowns;
     }
@@ -301,6 +306,7 @@ impl Synthesizer {
         let cs = self.cache.handle_stats();
         stats.solver_cache_hits = cs.hits - before.hits;
         stats.solver_cache_misses = cs.misses - before.misses;
+        stats.solver_refuted = cs.refuted - before.refuted;
         stats.interned_terms = cs.interned_terms - before.interned_terms;
         stats.solver_unknowns = cs.unknowns - before.unknowns;
     }

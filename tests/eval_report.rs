@@ -1,4 +1,4 @@
-//! End-to-end shape tests for the `resyn-bench-eval/4` JSON report: a real
+//! End-to-end shape tests for the `resyn-bench-eval/5` JSON report: a real
 //! (small) suite run is serialized and re-parsed, and the schema properties
 //! downstream tooling relies on are asserted on the result. Writer/parser
 //! unit coverage (escaping, null-vs-timeout, v1 backward compatibility,
@@ -40,9 +40,9 @@ fn real_runs_serialize_to_the_documented_schema() {
     let report = tiny_run_json();
     assert_eq!(
         report.get("schema").and_then(Json::as_str),
-        Some("resyn-bench-eval/4")
+        Some("resyn-bench-eval/5")
     );
-    assert_eq!(schema_version(&report), Some(4));
+    assert_eq!(schema_version(&report), Some(5));
     assert_eq!(report.get("suite").and_then(Json::as_str), Some("table1"));
     assert_eq!(report.get("jobs").and_then(Json::as_num), Some(2.0));
     assert!(
@@ -80,7 +80,8 @@ fn real_runs_serialize_to_the_documented_schema() {
                 "`{ablation}` must be a run object on a Table-1 row"
             );
         }
-        // Schema 4 dropped the per-mode library counts of schema 3.
+        // Schema 4 dropped the per-mode library counts of schema 3; schema
+        // 5 appended the refuted misses.
         for mode in ["resyn", "synquid", "eac", "noinc"] {
             let keys: Vec<&str> = modes
                 .get(mode)
@@ -96,7 +97,8 @@ fn real_runs_serialize_to_the_documented_schema() {
                     "timed_out",
                     "candidates",
                     "cache_hits",
-                    "cache_misses"
+                    "cache_misses",
+                    "cache_refuted"
                 ],
                 "`{mode}`"
             );

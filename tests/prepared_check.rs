@@ -373,12 +373,14 @@ fn the_search_checks_each_hole_in_the_frame_of_its_own_prefix() {
     // they issue fewer solver misses (112 and 58 in ReSyn mode). The cache
     // hits and interned terms pin the shape of every query: a path
     // condition interned in another shape, or a verdict keyed on another
-    // premise, moves them. Synquid mode adds the termination queries.
-    for (id, mode, counts) in [
-        ("sorted-insert", Mode::ReSyn, [1857, 166, 1266, 444]),
-        ("unique-insert", Mode::ReSyn, [1645, 74, 612, 351]),
-        ("sorted-insert", Mode::Synquid, [1857, 158, 867, 436]),
-        ("unique-insert", Mode::Synquid, [1645, 69, 447, 343]),
+    // premise, moves them. Synquid mode adds the termination queries. The
+    // last column counts the misses a recent counterexample refuted: a
+    // refutation that stops firing, or fires on another query, moves it.
+    for (id, mode, counts, refuted) in [
+        ("sorted-insert", Mode::ReSyn, [1857, 166, 1266, 444], 25),
+        ("unique-insert", Mode::ReSyn, [1645, 74, 612, 351], 27),
+        ("sorted-insert", Mode::Synquid, [1857, 158, 867, 436], 25),
+        ("unique-insert", Mode::Synquid, [1645, 69, 447, 343], 27),
     ] {
         let goal = rows(&[id]).remove(0);
         let outcome = Synthesizer::new()
@@ -395,6 +397,10 @@ fn the_search_checks_each_hole_in_the_frame_of_its_own_prefix() {
             ],
             counts,
             "{id} in {mode:?}: candidates, solver misses, cache hits and interned terms"
+        );
+        assert_eq!(
+            stats.solver_refuted, refuted,
+            "{id} in {mode:?}: solver misses refuted by a recent counterexample"
         );
     }
 }
