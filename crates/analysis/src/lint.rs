@@ -11,8 +11,8 @@
 //! * [`lint_structural`] — the cheap, solver-free subset (duplicates,
 //!   shadowing, unreachable components, goals that cannot recurse
 //!   structurally, higher-order goal parameters, refinement sorting —
-//!   arity/shape mistakes inside refinements). The synthesis server runs
-//!   this on every request.
+//!   arity/shape mistakes inside refinements). perfbench runs this on every
+//!   generated problem before synthesizing it.
 //! * [`lint_problem`] — the full pass: structural checks plus a budgeted
 //!   solver query per refinement that reports trivially-unsatisfiable
 //!   conjunctions.
@@ -364,7 +364,7 @@ pub fn lint_problem(
             // be accepted; anywhere else it makes the declaration vacuous.
             let mut solver = Solver::new(env).with_budget(budget.clone());
             if let Some(c) = cache {
-                solver = solver.with_cache(c.scoped());
+                solver = solver.with_cache(c.clone());
             }
             if let ValidityResult::Valid = solver.check_valid(&[], &refinement.clone().not()) {
                 let level = if d.kind == DeclKind::Goal && label == "return type" {

@@ -5,8 +5,8 @@
 //! polls the clock between *candidates* can overrun its budget arbitrarily
 //! inside E-term generation or a single solver call. A [`Budget`] is the
 //! repo-wide answer: one small value threaded from the entry point
-//! (`Synthesizer::synthesize`, a `resyn serve` worker, the evaluation
-//! harness) down through skeleton generation, E-term enumeration, the Re²
+//! (`Synthesizer::synthesize`, the evaluation harness, the lint pass) down
+//! through skeleton generation, E-term enumeration, the Re²
 //! checker, the CEGIS loop and the DPLL(T) search, each of which calls
 //! [`Budget::is_exceeded`] at the top of its hot loop and unwinds with a
 //! *cancelled* result when the answer is yes.
@@ -16,7 +16,10 @@
 //! * a **deadline** (`Instant`), fixed when the budget is created — this is
 //!   what `--timeout` compiles to; and
 //! * any number of **[`CancelToken`]s** (shared `AtomicBool`s) — this is how
-//!   a server cancels a job whose client disconnected.
+//!   a caller stops a search mid-flight at a point of its choosing rather
+//!   than at a clock reading: from another thread, or from inside the
+//!   search itself (a test's theory oracle that cancels on its first call
+//!   stops DPLL(T) at a fixed step).
 //!
 //! Budgets are cheap to clone (an `Instant` plus a couple of `Arc`s) and
 //! cheap to poll (atomic loads plus one monotonic clock read), so
@@ -36,9 +39,11 @@
 //! [`Budget::with_progress`] piggybacks on [`Budget::is_exceeded`], firing
 //! a callback at most once per configured interval no matter how hot the
 //! loop calling the checkpoint is (the throttle is an atomic
-//! compare-exchange, so concurrent clones never double-fire an interval). This is what the
-//! server's streamed `resyn-wire/2` `progress` frames hang off: no layer of
-//! the synthesis stack knows it is being watched.
+//! compare-exchange, so concurrent clones never double-fire an interval),
+//! and no layer of the synthesis stack knows it is being watched. A sink's
+//! emissions are what the `resyn-wire/2` `progress` frame
+//! (`resyn_wire::proto::Progress`) describes. No entry point attaches a
+//! sink: both stay until the streaming protocol is removed (ROADMAP.md).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

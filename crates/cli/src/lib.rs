@@ -1,7 +1,8 @@
 //! The `resyn` command-line tool.
 //!
-//! Three subcommands operate on Synquid-style problem files (see
-//! [`resyn_parse`] for the surface syntax):
+//! The subcommands operate on Synquid-style problem files (see
+//! [`resyn_parse`] for the surface syntax) or on the paper's benchmark
+//! suites:
 //!
 //! * `resyn synth <problem.re>` — synthesize every `goal` in the file and
 //!   print the programs in surface syntax,
@@ -18,10 +19,6 @@
 //! * `resyn eval` — run the paper's benchmark suites through the parallel
 //!   batch harness and (optionally) emit the machine-readable
 //!   `BENCH_eval.json` report,
-//! * `resyn serve` — start the persistent synthesis server (one shared
-//!   solver cache across every session; see [`resyn_server`]),
-//! * `resyn client` — submit a problem file (or a `stats` query) to a
-//!   running server over the `resyn-wire/1` protocol,
 //! * `resyn gen` — print a seeded, byte-deterministic batch of generated
 //!   synthesis problems (see [`resyn_gen`]),
 //! * `resyn fuzz` — run a generated batch through the differential checker
@@ -40,8 +37,6 @@ use resyn_eval::parallel::{default_jobs, ParallelConfig};
 use resyn_eval::report::{render_json, EvalReport};
 use resyn_parse::surface::{expr_to_surface, schema_to_surface};
 use resyn_parse::{parse_expr, parse_problem};
-use resyn_server::wire::{Response, SynthRequest};
-use resyn_server::{Client, ServerConfig};
 use resyn_solver::SolverCache;
 use resyn_synth::{Mode, Synthesizer};
 
@@ -54,8 +49,15 @@ pub enum CliError {
     Parse(String),
     /// A goal named on the command line does not exist in the problem file.
     UnknownGoal(String),
-    /// Synthesis failed (timeout or exhausted search space).
-    SynthesisFailed(String),
+    /// Synthesis found no program for the named goal: the search ran out
+    /// of time or exhausted its candidates.
+    SynthesisFailed {
+        /// The goal that failed.
+        goal: String,
+        /// The per-goal timeout the search ran into, or `None` when it
+        /// exhausted its candidates before the deadline.
+        timed_out: Option<Duration>,
+    },
     /// A checked program does not satisfy its signature.
     CheckFailed(String),
     /// `fuzz` found a differential failure (the details and the shrunk
@@ -64,10 +66,6 @@ pub enum CliError {
     /// `lint` found deny-level diagnostics (the report has already been
     /// printed); exits with a distinct status so CI can gate on it.
     LintDeny(String),
-    /// The synthesis server could not be reached or broke protocol
-    /// (`client`). Unlike [`Usage`](Self::Usage), this does not mean the
-    /// command line was wrong, so `main` does not print the usage text.
-    Transport(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -76,18 +74,19 @@ impl std::fmt::Display for CliError {
             CliError::Usage(msg) => write!(f, "usage error: {msg}"),
             CliError::Parse(msg) => write!(f, "parse error: {msg}"),
             CliError::UnknownGoal(name) => write!(f, "no goal named `{name}` in the problem file"),
-            CliError::SynthesisFailed(name) => {
-                write!(
+            CliError::SynthesisFailed { goal, timed_out } => match timed_out {
+                Some(timeout) => write!(
                     f,
-                    "synthesis failed for goal `{name}` (timeout or no solution)"
-                )
-            }
+                    "synthesis failed for goal `{goal}`: timed out after {}s",
+                    timeout.as_secs_f64()
+                ),
+                None => write!(f, "synthesis failed for goal `{goal}`: search exhausted"),
+            },
             CliError::CheckFailed(name) => {
                 write!(f, "program does not satisfy the signature of goal `{name}`")
             }
             CliError::FuzzFailed(msg) => write!(f, "differential failure: {msg}"),
             CliError::LintDeny(msg) => write!(f, "lint: {msg}"),
-            CliError::Transport(msg) => write!(f, "server error: {msg}"),
         }
     }
 }
@@ -114,17 +113,6 @@ pub struct Options {
     pub table: u8,
     /// `eval`: write the JSON report to this path (`--json PATH`).
     pub json: Option<String>,
-    /// `serve`/`client`: the server address (`--addr HOST:PORT`).
-    pub addr: Option<String>,
-    /// `serve`: queue-depth limit before requests bounce with `overloaded`
-    /// (`--queue N`).
-    pub queue: Option<usize>,
-    /// `serve`: cap on concurrently-open connections (`--max-conns N`);
-    /// accepts beyond it get an immediate `overloaded` response and close.
-    pub max_conns: Option<usize>,
-    /// `client`: submit the problem as a `resyn-wire/2` streaming request
-    /// and print progress heartbeats as they arrive (`--stream`).
-    pub stream: bool,
     /// `gen`/`fuzz`: the master seed (`--seed N`); defaults to 42.
     pub seed: Option<u64>,
     /// `gen`/`fuzz`: how many problems to draw (`--count N`).
@@ -137,9 +125,6 @@ pub struct Options {
     /// `fuzz`: which invariant to check per problem (`--check
     /// modes|lint`); defaults to `modes` (the cross-mode differential).
     pub check: Option<String>,
-    /// `serve`: approximate byte budget for the server's shared solver cache
-    /// (`--cache-budget BYTES`); over it, cold entries are evicted.
-    pub cache_budget: Option<usize>,
     /// `lint`: output format (`--format human|json`); human by default.
     pub format: Option<String>,
     /// Flags seen on the command line, for per-subcommand scope checking
@@ -158,16 +143,11 @@ impl Default for Options {
             filters: Vec::new(),
             table: 1,
             json: None,
-            addr: None,
-            queue: None,
-            max_conns: None,
-            stream: false,
             seed: None,
             count: None,
             size: None,
             out: None,
             check: None,
-            cache_budget: None,
             format: None,
             seen_flags: Vec::new(),
         }
@@ -189,22 +169,6 @@ pub fn check_flag_scope(command: &str, opts: &Options) -> Result<(), CliError> {
         "check" => &["--mode", "--timeout", "--goal"],
         "measure" => &["--goal"],
         "eval" => &["--table", "--jobs", "--timeout", "--filter", "--json"],
-        "serve" => &[
-            "--addr",
-            "--jobs",
-            "--timeout",
-            "--queue",
-            "--max-conns",
-            "--cache-budget",
-        ],
-        "client" => &[
-            "--addr",
-            "--mode",
-            "--timeout",
-            "--goal",
-            "--stats",
-            "--stream",
-        ],
         "lint" => &["--format", "--timeout"],
         "gen" => &["--seed", "--count", "--size"],
         "fuzz" => &[
@@ -305,17 +269,6 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                 };
             }
             "--json" => opts.json = Some(flag_value(&mut it, flag)?.clone()),
-            "--addr" => opts.addr = Some(flag_value(&mut it, flag)?.clone()),
-            "--queue" => {
-                opts.queue = Some(positive_count(flag_value(&mut it, flag)?, "queue depth")?);
-            }
-            "--max-conns" => {
-                opts.max_conns = Some(positive_count(
-                    flag_value(&mut it, flag)?,
-                    "connection cap",
-                )?);
-            }
-            "--stream" => opts.stream = true,
             "--format" => {
                 let value = flag_value(&mut it, flag)?;
                 match value.as_str() {
@@ -347,12 +300,6 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, Options), CliError> 
                         )))
                     }
                 }
-            }
-            "--cache-budget" => {
-                opts.cache_budget = Some(positive_count(
-                    flag_value(&mut it, flag)?,
-                    "cache budget in bytes",
-                )?);
             }
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown flag `{flag}`")))
@@ -484,7 +431,10 @@ pub fn run_synth(problem_text: &str, opts: &Options) -> Result<String, CliError>
     for goal in goals {
         let outcome = synthesizer.synthesize(&goal, opts.mode);
         let Some(program) = outcome.program else {
-            return Err(CliError::SynthesisFailed(goal.name.clone()));
+            return Err(CliError::SynthesisFailed {
+                goal: goal.name.clone(),
+                timed_out: outcome.stats.timed_out.then_some(opts.timeout),
+            });
         };
         let _ = writeln!(out, "-- goal {}", goal.name);
         let _ = writeln!(
@@ -628,121 +578,6 @@ pub fn run_eval(opts: &Options) -> Result<EvalOutput, CliError> {
         .as_ref()
         .map(|_| render_json(&EvalReport::of_run(suite_name, opts.timeout, &run)));
     Ok(EvalOutput { table, json })
-}
-
-/// The default server address shared by `resyn serve` and `resyn client`.
-pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
-
-/// Build the [`ServerConfig`] for `resyn serve` from the parsed flags
-/// (`--addr`, `--jobs`, `--timeout`, `--queue`; defaults otherwise).
-pub fn server_config(opts: &Options) -> ServerConfig {
-    let defaults = ServerConfig::default();
-    ServerConfig {
-        addr: opts
-            .addr
-            .clone()
-            .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
-        jobs: opts.jobs.unwrap_or(defaults.jobs),
-        timeout: if opts.seen_flags.iter().any(|f| f == "--timeout") {
-            opts.timeout
-        } else {
-            defaults.timeout
-        },
-        queue_limit: opts.queue.unwrap_or(defaults.queue_limit),
-        max_conns: opts.max_conns,
-        cache_budget: opts.cache_budget,
-        ..defaults
-    }
-}
-
-/// Render a `resyn-wire/1` response for the terminal: the verdict first
-/// (so scripts can grep it), then timing, the error if any, the counters,
-/// and the synthesized program.
-fn render_response(response: &Response) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "verdict: {}", response.verdict);
-    if let Some(t) = response.time_secs {
-        let _ = writeln!(out, "time: {t:.2}s");
-    }
-    if let Some(error) = &response.error {
-        let _ = writeln!(out, "error: {error}");
-    }
-    for (key, value) in &response.stats {
-        let _ = writeln!(out, "{key}: {value}");
-    }
-    if let Some(program) = &response.program {
-        out.push_str(program);
-    }
-    out
-}
-
-/// `resyn client`: submit one request to a running server and render the
-/// response. `problem_text` is the problem file's contents for a synthesis
-/// request, or `None` with `--stats` for a statistics query.
-///
-/// The exit status reflects the *transport*: any server response — including
-/// `parse_error` or `overloaded` — renders successfully with its verdict on
-/// the first line, so callers script against the verdict, not the exit code.
-///
-/// # Errors
-///
-/// Returns [`CliError::Transport`] when the server cannot be reached or
-/// the response violates the protocol.
-pub fn run_client(problem_text: Option<&str>, opts: &Options) -> Result<String, CliError> {
-    let addr = opts.addr.as_deref().unwrap_or(DEFAULT_ADDR);
-    let mut client = Client::connect(addr)
-        .map_err(|e| CliError::Transport(format!("cannot connect to `{addr}`: {e}")))?;
-    let response = match problem_text {
-        None => client.stats(),
-        Some(problem) => client.synth(synth_request(problem, opts)),
-    }
-    .map_err(|e| CliError::Transport(format!("request to `{addr}` failed: {e}")))?;
-    Ok(render_response(&response))
-}
-
-/// The synthesis request `resyn client` submits for a problem file.
-fn synth_request(problem: &str, opts: &Options) -> SynthRequest {
-    SynthRequest {
-        id: None,
-        problem: problem.to_string(),
-        mode: Some(opts.mode.as_str().to_string()),
-        timeout_secs: opts
-            .seen_flags
-            .iter()
-            .any(|f| f == "--timeout")
-            .then_some(opts.timeout.as_secs_f64()),
-        goal: opts.goal.clone(),
-        stream: opts.stream,
-    }
-}
-
-/// `resyn client --stream`: submit the problem as a `resyn-wire/2`
-/// streaming request. `on_progress` receives one pre-rendered line per
-/// progress heartbeat *while the job runs* (the caller prints them as they
-/// arrive — this library does no I/O); the returned report is the rendered
-/// final response, identical to what [`run_client`] would produce.
-///
-/// # Errors
-///
-/// Returns [`CliError::Transport`] when the server cannot be reached or
-/// the response violates the protocol.
-pub fn run_client_stream(
-    problem_text: &str,
-    opts: &Options,
-    mut on_progress: impl FnMut(String),
-) -> Result<String, CliError> {
-    let addr = opts.addr.as_deref().unwrap_or(DEFAULT_ADDR);
-    let mut client = Client::connect(addr)
-        .map_err(|e| CliError::Transport(format!("cannot connect to `{addr}`: {e}")))?;
-    let response = client
-        .synth_stream(synth_request(problem_text, opts), |progress| {
-            on_progress(format!(
-                "progress: #{} at {:.2}s",
-                progress.seq, progress.elapsed_secs
-            ));
-        })
-        .map_err(|e| CliError::Transport(format!("request to `{addr}` failed: {e}")))?;
-    Ok(render_response(&response))
 }
 
 /// Build the [`resyn_gen::GenConfig`] for `gen`/`fuzz` from the parsed
@@ -926,11 +761,6 @@ USAGE:
     resyn lint <problem-file-or-dir> [--format human|json] [--timeout SECS]
     resyn eval [--table 1|2] [--jobs N] [--timeout SECS] [--filter SUBSTR,...]
                [--json PATH]
-    resyn serve [--addr HOST:PORT] [--jobs N] [--timeout SECS] [--queue N]
-                [--max-conns N] [--cache-budget BYTES]
-    resyn client <problem-file> [--addr HOST:PORT] [--mode MODE]
-                 [--timeout SECS] [--goal NAME] [--stream]
-    resyn client --stats [--addr HOST:PORT]
     resyn gen [--seed N] [--count N] [--size N]
     resyn fuzz [--seed N] [--count N] [--size N] [--timeout SECS] [--out PATH]
                [--check modes|lint]
@@ -971,27 +801,6 @@ agreement under one per-run `--timeout`, a bit-identical warm-cache replay,
 and that `lint` never calls a component of the ReSyn program unreachable;
 `lint` demands that every generated problem is free of
 deny-level lint findings.
-
-`serve` starts the persistent synthesis server (newline-delimited
-`resyn-wire/1` and `/2` JSON over TCP; all sessions share one solver query
-cache, `--queue` bounds the pending-job backlog before requests bounce
-with `overloaded`, and per-request timeouts are clamped to `--timeout`).
-`--cache-budget BYTES` bounds that shared cache: past the budget, cold
-entries are evicted (approximate second-chance policy; recently-hit entries
-survive a sweep).
-Connections are multiplexed by one epoll readiness loop (synthesis
-dominates, not I/O), so thousands of concurrent clients cost registered
-fds, not threads. `--max-conns N` caps concurrently
-open connections: accepts beyond the cap get one immediate `overloaded`
-response and are closed (unlimited by default). Every synthesis request is
-run through the linter's structural checks first; deny-level findings come
-back as the error instead of being synthesized over.
-`client` submits a problem file — or, with `--stats`, a statistics query —
-to a running server; the default address for both is 127.0.0.1:7171.
-`client --stream` opts into `resyn-wire/2` streaming: the server sends
-rate-limited progress heartbeats while the job runs, printed as they
-arrive, before the unchanged final verdict. `client --stats` reports
-p50/p95/p99 request latency split into queue wait and solve time.
 ";
 
 #[cfg(test)]
@@ -1340,222 +1149,68 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_client_flags_are_parsed_and_scoped() {
-        let args: Vec<String> = ["--addr", "127.0.0.1:9000", "--queue", "4", "--jobs", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (positional, opts) = parse_flags(&args).unwrap();
-        assert!(positional.is_empty());
-        assert_eq!(opts.addr.as_deref(), Some("127.0.0.1:9000"));
-        assert_eq!(opts.queue, Some(4));
-        assert!(check_flag_scope("serve", &opts).is_ok());
-        // `--queue` is a server knob; clients cannot pass it.
-        assert!(matches!(
-            check_flag_scope("client", &opts),
-            Err(CliError::Usage(msg)) if msg.contains("--queue")
-        ));
-
-        for bad in [
-            vec!["--queue", "0"],
-            vec!["--queue", "deep"],
-            vec!["--addr"],
-        ] {
-            let bad: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                matches!(parse_flags(&bad), Err(CliError::Usage(_))),
-                "{bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn server_config_reflects_flags_and_defaults() {
-        let (_, opts) = parse_flags(&[]).unwrap();
-        let config = server_config(&opts);
-        assert_eq!(config.addr, DEFAULT_ADDR);
-        // Without `--timeout` the server keeps its own default budget, not
-        // the CLI's synth default.
+    fn a_zero_budget_request_times_out() {
+        // A `synth` request with a zero budget stops the search before its
+        // first candidate, and the failure says it timed out.
+        let problem = "goal id_list :: xs: List a -> {List a | len _v == len xs}";
+        let expired = Options {
+            timeout: Duration::ZERO,
+            ..Options::default()
+        };
+        let err = run_synth(problem, &expired).unwrap_err();
         assert_eq!(
-            config.timeout,
-            resyn_server::ServerConfig::default().timeout
+            err,
+            CliError::SynthesisFailed {
+                goal: "id_list".to_string(),
+                timed_out: Some(Duration::ZERO),
+            }
         );
+        assert_eq!(
+            err.to_string(),
+            "synthesis failed for goal `id_list`: timed out after 0s"
+        );
+    }
 
-        let args: Vec<String> = [
+    #[test]
+    fn a_failed_search_within_its_budget_says_it_was_exhausted() {
+        // No component computes `x + 1`: the search runs out of candidates
+        // long before its deadline.
+        let opts = Options {
+            timeout: Duration::from_secs(60),
+            ..Options::default()
+        };
+        let err = run_synth("goal inc :: x: Int -> {Int | _v == x + 1}", &opts).unwrap_err();
+        assert_eq!(
+            err,
+            CliError::SynthesisFailed {
+                goal: "inc".to_string(),
+                timed_out: None,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "synthesis failed for goal `inc`: search exhausted"
+        );
+    }
+
+    #[test]
+    fn serving_flags_and_snapshot_flags_are_unknown() {
+        // Flags no subcommand takes are rejected, never silently ignored.
+        for flag in [
             "--addr",
-            "0.0.0.0:0",
-            "--jobs",
-            "3",
-            "--timeout",
-            "7",
             "--queue",
-            "5",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        let config = server_config(&opts);
-        assert_eq!(config.addr, "0.0.0.0:0");
-        assert_eq!(config.jobs, 3);
-        assert_eq!(config.timeout, Duration::from_secs(7));
-        assert_eq!(config.queue_limit, 5);
-    }
-
-    #[test]
-    fn stream_flag_is_parsed_and_scoped() {
-        // The server runs one readiness loop; the flag that sized a set of
-        // them is rejected, never silently ignored.
-        let bad: Vec<String> = ["--io-threads", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(
-            parse_flags(&bad),
-            Err(CliError::Usage(msg)) if msg.contains("unknown flag")
-        ));
-
-        let args: Vec<String> = ["--stream"].iter().map(|s| s.to_string()).collect();
-        let (_, opts) = parse_flags(&args).unwrap();
-        assert!(opts.stream);
-        assert!(check_flag_scope("client", &opts).is_ok());
-        // … and `--stream` shapes the client's read loop, not the server.
-        assert!(matches!(
-            check_flag_scope("serve", &opts),
-            Err(CliError::Usage(msg)) if msg.contains("--stream")
-        ));
-    }
-
-    #[test]
-    fn a_streaming_client_sees_heartbeats_then_the_verdict() {
-        // A zero heartbeat interval makes every budget checkpoint report,
-        // so even a quick goal streams progress ahead of its verdict.
-        let server = resyn_server::serve(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            jobs: 1,
-            timeout: Duration::from_secs(60),
-            progress_interval: Duration::ZERO,
-            ..ServerConfig::default()
-        })
-        .expect("ephemeral server starts");
-        let opts = Options {
-            addr: Some(server.addr().to_string()),
-            stream: true,
-            ..Options::default()
-        };
-        let problem = "goal id_list :: xs: List a -> {List a | len _v == len xs}";
-        let mut progress_lines = Vec::new();
-        let out = run_client_stream(problem, &opts, |line| progress_lines.push(line)).unwrap();
-        assert!(out.starts_with("verdict: solved\n"), "{out}");
-        assert!(out.contains("-- goal id_list"), "{out}");
-        assert!(!progress_lines.is_empty(), "no heartbeats arrived");
-        assert!(
-            progress_lines[0].starts_with("progress: #1 "),
-            "{}",
-            progress_lines[0]
-        );
-        server.shutdown();
-    }
-
-    #[test]
-    fn client_round_trips_against_an_in_process_server() {
-        let server = resyn_server::serve(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            jobs: 1,
-            timeout: Duration::from_secs(60),
-            ..ServerConfig::default()
-        })
-        .expect("ephemeral server starts");
-        let opts = Options {
-            addr: Some(server.addr().to_string()),
-            ..Options::default()
-        };
-        let problem = "goal id_list :: xs: List a -> {List a | len _v == len xs}";
-        let out = run_client(Some(problem), &opts).unwrap();
-        assert!(out.starts_with("verdict: solved\n"), "{out}");
-        assert!(out.contains("-- goal id_list"), "{out}");
-
-        // A problem the surface parser rejects comes back as a verdict,
-        // not a transport error — the caller scripts against line one.
-        let out = run_client(Some("goal oops ::"), &opts).unwrap();
-        assert!(out.starts_with("verdict: parse_error\n"), "{out}");
-        assert!(out.contains("error: "), "{out}");
-
-        // And `--stats` surfaces the cumulative counters.
-        let stats_opts = Options {
-            stats: true,
-            ..opts.clone()
-        };
-        let out = run_client(None, &stats_opts).unwrap();
-        assert!(out.starts_with("verdict: ok\n"), "{out}");
-        assert!(out.contains("synth_requests: 2"), "{out}");
-        assert!(out.contains("cache_hits: "), "{out}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn cache_budget_flag_is_parsed_scoped_and_validated() {
-        let args: Vec<String> = ["--cache-budget", "65536"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (positional, opts) = parse_flags(&args).unwrap();
-        assert!(positional.is_empty());
-        assert_eq!(opts.cache_budget, Some(65536));
-        // The budget bounds the long-running server's shared cache …
-        assert!(check_flag_scope("serve", &opts).is_ok());
-        // … and nothing else: one-shot `synth`, `lint` and `eval` runs own a
-        // short-lived cache, and `client`'s cache lives server-side.
-        for command in ["synth", "lint", "check", "eval"] {
-            assert!(matches!(
-                check_flag_scope(command, &opts),
-                Err(CliError::Usage(msg)) if msg.contains("--cache-budget")
-            ));
-        }
-        assert!(matches!(
-            check_flag_scope("client", &opts),
-            Err(CliError::Usage(_))
-        ));
-
-        for bad in [
-            vec!["--cache-budget", "0"],
-            vec!["--cache-budget", "plenty"],
-            vec!["--cache-budget"],
+            "--max-conns",
+            "--stream",
+            "--cache-budget",
+            "--io-threads",
+            "--cache-file",
         ] {
-            let bad: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            let args = vec![flag.to_string(), "1".to_string()];
             assert!(
-                matches!(parse_flags(&bad), Err(CliError::Usage(_))),
-                "{bad:?}"
-            );
-        }
-        // Old cache-snapshot flags are rejected, never silently ignored.
-        for flag in ["--cache-file", "--export-cache", "--import-cache"] {
-            let bad = vec![flag.to_string(), "x".to_string()];
-            assert!(
-                matches!(parse_flags(&bad), Err(CliError::Usage(msg)) if msg.contains("unknown flag")),
+                matches!(parse_flags(&args), Err(CliError::Usage(msg)) if msg.contains("unknown flag")),
                 "{flag}"
             );
         }
-
-        // And the budget reaches the server configuration.
-        assert_eq!(server_config(&opts).cache_budget, Some(65536));
-        let config = server_config(&parse_flags(&[]).unwrap().1);
-        assert_eq!(config.cache_budget, None);
-    }
-
-    #[test]
-    fn client_reports_unreachable_servers_as_transport_errors() {
-        let opts = Options {
-            // Port 1 is privileged and unbound in the test environment.
-            addr: Some("127.0.0.1:1".to_string()),
-            ..Options::default()
-        };
-        // Transport, not Usage: the command line was fine, so `main` must
-        // not dump the usage text at the user.
-        assert!(matches!(
-            run_client(Some("goal g :: Int -> Int"), &opts),
-            Err(CliError::Transport(msg)) if msg.contains("cannot connect")
-        ));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use std::process::ExitCode;
 
 use resyn_cli::{
-    check_flag_scope, parse_flags, run_check, run_client, run_client_stream, run_eval, run_fuzz,
-    run_gen, run_lint, run_measure, run_parse, run_synth, server_config, CliError, USAGE,
+    check_flag_scope, parse_flags, run_check, run_eval, run_fuzz, run_gen, run_lint, run_measure,
+    run_parse, run_synth, CliError, USAGE,
 };
 
 fn main() -> ExitCode {
@@ -135,25 +135,6 @@ fn run(args: Vec<String>) -> Result<String, CliError> {
             }
             Ok(out.table)
         }
-        "serve" => {
-            if !positional.is_empty() {
-                return Err(CliError::Usage(
-                    "serve takes no positional arguments".to_string(),
-                ));
-            }
-            let config = server_config(&opts);
-            let handle = resyn_server::serve(config)
-                .map_err(|e| CliError::Usage(format!("cannot start the server: {e}")))?;
-            // Announce the bound address (resolving `--addr host:0`) on
-            // stdout so scripts — e.g. the CI smoke job — can pick it up,
-            // then serve until killed.
-            println!("resyn-server listening on {}", handle.addr());
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-        }
         "gen" => {
             if !positional.is_empty() {
                 return Err(CliError::Usage(
@@ -188,25 +169,6 @@ fn run(args: Vec<String>) -> Result<String, CliError> {
                         failure.id, failure.complaint
                     )))
                 }
-            }
-        }
-        "client" => {
-            let wants_stats = opts.stats;
-            match (positional.as_slice(), wants_stats) {
-                ([], true) => run_client(None, &opts),
-                ([problem], false) if opts.stream => {
-                    // Heartbeats print as they arrive, so a long-running
-                    // job is visibly alive before the final verdict.
-                    run_client_stream(&read(problem)?, &opts, |line| {
-                        use std::io::Write as _;
-                        println!("{line}");
-                        let _ = std::io::stdout().flush();
-                    })
-                }
-                ([problem], false) => run_client(Some(&read(problem)?), &opts),
-                _ => Err(CliError::Usage(
-                    "client expects one problem file, or --stats and no file".to_string(),
-                )),
             }
         }
         other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),

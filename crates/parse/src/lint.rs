@@ -83,7 +83,8 @@ fn scan_signature(cur: &mut Cursor, kind: DeclKind) -> Result<Decl, ParseError> 
 }
 
 /// Lint a problem file with the structural checks only (no solver queries) —
-/// the subset cheap enough for the synthesis server to run on every request.
+/// the subset cheap enough to run before every synthesis of a generated
+/// problem.
 ///
 /// # Errors
 ///

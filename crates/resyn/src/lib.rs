@@ -18,12 +18,8 @@
 //!   evaluation tables,
 //! * [`gen`] — the seeded problem generator, shrinker and differential fuzz
 //!   runner (`resyn gen` / `resyn fuzz`),
-//! * [`wire`] — the shared JSON reader/writer and the `resyn-wire/1` and
-//!   `resyn-wire/2` protocols,
-//! * [`net`] — the dependency-free Linux readiness-I/O substrate (epoll,
-//!   eventfd waker, line-frame buffers) the server multiplexes on,
-//! * [`server`] — the persistent synthesis server (`resyn serve`) and its
-//!   library client.
+//! * [`wire`] — the dependency-free JSON reader and writer behind the
+//!   `resyn-bench-eval` and `resyn-lint` reports.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md`/`EXPERIMENTS.md` for the
 //! architecture and the experiment index.
@@ -34,10 +30,8 @@ pub use resyn_eval as eval;
 pub use resyn_gen as gen;
 pub use resyn_lang as lang;
 pub use resyn_logic as logic;
-pub use resyn_net as net;
 pub use resyn_parse as parse;
 pub use resyn_rescon as rescon;
-pub use resyn_server as server;
 pub use resyn_solver as solver;
 pub use resyn_synth as synth;
 pub use resyn_ty as ty;

@@ -32,7 +32,7 @@
 //!   measure signatures, unknown declarations — plus a caller-supplied
 //!   configuration fingerprint. Identical formulas under different
 //!   environments or limits never alias.
-//! * **Entries may vanish, never change kind.** The *kind* of a verdict
+//! * **Entries never change kind.** The *kind* of a verdict
 //!   (`Sat`, `Unsat`, `Unknown`) is a function of the key: the solver decides
 //!   it from (environment, configuration, query) alone, and a refutation
 //!   answers `Sat` only where the solver cannot answer `Unsat`. A `Sat`
@@ -41,31 +41,18 @@
 //!   refuted it, which depends on the queries before it. A hit is always
 //!   safe to use, so the table can be shared freely across solver instances,
 //!   checker runs and CEGIS iterations (satisfiability queries, which CEGIS
-//!   reads models from, are never refuted). What a caller may *not* assume
-//!   is that a stored verdict stays resident: under a byte budget
-//!   ([`bounded`](SolverCache::bounded)) cold entries are evicted and the
-//!   query is simply decided again on the next miss. Eviction never changes
-//!   the kind of an answer, only its cost.
+//!   reads models from, are never refuted). A stored verdict stays resident
+//!   for the cache's lifetime.
 //! * **Premise order is canonicalized.** Keys sort and deduplicate the
 //!   premise ids (conjunction is order-insensitive), so permuted premise
 //!   lists hit the same entry.
 //!
 //! The cache is cheaply cloneable (an [`Arc`]) and internally synchronized
-//! by one lock; clones share one logical table.
-//!
-//! # Bounding
-//!
-//! A cache built with [`bounded`](SolverCache::bounded) keeps its
-//! *approximate* verdict footprint (keys, verdicts, table overhead — the
-//! arena itself is not metered) under the byte budget with a second-chance
-//! (clock) policy: every stored entry joins a FIFO ring, a hit sets its
-//! referenced bit, and when the table is over budget the ring is scanned from
-//! the oldest end — referenced entries lose their bit and go to the back,
-//! unreferenced ones are evicted. [`CacheStats::evictions`] counts the
-//! casualties and [`CacheStats::resident_bytes`] the surviving footprint.
+//! by one lock; clones share one logical table and one set of counters.
+//! [`CacheStats::resident_bytes`] approximates the table's footprint (keys,
+//! verdicts, table overhead; the intern arena is not metered).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
@@ -89,8 +76,6 @@ pub struct CacheStats {
     pub validity_entries: usize,
     /// Cached satisfiability verdicts.
     pub sat_entries: usize,
-    /// Entries dropped by the second-chance policy to stay under budget.
-    pub evictions: u64,
     /// Approximate bytes of resident verdict entries (keys + verdicts +
     /// table overhead; the intern arena is not metered).
     pub resident_bytes: usize,
@@ -123,30 +108,13 @@ pub(crate) enum Lookup<R> {
     Miss(QueryKey),
 }
 
-/// A resident verdict plus its clock-eviction bookkeeping.
-#[derive(Debug)]
-struct Entry {
-    verdict: SatResult,
-    /// Approximate bytes this entry pins (key, verdict, table overhead).
-    cost: usize,
-    /// Second-chance bit: set on every hit, cleared (with a trip to the back
-    /// of the ring) when the clock hand passes.
-    referenced: bool,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     arena: TermArena,
-    table: FxHashMap<QueryKey, Entry>,
-    /// Second-chance ring over the table's keys, oldest at the front.
-    /// Evicted entries leave their key behind as a stale reference, dropped
-    /// when the hand reaches it.
-    clock: VecDeque<QueryKey>,
-    /// Approximate bytes of resident entries (sum of [`Entry::cost`]).
+    table: FxHashMap<QueryKey, SatResult>,
+    /// Approximate bytes of the table's entries ([`key_cost`] plus
+    /// [`verdict_cost`] each).
     resident_bytes: usize,
-    /// The byte budget; `None` = unbounded.
-    budget: Option<usize>,
-    evictions: u64,
     hits: u64,
     misses: u64,
     refuted: u64,
@@ -156,97 +124,25 @@ struct Inner {
 }
 
 impl Inner {
-    /// Make `verdict` resident under `key` and evict to budget.
+    /// Store `verdict` under `key`.
     fn insert(&mut self, key: QueryKey, verdict: SatResult) {
-        let cost = entry_cost(&key, &verdict);
-        let entry = Entry {
-            verdict,
-            cost,
-            referenced: false,
-        };
-        if let Some(prev) = self.table.insert(key.clone(), entry) {
-            self.resident_bytes -= prev.cost;
-        }
-        self.resident_bytes += cost;
-        self.clock.push_back(key);
-        self.evict_to_budget();
-    }
-
-    /// Evict unreferenced entries (second-chance order) until the table fits
-    /// its budget again. Terminates: every full rotation of the ring clears
-    /// referenced bits, and an empty ring ends the loop unconditionally.
-    fn evict_to_budget(&mut self) {
-        while self.budget.is_some_and(|b| self.resident_bytes > b) {
-            let Some(key) = self.clock.pop_front() else {
-                break;
-            };
-            match self.table.get_mut(&key) {
-                None => {} // stale reference: the entry is already gone
-                Some(entry) if entry.referenced => {
-                    entry.referenced = false;
-                    self.clock.push_back(key);
-                }
-                Some(_) => {
-                    let entry = self.table.remove(&key).expect("entry just seen");
-                    self.resident_bytes -= entry.cost;
-                    self.evictions += 1;
-                }
-            }
+        let key_bytes = key_cost(&key);
+        self.resident_bytes += key_bytes + verdict_cost(&verdict);
+        if let Some(prev) = self.table.insert(key, verdict) {
+            // A query stored twice replaces its entry.
+            self.resident_bytes -= key_bytes + verdict_cost(&prev);
         }
     }
 }
 
-/// Counters attributed to one cache *handle lineage* (see
-/// [`SolverCache::scoped`]): only the lookups issued through this handle and
-/// its clones, regardless of what other handles sharing the same table are
-/// doing concurrently.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HandleStats {
-    /// Lookups by this lineage answered from the shared table.
-    pub hits: u64,
-    /// Lookups by this lineage not answered from the table: solved or
-    /// refuted.
-    pub misses: u64,
-    /// Misses of this lineage refuted by a recent counterexample (see
-    /// [`CacheStats::refuted`]).
-    pub refuted: u64,
-    /// Terms this lineage newly interned into the shared arena.
-    pub interned_terms: usize,
-    /// `Unknown` verdicts this lineage stored (see [`CacheStats::unknowns`]).
-    pub unknowns: u64,
-}
-
-#[derive(Debug, Default)]
-struct HandleCounters {
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-    refuted: std::sync::atomic::AtomicU64,
-    interned: std::sync::atomic::AtomicU64,
-    unknowns: std::sync::atomic::AtomicU64,
-}
-
-/// A shared, optionally bounded, in-memory cache of solver verdicts keyed
-/// on interned queries.
-#[derive(Debug, Clone)]
+/// A shared, in-memory cache of solver verdicts keyed on interned queries.
+#[derive(Debug, Clone, Default)]
 pub struct SolverCache {
     inner: Arc<Mutex<Inner>>,
-    /// Per-lineage counters: plain clones share them (a solver cloned for
-    /// extra bindings keeps attributing to the same run), [`scoped`] clones
-    /// get fresh ones.
-    ///
-    /// [`scoped`]: SolverCache::scoped
-    local: Arc<HandleCounters>,
-}
-
-impl Default for SolverCache {
-    fn default() -> Self {
-        SolverCache::bounded(None)
-    }
 }
 
 /// Fixed per-entry overhead charged on top of the key and verdict payloads:
-/// a hash-map slot, the clock-ring reference (which clones the key), and
-/// allocator slack. Deliberately coarse — the budget is approximate.
+/// a hash-map slot and allocator slack. Deliberately coarse.
 const ENTRY_OVERHEAD: usize = 96;
 
 fn value_cost(value: &Value) -> usize {
@@ -264,86 +160,34 @@ fn model_cost(model: &Model) -> usize {
         .sum()
 }
 
-fn entry_cost(key: &QueryKey, verdict: &SatResult) -> usize {
-    let verdict_bytes = match verdict {
+fn verdict_cost(verdict: &SatResult) -> usize {
+    match verdict {
         SatResult::Unsat | SatResult::Cancelled => 0,
         SatResult::Sat(m) => model_cost(m),
         SatResult::Unknown(msg) => msg.len(),
-    };
-    // The clock ring holds a clone of the key, hence the factor of two.
-    ENTRY_OVERHEAD + 2 * (std::mem::size_of::<QueryKey>() + 4 * key.premises.len()) + verdict_bytes
+    }
+}
+
+fn key_cost(key: &QueryKey) -> usize {
+    ENTRY_OVERHEAD + std::mem::size_of::<QueryKey>() + 4 * key.premises.len()
 }
 
 impl SolverCache {
-    /// An empty, unbounded, in-memory cache.
+    /// An empty cache.
     pub fn new() -> SolverCache {
-        SolverCache::bounded(None)
-    }
-
-    /// An empty cache keeping its approximate verdict footprint under
-    /// `budget` bytes (`None` = unbounded).
-    pub fn bounded(budget: Option<usize>) -> SolverCache {
-        SolverCache {
-            inner: Arc::new(Mutex::new(Inner {
-                budget,
-                ..Inner::default()
-            })),
-            local: Arc::new(HandleCounters::default()),
-        }
-    }
-
-    /// A handle sharing this cache's table but with **fresh** per-handle
-    /// counters. Use one scope per logical run (the synthesizer takes one per
-    /// instance): the server's sessions share one cache concurrently, so
-    /// diffing the *global* counters would attribute every other sharer's
-    /// activity to this run.
-    /// [`handle_stats`] reads the scope's own counters instead.
-    ///
-    /// [`handle_stats`]: SolverCache::handle_stats
-    pub fn scoped(&self) -> SolverCache {
-        SolverCache {
-            inner: Arc::clone(&self.inner),
-            local: Arc::new(HandleCounters::default()),
-        }
-    }
-
-    /// Counters for this handle lineage only (see [`scoped`](Self::scoped)).
-    pub fn handle_stats(&self) -> HandleStats {
-        use std::sync::atomic::Ordering;
-        HandleStats {
-            hits: self.local.hits.load(Ordering::Relaxed),
-            misses: self.local.misses.load(Ordering::Relaxed),
-            refuted: self.local.refuted.load(Ordering::Relaxed),
-            interned_terms: self.local.interned.load(Ordering::Relaxed) as usize,
-            unknowns: self.local.unknowns.load(Ordering::Relaxed),
-        }
+        SolverCache::default()
     }
 
     /// Lock the table, recovering from poisoning: every individual mutation
-    /// (an intern, a table insert, an eviction sweep, a counter bump) leaves
-    /// the state valid, so a panic that unwound through a locked section —
-    /// which the server's scheduler catches per request — must not turn
-    /// every later request on the same cache into an error.
+    /// (an intern, a table insert, a counter bump) leaves the state valid,
+    /// so a panic that unwound through a locked section — which
+    /// `resyn_gen::differential` catches per mode while the modes share one
+    /// cache — must not turn every later run on the same cache into a
+    /// panic.
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn record_lookup<R>(&self, found: &Lookup<R>, interned: usize) {
-        use std::sync::atomic::Ordering;
-        let counter = match found {
-            Lookup::Hit(_) => &self.local.hits,
-            Lookup::Refuted(_) => {
-                self.local.refuted.fetch_add(1, Ordering::Relaxed);
-                &self.local.misses
-            }
-            Lookup::Miss(_) => &self.local.misses,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.local
-            .interned
-            .fetch_add(interned as u64, Ordering::Relaxed);
     }
 
     /// Look up the satisfiability of `path ∧ premises` (`conclusion: None`)
@@ -368,7 +212,6 @@ impl SolverCache {
         let mut guard = self.lock();
         let inner = &mut *guard;
         let arena = &mut inner.arena;
-        let arena_before = arena.len();
         let mut premise_ids: Vec<TermId> = path.map(|p| arena.intern_conj(p)).into_iter().collect();
         premise_ids.extend(premises.iter().map(|p| arena.intern(p)));
         premise_ids.sort_unstable();
@@ -379,11 +222,9 @@ impl SolverCache {
             premises: premise_ids,
             conclusion: conclusion.map(|c| arena.intern(c)),
         };
-        let interned = arena.len() - arena_before;
-        let found = if let Some(entry) = inner.table.get_mut(&key) {
-            entry.referenced = true;
+        if let Some(verdict) = inner.table.get(&key) {
             inner.hits += 1;
-            Lookup::Hit(read(&entry.verdict))
+            Lookup::Hit(read(verdict))
         } else {
             inner.misses += 1;
             let counterexample = key.conclusion.and_then(|conclusion| {
@@ -405,10 +246,7 @@ impl SolverCache {
                 }
                 None => Lookup::Miss(key),
             }
-        };
-        drop(guard);
-        self.record_lookup(&found, interned);
-        found
+        }
     }
 
     /// Record the verdict for a previously missed query. `Cancelled`
@@ -418,14 +256,8 @@ impl SolverCache {
         if result.is_cancelled() {
             return;
         }
-        let unknown = matches!(result, SatResult::Unknown(_));
-        if unknown {
-            self.local
-                .unknowns
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
         let mut inner = self.lock();
-        inner.unknowns += u64::from(unknown);
+        inner.unknowns += u64::from(matches!(result, SatResult::Unknown(_)));
         if let (SatResult::Sat(model), Some(_)) = (result, key.conclusion) {
             inner.witnesses.push(model.clone());
         }
@@ -447,7 +279,6 @@ impl SolverCache {
             interned_terms: inner.arena.len(),
             validity_entries,
             sat_entries: inner.table.len() - validity_entries,
-            evictions: inner.evictions,
             resident_bytes: inner.resident_bytes,
             unknowns: inner.unknowns,
         }
@@ -534,7 +365,6 @@ mod tests {
         assert_eq!((stats.validity_entries, stats.sat_entries), (1, 0));
         assert!(stats.interned_terms > 0);
         assert!(stats.resident_bytes > 0);
-        assert_eq!(stats.evictions, 0);
     }
 
     #[test]
@@ -576,10 +406,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_verdicts_are_counted_per_table_and_per_handle() {
+    fn unknown_verdicts_are_counted_once_per_give_up() {
         let cache = SolverCache::new();
-        let scope = cache.scoped();
-        let solver = Solver::new(env()).with_cache(scope.clone());
+        let solver = Solver::new(env()).with_cache(cache.clone());
         // An unknown predicate makes the solver give up.
         let undecided = Term::unknown("U0");
         assert!(matches!(
@@ -596,35 +425,9 @@ mod tests {
             &[Term::var("x").lt(Term::var("y"))],
             &Term::var("x").le(Term::var("y")),
         );
+        // A solved query is no give-up either.
         assert_eq!(cache.stats().unknowns, 1);
-        assert_eq!(scope.handle_stats().unknowns, 1);
-        assert_eq!(cache.handle_stats().unknowns, 0);
-    }
-
-    #[test]
-    fn scoped_handles_share_tables_but_not_counters() {
-        let cache = SolverCache::new();
-        let goal = Term::var("x").le(Term::var("y"));
-        prove(&cache, &[], &goal);
-
-        // A scoped handle starts with zeroed counters but sees the verdict.
-        let scope = cache.scoped();
-        assert_eq!(scope.handle_stats(), HandleStats::default());
-        assert!(lookup_in(&scope, &env(), &[], Some(&goal)).is_ok());
-        let scope_stats = scope.handle_stats();
-        assert_eq!((scope_stats.hits, scope_stats.misses), (1, 0));
-
-        // The original handle's counters did not absorb the scope's lookup,
-        // but the global table counters did.
-        assert_eq!(cache.handle_stats().hits, 0);
-        assert_eq!(cache.handle_stats().misses, 1);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-
-        // Plain clones keep attributing to the same lineage.
-        let sibling = scope.clone();
-        assert!(lookup_in(&sibling, &env(), &[], Some(&goal)).is_ok());
-        assert_eq!(scope.handle_stats().hits, 2);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
     }
 
     #[test]
@@ -676,8 +479,7 @@ mod tests {
     #[test]
     fn a_refuted_query_is_a_counted_miss_and_then_a_hit() {
         let cache = SolverCache::new();
-        let scope = cache.scoped();
-        let solver = Solver::new(env()).with_cache(scope.clone());
+        let solver = Solver::new(env()).with_cache(cache.clone());
         // Solved: `x ≤ y` is not valid, and its counterexample becomes a
         // witness.
         let ValidityResult::Invalid(counterexample) =
@@ -701,9 +503,8 @@ mod tests {
             solver.check_valid(&premises, &goal),
             ValidityResult::Invalid(counterexample)
         );
-        let handle = scope.handle_stats();
-        assert_eq!((handle.hits, handle.misses, handle.refuted), (2, 2, 1));
-        assert_eq!(cache.stats().refuted, 1);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.refuted), (2, 2, 1));
     }
 
     #[test]
@@ -727,62 +528,5 @@ mod tests {
         ));
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.refuted), (3, 0));
-    }
-
-    /// Distinct single-premise queries, one per index.
-    fn nth_query(i: i64) -> (Vec<Term>, Term) {
-        (
-            vec![Term::var("x").ge(Term::int(i))],
-            Term::var("x").ge(Term::int(i - 1)),
-        )
-    }
-
-    #[test]
-    fn budget_bounds_resident_bytes_with_evictions() {
-        // Small enough to force evictions well before 400 entries.
-        let budget = 16 * 1024;
-        let cache = SolverCache::bounded(Some(budget));
-        for i in 0..400 {
-            let (premises, goal) = nth_query(i);
-            let key = lookup_in(&cache, &env(), &premises, Some(&goal)).unwrap_err();
-            cache.store(key, &SatResult::Unsat);
-        }
-        let stats = cache.stats();
-        assert!(stats.evictions > 0, "expected evictions, got {stats:?}");
-        assert!(
-            stats.resident_bytes <= budget,
-            "resident {} exceeds budget {budget}",
-            stats.resident_bytes
-        );
-        // Evicted or not, every resident answer is still correct, and
-        // evicted queries simply miss again.
-        let mut hits = 0;
-        for i in 0..400 {
-            let (premises, goal) = nth_query(i);
-            if let Ok(verdict) = lookup_in(&cache, &env(), &premises, Some(&goal)) {
-                assert!(matches!(verdict, SatResult::Unsat));
-                hits += 1;
-            }
-        }
-        assert!(hits > 0, "a bounded cache must retain something");
-    }
-
-    #[test]
-    fn second_chance_spares_referenced_entries() {
-        // This budget fits a handful of entries. Keep hitting entry 0 while
-        // inserting others: the clock must evict the cold ones first.
-        let cache = SolverCache::bounded(Some(1024));
-        let (hot_premises, hot_goal) = nth_query(0);
-        prove(&cache, &hot_premises, &hot_goal);
-        for i in 1..200 {
-            let (premises, goal) = nth_query(i);
-            prove(&cache, &premises, &goal);
-            // Refresh the hot entry's referenced bit.
-            assert!(
-                lookup_in(&cache, &env(), &hot_premises, Some(&hot_goal)).is_ok(),
-                "hot entry evicted at iteration {i}"
-            );
-        }
-        assert!(cache.stats().evictions > 0);
     }
 }

@@ -58,7 +58,7 @@ pub mod sets;
 pub mod smt;
 pub mod witness;
 
-pub use cache::{CacheStats, HandleStats, SolverCache};
+pub use cache::{CacheStats, SolverCache};
 pub use lia::LiaSolver;
 pub use linear::{LinExpr, LinearizeError};
 pub use rational::Rat;

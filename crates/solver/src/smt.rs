@@ -827,51 +827,41 @@ fn normalize_uncached(
             let bwd = arena.implies_id(b, a);
             arena.and_id(fwd, bwd)
         }
-        Node::Binary(BinOp::Eq, a, b) => {
-            let sort = arena
-                .sort_of_id(a, env, ALIASED_ENV)
-                .or_else(|_| arena.sort_of_id(b, env, ALIASED_ENV));
-            match sort {
-                Ok(Sort::Bool) => {
-                    let (a, b) = (
-                        normalize(arena, a, env, memo)?,
-                        normalize(arena, b, env, memo)?,
-                    );
-                    let fwd = arena.implies_id(a, b);
-                    let bwd = arena.implies_id(b, a);
-                    arena.and_id(fwd, bwd)
-                }
-                Ok(Sort::Set) => id,
-                _ => {
-                    let le = arena.binary_id(BinOp::Le, a, b);
-                    let ge = arena.binary_id(BinOp::Ge, a, b);
-                    arena.and_id(le, ge)
-                }
+        Node::Binary(BinOp::Eq, a, b) => match equality_sort(arena, a, b, env)? {
+            Some(Sort::Bool) => {
+                let (a, b) = (
+                    normalize(arena, a, env, memo)?,
+                    normalize(arena, b, env, memo)?,
+                );
+                let fwd = arena.implies_id(a, b);
+                let bwd = arena.implies_id(b, a);
+                arena.and_id(fwd, bwd)
             }
-        }
-        Node::Binary(BinOp::Neq, a, b) => {
-            let sort = arena
-                .sort_of_id(a, env, ALIASED_ENV)
-                .or_else(|_| arena.sort_of_id(b, env, ALIASED_ENV));
-            match sort {
-                Ok(Sort::Bool) => {
-                    let (a, b) = (
-                        normalize(arena, a, env, memo)?,
-                        normalize(arena, b, env, memo)?,
-                    );
-                    let fwd = arena.implies_id(a, b);
-                    let bwd = arena.implies_id(b, a);
-                    let iff = arena.and_id(fwd, bwd);
-                    arena.not_id(iff)
-                }
-                Ok(Sort::Set) => id,
-                _ => {
-                    let lt = arena.binary_id(BinOp::Lt, a, b);
-                    let gt = arena.binary_id(BinOp::Gt, a, b);
-                    arena.or_id(lt, gt)
-                }
+            Some(Sort::Set) => id,
+            _ => {
+                let le = arena.binary_id(BinOp::Le, a, b);
+                let ge = arena.binary_id(BinOp::Ge, a, b);
+                arena.and_id(le, ge)
             }
-        }
+        },
+        Node::Binary(BinOp::Neq, a, b) => match equality_sort(arena, a, b, env)? {
+            Some(Sort::Bool) => {
+                let (a, b) = (
+                    normalize(arena, a, env, memo)?,
+                    normalize(arena, b, env, memo)?,
+                );
+                let fwd = arena.implies_id(a, b);
+                let bwd = arena.implies_id(b, a);
+                let iff = arena.and_id(fwd, bwd);
+                arena.not_id(iff)
+            }
+            Some(Sort::Set) => id,
+            _ => {
+                let lt = arena.binary_id(BinOp::Lt, a, b);
+                let gt = arena.binary_id(BinOp::Gt, a, b);
+                arena.or_id(lt, gt)
+            }
+        },
         Node::Unary(UnOp::Not, x) => {
             let x = normalize(arena, x, env, memo)?;
             arena.not_id(x)
@@ -887,8 +877,49 @@ fn normalize_uncached(
             let b = normalize(arena, b, env, memo)?;
             arena.mk(Node::Ite(c, a, b))
         }
+        // Every node normalization reaches is in boolean position.
+        Node::Var(_) | Node::App(_, _) => match arena.sort_of_id(id, env, ALIASED_ENV) {
+            Ok(Sort::Bool) => id,
+            Ok(sort) => {
+                return Err(format!(
+                    "ill-sorted query: `{}` of sort {sort} used as a boolean",
+                    arena.term(id)
+                ))
+            }
+            Err(err) => return Err(err.to_string()),
+        },
         _ => id,
     })
+}
+
+/// The sort an `=`/`≠` compares at: that of whichever side sorts (`None`
+/// when neither does). The sides must agree on its kind: `Bool`, `Set` or
+/// scalar, where `Int` and uninterpreted sorts are one kind because both
+/// compare arithmetically. A comparison across kinds is ill-sorted and the
+/// query gets no verdict.
+fn equality_sort(
+    arena: &mut TermArena,
+    a: TermId,
+    b: TermId,
+    env: &SortingEnv,
+) -> Result<Option<Sort>, String> {
+    fn kind(sort: &Sort) -> u8 {
+        match sort {
+            Sort::Bool => 0,
+            Sort::Set => 1,
+            Sort::Int | Sort::Uninterp(_) => 2,
+        }
+    }
+    let sort_a = arena.sort_of_id(a, env, ALIASED_ENV).ok();
+    let sort_b = arena.sort_of_id(b, env, ALIASED_ENV).ok();
+    match (sort_a, sort_b) {
+        (Some(x), Some(y)) if kind(&x) != kind(&y) => Err(format!(
+            "ill-sorted query: `{}` of sort {x} compared with `{}` of sort {y}",
+            arena.term(a),
+            arena.term(b)
+        )),
+        (x, y) => Ok(x.or(y)),
+    }
 }
 
 /// Case-split scalar conditionals out of atoms, and turn boolean-level
@@ -1060,6 +1091,42 @@ mod tests {
             SatResult::Sat(m) => assert_ne!(m.get("x"), m.get("y")),
             other => panic!("expected sat, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn ill_sorted_queries_get_no_verdict() {
+        let mut env = int_env(&["w", "p"]);
+        env.bind_var("b", Sort::Bool)
+            .bind_var("e", Sort::uninterp("a"));
+        let solver = Solver::new(env);
+        // An integer variable in boolean position: no model can satisfy
+        // `w ∧ w = p`, so no counterexample may be claimed either.
+        assert!(matches!(
+            solver.check_valid(
+                &[Term::var("w"), Term::var("w").eq_(Term::var("p"))],
+                &Term::var("p").ge(Term::int(1)),
+            ),
+            ValidityResult::Unknown(_)
+        ));
+        // Comparisons across kinds, whichever side comes first.
+        for f in [
+            Term::var("w").eq_(Term::var("b")),
+            Term::var("b").neq(Term::var("w")),
+            Term::var("b").eq_(Term::var("e")),
+        ] {
+            assert!(
+                matches!(
+                    solver.check_sat(std::slice::from_ref(&f)),
+                    SatResult::Unknown(_)
+                ),
+                "{f}"
+            );
+        }
+        // Integers and uninterpreted elements are one kind.
+        assert!(matches!(
+            solver.check_sat(&[Term::var("w").eq_(Term::var("e"))]),
+            SatResult::Sat(_)
+        ));
     }
 
     #[test]

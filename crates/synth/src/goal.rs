@@ -54,8 +54,9 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// The canonical mode name, as accepted by `--mode` and the
-    /// `resyn-wire/1` protocol (the inverse of the [`FromStr`] impl).
+    /// The canonical mode name, as accepted by `--mode` and written in the
+    /// eval report and perfbench's expected table (the inverse of the
+    /// [`FromStr`] impl).
     ///
     /// [`FromStr`]: std::str::FromStr
     pub fn as_str(self) -> &'static str {
@@ -72,8 +73,8 @@ impl Mode {
 impl std::str::FromStr for Mode {
     type Err = String;
 
-    /// Parse the mode names shared by the command line (`--mode`) and the
-    /// `resyn-wire/1` protocol (`"mode"`).
+    /// Parse the mode names of the command line (`--mode`) and perfbench's
+    /// expected table.
     fn from_str(s: &str) -> Result<Mode, String> {
         Ok(match s {
             "resyn" => Mode::ReSyn,

@@ -5,9 +5,9 @@
 //!
 //! Every synthesis run executes under a [`Budget`]: [`Synthesizer::synthesize`]
 //! derives one from the configured timeout, and
-//! [`Synthesizer::synthesize_with_budget`] accepts an external one (the
-//! synthesis server threads a per-request budget carrying the client's
-//! cancellation token). The budget is observed *cooperatively at every
+//! [`Synthesizer::synthesize_with_budget`] accepts an external one (for
+//! example a budget carrying a cancellation token another thread trips).
+//! The budget is observed *cooperatively at every
 //! layer* — skeleton generation, E-term enumeration, the backtracking fill
 //! loop, each Re² check, the CEGIS loop and the DPLL(T) search — so a hit
 //! deadline unwinds as a clean `timed_out` outcome within one checkpoint
@@ -64,8 +64,7 @@ impl SynthStats {
     /// Fold another run's counters into this one: counts and durations add,
     /// and the merged run timed out if any constituent did. Used to aggregate
     /// statistics across the modes of one benchmark (each run on its own
-    /// cache), across the rows of an evaluation report and across the goals
-    /// of one server request.
+    /// cache) and across the rows of an evaluation report.
     pub fn merge(&mut self, other: &SynthStats) {
         self.candidates_checked += other.candidates_checked;
         self.resource_rechecks += other.resource_rechecks;
@@ -136,17 +135,17 @@ impl Synthesizer {
         }
     }
 
-    /// Replace the solver query cache with a shared one. Synthesizers that
-    /// share a cache (the server's sessions do) answer each other's repeated
-    /// queries without touching the decision procedures; cached verdicts may
-    /// be evicted but never change, and the cache is internally
-    /// synchronized, so sharing never changes a verdict.
+    /// Replace the solver query cache with a given one. Synthesizers that
+    /// use one cache in turn (the differential fuzzer runs a goal's modes
+    /// and a warm replay on one) answer each other's repeated queries
+    /// without touching the decision procedures; cached verdicts never
+    /// change kind, so sharing never changes a verdict.
     ///
-    /// The synthesizer takes a [`scoped`](SolverCache::scoped) handle: its
-    /// reported statistics count only this synthesizer's own lookups, not
-    /// those of concurrent sharers of the same tables.
+    /// A run's statistics are the cache's counters after the run minus those
+    /// before it, so they are this run's own only while no other thread
+    /// uses the cache at the same time.
     pub fn with_cache(mut self, cache: SolverCache) -> Synthesizer {
-        self.cache = cache.scoped();
+        self.cache = cache;
         self
     }
 
@@ -259,16 +258,16 @@ impl Synthesizer {
     }
 
     /// Synthesize a program for `goal` in the given mode under an external
-    /// [`Budget`] — typically one carrying a
-    /// [`CancelToken`](resyn_budget::CancelToken) so the caller (the
-    /// synthesis server) can abort the search mid-flight. The configured [`timeout`](Synthesizer::timeout) is
-    /// ignored; the budget is the only limit.
+    /// [`Budget`] — for example one carrying a
+    /// [`CancelToken`](resyn_budget::CancelToken) so the caller can abort
+    /// the search mid-flight. The configured
+    /// [`timeout`](Synthesizer::timeout) is ignored; the budget is the only
+    /// limit.
     pub fn synthesize_with_budget(&self, goal: &Goal, mode: Mode, budget: &Budget) -> SynthOutcome {
         let start = Instant::now();
-        // The cache outlives individual goals; snapshot this synthesizer's
-        // handle counters so the reported statistics cover this run only
-        // (handle counters exclude concurrent sharers of the same tables).
-        let cache_before = self.cache.handle_stats();
+        // The cache outlives individual goals; snapshot its counters so the
+        // reported statistics cover this run only.
+        let cache_before = self.cache.stats();
 
         // Parameter shapes drive skeleton generation.
         let (params, ret_ty) = goal.schema.ty.uncurry();
@@ -297,13 +296,11 @@ impl Synthesizer {
         SynthOutcome { program, stats }
     }
 
-    /// Record the cache activity of this run: the difference between this
-    /// synthesizer's handle counters now and at the start of the run (the
-    /// handle — and its counters — persists across goals, and counts only
-    /// this synthesizer's own lookups even when the tables are shared with
-    /// concurrently running synthesizers).
-    fn record_cache_stats(&self, stats: &mut SynthStats, before: &resyn_solver::HandleStats) {
-        let cs = self.cache.handle_stats();
+    /// Record the cache activity of this run: the difference between the
+    /// cache's counters now and at the start of the run (the cache persists
+    /// across goals).
+    fn record_cache_stats(&self, stats: &mut SynthStats, before: &resyn_solver::CacheStats) {
+        let cs = self.cache.stats();
         stats.solver_cache_hits = cs.hits - before.hits;
         stats.solver_cache_misses = cs.misses - before.misses;
         stats.solver_refuted = cs.refuted - before.refuted;

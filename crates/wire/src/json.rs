@@ -1,5 +1,5 @@
-//! A minimal JSON writer and reader shared by every wire format in the
-//! workspace (the workspace is offline — no serde).
+//! A minimal JSON writer and reader shared by every machine-readable
+//! report in the workspace (the workspace is offline — no serde).
 //!
 //! The writer side is two helpers, [`json_str`] and [`json_num`], plus
 //! [`render_compact`] for serializing a whole [`Json`] value to one line;

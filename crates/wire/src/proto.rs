@@ -2,8 +2,7 @@
 //! responses and streaming frames plus their (de)serialization to
 //! single-line JSON messages.
 //!
-//! See the crate-level documentation for the schemas. This module is
-//! deliberately free of synthesis-pipeline types — modes are strings here
+//! This module is deliberately free of synthesis-pipeline types — modes are strings here
 //! and are validated by the server — so clients in other languages can be
 //! checked against the same description.
 //!
@@ -13,6 +12,9 @@
 //! byte-identical to what a `/1` server would send, so a `/1`-era reader
 //! that only ever looks at the last line of a non-streaming exchange keeps
 //! working unchanged.
+//!
+//! "The server" in these docs is the party that answers requests; no
+//! program in the workspace is one, or a client.
 
 use crate::json::{parse_json, render_compact, Json};
 

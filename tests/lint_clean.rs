@@ -108,8 +108,8 @@ fn the_known_bad_fixture_still_denies() {
         denies.iter().any(|d| d.contains("ill-sorted-refinement")),
         "the fixture must keep its deny-level finding, got: {denies:?}"
     );
-    // The structural subset (what the server runs per request) already
-    // catches it — no solver needed.
+    // The structural subset (what perfbench runs per generated problem)
+    // already catches it — no solver needed.
     let structural = resyn::parse::lint_source_structural(&source).unwrap();
     assert!(has_deny(&structural));
 }
