@@ -121,14 +121,6 @@ impl Val {
     pub fn list_len(&self) -> Option<usize> {
         self.as_list().map(|l| l.len())
     }
-
-    /// Is this value a function (closure, fix-closure, or unsaturated native)?
-    pub fn is_function(&self) -> bool {
-        matches!(
-            self,
-            Val::Closure { .. } | Val::FixClosure { .. } | Val::Native { .. }
-        )
-    }
 }
 
 impl fmt::Display for Val {
@@ -183,16 +175,5 @@ mod tests {
             Val::Ctor("Node".into(), vec![Val::Int(1), Val::nil(), Val::nil()]).to_string(),
             "Node (1) ([]) ([])"
         );
-    }
-
-    #[test]
-    fn function_predicate() {
-        assert!(Val::Native {
-            name: "inc".into(),
-            arity: 1,
-            args: vec![]
-        }
-        .is_function());
-        assert!(!Val::Int(3).is_function());
     }
 }

@@ -21,11 +21,6 @@ impl Term {
         self.free_vars().contains(var)
     }
 
-    /// Whether the term mentions the value variable `ν`.
-    pub fn mentions_value_var(&self) -> bool {
-        self.mentions(crate::term::VALUE_VAR)
-    }
-
     fn collect_free_vars(&self, out: &mut BTreeSet<String>) {
         match self {
             Term::Var(x) => {
@@ -79,7 +74,7 @@ mod tests {
     #[test]
     fn mentions_value_var() {
         let t = Term::value_var().eq_(Term::var("x"));
-        assert!(t.mentions_value_var());
+        assert!(t.mentions(crate::term::VALUE_VAR));
         assert!(t.mentions("x"));
         assert!(!t.mentions("y"));
     }

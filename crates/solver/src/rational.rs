@@ -97,15 +97,6 @@ impl Rat {
         self.num < 0
     }
 
-    /// Convert to `i64` if the value is an integer that fits.
-    pub fn to_i64(self) -> Option<i64> {
-        if self.den == 1 {
-            i64::try_from(self.num).ok()
-        } else {
-            None
-        }
-    }
-
     /// The greatest integer less than or equal to the value.
     pub fn floor(self) -> i128 {
         if self.num >= 0 {
@@ -118,15 +109,6 @@ impl Rat {
     /// The least integer greater than or equal to the value.
     pub fn ceil(self) -> i128 {
         -((-self).floor())
-    }
-
-    /// The multiplicative inverse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is zero.
-    pub fn recip(self) -> Rat {
-        Rat::new(self.den, self.num)
     }
 
     /// The absolute value.
@@ -297,11 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn integrality_and_conversion() {
+    fn integrality() {
         assert!(Rat::int(3).is_integer());
         assert!(!Rat::new(1, 2).is_integer());
-        assert_eq!(Rat::int(3).to_i64(), Some(3));
-        assert_eq!(Rat::new(1, 2).to_i64(), None);
     }
 
     #[test]
@@ -311,8 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn recip_and_abs() {
-        assert_eq!(Rat::new(2, 3).recip(), Rat::new(3, 2));
+    fn absolute_value() {
         assert_eq!(Rat::new(-2, 3).abs(), Rat::new(2, 3));
     }
 }

@@ -55,20 +55,6 @@ impl ResourceConstraint {
     pub fn has_unknowns(&self) -> bool {
         !self.unknowns().is_empty()
     }
-
-    /// The constraint as a single refinement-logic formula (only meaningful
-    /// when it has no unknowns and no `__prod` terms).
-    pub fn to_formula(&self) -> Term {
-        let claim = if self.exact {
-            self.potential
-                .clone()
-                .ge(Term::int(0))
-                .and(self.potential.clone().le(Term::int(0)))
-        } else {
-            self.potential.clone().ge(Term::int(0))
-        };
-        self.premise.clone().implies(claim)
-    }
 }
 
 #[cfg(test)]
@@ -86,20 +72,6 @@ mod tests {
         };
         assert!(c.has_unknowns());
         assert_eq!(c.unknowns().len(), 1);
-    }
-
-    #[test]
-    fn formula_of_exact_constraint_is_equality() {
-        let c = ResourceConstraint {
-            premise: Term::tt(),
-            potential: Term::var("p"),
-            exact: true,
-            origin: "test".into(),
-            env: SortingEnv::new(),
-        };
-        let f = c.to_formula();
-        assert!(f.to_string().contains(">="));
-        assert!(f.to_string().contains("<="));
     }
 
     #[test]

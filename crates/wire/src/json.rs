@@ -4,7 +4,7 @@
 //! The writer side is two helpers, [`json_str`] and [`json_num`], plus
 //! [`render_compact`] for serializing a whole [`Json`] value to one line;
 //! the reader side is [`parse_json`]. Both ends are strict where it
-//! matters for a wire format:
+//! matters for a machine-read report:
 //!
 //! * trailing garbage after the document is rejected with a byte-positioned
 //!   error (a truncated or concatenated message must never be mistaken for

@@ -10,15 +10,8 @@
 //!   which is why it sits below `resyn_eval` rather than inside it;
 //! * `resyn_eval::report` writes and reads the `resyn-bench-eval/5` report
 //!   and re-exports the reader for its callers.
-//!
-//! [`proto`] holds the `resyn-wire/1` and `resyn-wire/2` message formats of
-//! a synthesis service: newline-delimited JSON requests, responses and
-//! streamed progress frames, built on [`json`]. No program in the workspace
-//! sends or receives them; the module and its tests stay until ROADMAP.md's
-//! removal of the streaming protocol.
 
 pub mod json;
-pub mod proto;
 
 #[cfg(test)]
 mod proptests;
