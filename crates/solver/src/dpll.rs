@@ -1,27 +1,34 @@
 //! A DPLL(T) search over the boolean structure of a hash-consed formula.
 //!
-//! The search runs on interned formulas ([`TermId`]s in a [`TermArena`]) and
-//! never converts to CNF. Because terms are interned, "is this subterm an
-//! assigned atom?" is a single id lookup, structurally equal atoms reached
-//! through different subformulas are one atom, and every partially-assigned
-//! formula shares its unchanged subterms with its ancestors.
+//! The search never converts to CNF and never builds a formula. It numbers
+//! the formula's boolean gates once, in post-order: its atoms
+//! (leaves of the boolean structure, one per [`TermId`], so structurally
+//! equal atoms reached through different subformulas are one atom), its
+//! constants, its connectives and any opaque non-boolean node. The partial
+//! assignment is one slot per atom gate; the trail is its undo log.
 //!
-//! Every node of the search is *propagate, prune, then decide*:
+//! At each search node one linear pass gives every gate a *view* under
+//! the trail: a constant, or a gate with a negation flag. The pass applies
+//! the unit rules of the arena's smart constructors, which compose, so the
+//! root's view is the formula that substituting the trail and simplifying
+//! would build. The search's input is already in that normal form, as
+//! [`TermArena::simplify_id`] builds it. Every node is *propagate, prune,
+//! then decide*:
 //!
-//! 1. **Propagate.** Each literal (an atom or a negated atom) on the
+//! 1. **Propagate.** Each literal (an atom or a negated atom) on the reduced
 //!    formula's top-level `And` spine is forced: no model falsifies it. All
-//!    of them are substituted in one memoized rewrite ([`assign_all`]). The
-//!    rewrite can expose new spine literals (`p ∧ (p → q)` yields `q`), so
-//!    propagation repeats to a fixpoint. Two forced literals that clash close
-//!    the branch. Forced literals go on the trail but are not decisions.
+//!    of them are assigned at once, and the pass repeats to a fixpoint, as
+//!    an assignment can expose new spine literals (`p ∧ (p → q)` yields
+//!    `q`). Two forced literals that clash close the branch. Forced literals
+//!    go on the trail but are not decisions.
 //! 2. **Prune.** If the formula is still undecided, the trail goes to the
 //!    [`Theory`] before any decision is spent below it. `Inconsistent`
 //!    closes the subtree; `Consistent` and `Unknown` branch as usual. The
 //!    model of a consistent check is passed down: a descendant whose new
 //!    literals it already satisfies ([`Theory::satisfied_by`]) skips the
 //!    oracle.
-//! 3. **Decide.** Otherwise the first atom of the formula is assigned `true`,
-//!    then `false` (a one-literal [`assign_all`]).
+//! 3. **Decide.** Otherwise the first undecided atom of the reduced formula,
+//!    left to right, is assigned `true`, then `false`.
 //!
 //! When the formula collapses to `true`, the trail gets a full theory check,
 //! which also produces the model of a `Sat` answer. The premise-heavy
@@ -31,7 +38,7 @@
 
 use resyn_budget::Budget;
 use resyn_logic::intern::Node;
-use resyn_logic::{BinOp, FxHashMap, TermArena, TermId, UnOp};
+use resyn_logic::{BinOp, FxHashMap, Term, TermArena, TermId, UnOp};
 
 /// Verdict of a theory oracle on a conjunction of literals.
 #[derive(Debug, Clone)]
@@ -114,8 +121,11 @@ impl Default for DpllConfig {
 }
 
 /// Run the search on the interned `formula` with the given theory oracle.
+/// The search reads `formula` under the unit rules of the arena's smart
+/// constructors from its first node on; for a formula they built, such as
+/// [`TermArena::simplify_id`]'s output, that is the formula itself.
 pub fn solve<T: Theory>(
-    arena: &mut TermArena,
+    arena: &TermArena,
     formula: TermId,
     theory: &T,
     config: &DpllConfig,
@@ -124,13 +134,16 @@ pub fn solve<T: Theory>(
         return DpllResult::Cancelled;
     }
     let mut search = Search {
+        arena,
         theory,
         config,
+        gates: Gates::new(arena, formula),
         trail: Vec::new(),
+        trail_gates: Vec::new(),
         decisions: 0,
         saw_unknown: None,
     };
-    match search.node(arena, formula, None) {
+    match search.node(None) {
         Some(res) => res,
         None => match search.saw_unknown {
             Some(msg) => DpllResult::Unknown(msg),
@@ -143,65 +156,65 @@ pub fn solve<T: Theory>(
 /// trail length it was checked against.
 type Hint<'m, M> = Option<(&'m M, usize)>;
 
-/// The state of one search: the literal trail and the work counters.
+/// The state of one search: the formula's gates, the literal trail and the
+/// work counters.
 struct Search<'a, T: Theory> {
+    arena: &'a TermArena,
     theory: &'a T,
     config: &'a DpllConfig,
+    gates: Gates,
     trail: Vec<(TermId, bool)>,
+    /// The atom gate of each trail literal: the undo log of the assignment.
+    trail_gates: Vec<u32>,
     decisions: usize,
     saw_unknown: Option<String>,
 }
 
 impl<T: Theory> Search<'_, T> {
-    /// Search below `formula`. Returns `Some(Sat/Unknown-limit/Cancelled)` to
-    /// stop the search, `None` when the subtree is exhausted. The trail is
-    /// restored to its length on entry.
-    fn node(
-        &mut self,
-        arena: &mut TermArena,
-        formula: TermId,
-        hint: Hint<'_, T::Model>,
-    ) -> Option<DpllResult<T::Model>> {
+    /// Search below the current trail. Returns
+    /// `Some(Sat/Unknown-limit/Cancelled)` to stop the search, `None` when
+    /// the subtree is exhausted. The trail is restored to its length on
+    /// entry.
+    fn node(&mut self, hint: Hint<'_, T::Model>) -> Option<DpllResult<T::Model>> {
         let mark = self.trail.len();
-        let res = self.propagate_and_decide(arena, formula, hint);
-        self.trail.truncate(mark);
+        let res = self.propagate_and_decide(hint);
+        self.undo(mark);
         res
     }
 
-    fn propagate_and_decide(
-        &mut self,
-        arena: &mut TermArena,
-        formula: TermId,
-        hint: Hint<'_, T::Model>,
-    ) -> Option<DpllResult<T::Model>> {
-        let formula = self.propagate(arena, formula);
-        if arena.is_false(formula) {
-            return None;
-        }
-        if arena.is_true(formula) {
-            return match self.theory.check(arena, &self.trail) {
-                TheoryResult::Consistent(m) => Some(DpllResult::Sat {
-                    assignment: self.trail.clone(),
-                    theory_model: m,
-                }),
-                TheoryResult::Inconsistent => None,
-                TheoryResult::Unknown(msg) => {
-                    self.saw_unknown = Some(msg);
-                    None
-                }
-            };
-        }
+    fn propagate_and_decide(&mut self, hint: Hint<'_, T::Model>) -> Option<DpllResult<T::Model>> {
+        let formula = match self.propagate() {
+            View::Const(false) => return None,
+            View::Const(true) => {
+                return match self.theory.check(self.arena, &self.trail) {
+                    TheoryResult::Consistent(m) => Some(DpllResult::Sat {
+                        assignment: self.trail.clone(),
+                        theory_model: m,
+                    }),
+                    TheoryResult::Inconsistent => None,
+                    TheoryResult::Unknown(msg) => {
+                        self.saw_unknown = Some(msg);
+                        None
+                    }
+                };
+            }
+            view => view,
+        };
 
         // Prune: consult the theory on the partial trail unless the model
         // handed down already satisfies everything added since its check.
         let here = self.trail.len();
         let own_model;
         let hint = match hint {
-            Some((m, checked)) if self.theory.satisfied_by(arena, &self.trail[checked..], m) => {
+            Some((m, checked))
+                if self
+                    .theory
+                    .satisfied_by(self.arena, &self.trail[checked..], m) =>
+            {
                 Some((m, here))
             }
             None if here == 0 => None,
-            _ => match self.theory.check(arena, &self.trail) {
+            _ => match self.theory.check(self.arena, &self.trail) {
                 TheoryResult::Inconsistent => return None,
                 TheoryResult::Consistent(m) => {
                     own_model = m;
@@ -212,14 +225,11 @@ impl<T: Theory> Search<'_, T> {
             },
         };
 
-        let atom = match find_atom(arena, formula) {
-            Some(a) => a,
-            None => {
-                // No atom but not a literal: treat as unknown.
-                self.saw_unknown =
-                    Some(format!("cannot decompose formula: {}", arena.term(formula)));
-                return None;
-            }
+        let Some(atom) = self.gates.first_atom(formula) else {
+            // No atom but not a constant: treat as unknown.
+            let formula = self.gates.term(self.arena, formula);
+            self.saw_unknown = Some(format!("cannot decompose formula: {formula}"));
+            return None;
         };
         for value in [true, false] {
             self.decisions += 1;
@@ -232,10 +242,9 @@ impl<T: Theory> Search<'_, T> {
             if self.config.budget.is_exceeded() {
                 return Some(DpllResult::Cancelled);
             }
-            let reduced = assign_all(arena, formula, &[(atom, value)]);
-            self.trail.push((atom, value));
-            let res = self.node(arena, reduced, hint);
-            self.trail.pop();
+            self.assign(atom, value);
+            let res = self.node(hint);
+            self.undo(here);
             if res.is_some() {
                 return res;
             }
@@ -243,44 +252,251 @@ impl<T: Theory> Search<'_, T> {
         None
     }
 
-    /// Unit propagation: assign every literal on the top-level `And` spine,
-    /// to a fixpoint, pushing the forced literals on the trail. Returns the
-    /// reduced formula, `false` on a clash.
-    fn propagate(&mut self, arena: &mut TermArena, mut formula: TermId) -> TermId {
+    /// Unit propagation: assign every literal on the top-level `And` spine
+    /// of the reduced formula, to a fixpoint, pushing the forced literals on
+    /// the trail. Returns the view of the reduced formula, `false` on a
+    /// clash.
+    fn propagate(&mut self) -> View {
         loop {
-            if arena.is_true(formula) || arena.is_false(formula) {
+            self.gates.evaluate();
+            let formula = self.gates.root();
+            if let View::Const(_) = formula {
                 return formula;
             }
-            let Some(forced) = spine_literals(arena, formula) else {
-                return arena.ff_id();
-            };
-            if forced.is_empty() {
+            let mut forced = Vec::new();
+            self.gates.literals_on_spine(formula, &mut forced);
+            let mark = self.trail.len();
+            let mut clash = false;
+            for (atom, value) in forced {
+                // An atom assigned before this round reads as a constant, so
+                // a value here comes from an earlier literal of this round.
+                match self.gates.values[atom as usize] {
+                    None => self.assign(atom, value),
+                    Some(v) => clash |= v != value,
+                }
+            }
+            if clash {
+                return View::Const(false);
+            }
+            if self.trail.len() == mark {
                 return formula;
             }
-            formula = assign_all(arena, formula, &forced);
-            self.trail.extend(forced);
+        }
+    }
+
+    fn assign(&mut self, atom: u32, value: bool) {
+        self.gates.values[atom as usize] = Some(value);
+        self.trail.push((self.gates.ids[atom as usize], value));
+        self.trail_gates.push(atom);
+    }
+
+    /// Unassign every literal pushed after the first `mark`.
+    fn undo(&mut self, mark: usize) {
+        for atom in self.trail_gates.drain(mark..) {
+            self.gates.values[atom as usize] = None;
+        }
+        self.trail.truncate(mark);
+    }
+}
+
+/// One gate of the formula's boolean structure. Operands are gate indices,
+/// always smaller than the gate's own: the array is in post-order.
+#[derive(Debug, Clone, Copy)]
+enum Gate {
+    /// A leaf the search decides ([`is_atom`]).
+    Atom,
+    /// The literal `true` or `false`.
+    Const(bool),
+    /// A term that is neither an atom nor a connective (an integer in a
+    /// boolean position, say): nothing to decide, and it never reduces.
+    Opaque,
+    Not(u32),
+    /// `And`, `Or`, `Implies` or `Iff`.
+    Binary(BinOp, u32, u32),
+    Ite(u32, u32, u32),
+}
+
+/// What a gate reduces to under the current assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum View {
+    Const(bool),
+    /// Gate `.0` with each operand replaced by its own view, negated when
+    /// `.1` holds. The gate is never a `Not`: negation lives in the flag.
+    Ref(u32, bool),
+}
+
+impl View {
+    /// The view of the negation, as [`TermArena::not_id`] builds it.
+    fn not(self) -> View {
+        match self {
+            View::Const(b) => View::Const(!b),
+            View::Ref(gate, negated) => View::Ref(gate, !negated),
         }
     }
 }
 
-/// The distinct literals on the top-level `And` spine of `formula`, in
-/// traversal order; `None` when one atom occurs with both polarities.
-fn spine_literals(arena: &TermArena, formula: TermId) -> Option<Vec<(TermId, bool)>> {
-    let mut seen: FxHashMap<TermId, bool> = FxHashMap::default();
-    let mut literals = Vec::new();
-    for conjunct in arena.conjuncts_id(formula) {
-        let literal = match arena.node(conjunct) {
-            Node::Unary(UnOp::Not, inner) if is_atom(arena, *inner) => (*inner, false),
-            _ if is_atom(arena, conjunct) => (conjunct, true),
-            _ => continue,
+/// The formula as a gate array, built once per search, with the partial
+/// assignment and the views of the last evaluation.
+struct Gates {
+    gates: Vec<Gate>,
+    /// The interned term of each gate.
+    ids: Vec<TermId>,
+    /// The value of each atom gate on the trail; `None` while unassigned.
+    values: Vec<Option<bool>>,
+    views: Vec<View>,
+    /// For each gate whose view is itself: the first undecided atom of its
+    /// reduced term, in left-to-right order.
+    first: Vec<Option<u32>>,
+}
+
+impl Gates {
+    fn new(arena: &TermArena, formula: TermId) -> Gates {
+        let mut gates = Gates {
+            gates: Vec::new(),
+            ids: Vec::new(),
+            values: Vec::new(),
+            views: Vec::new(),
+            first: Vec::new(),
         };
-        match seen.insert(literal.0, literal.1) {
-            None => literals.push(literal),
-            Some(value) if value != literal.1 => return None,
-            Some(_) => {}
+        gates.add(arena, formula, &mut FxHashMap::default());
+        let n = gates.gates.len();
+        gates.values = vec![None; n];
+        gates.views = vec![View::Const(true); n];
+        gates.first = vec![None; n];
+        gates
+    }
+
+    /// The gate of `id`, adding it and its operands first if they are new.
+    fn add(&mut self, arena: &TermArena, id: TermId, index: &mut FxHashMap<TermId, u32>) -> u32 {
+        if let Some(&gate) = index.get(&id) {
+            return gate;
+        }
+        let gate = match *arena.node(id) {
+            Node::Bool(b) => Gate::Const(b),
+            Node::Unary(UnOp::Not, a) => Gate::Not(self.add(arena, a, index)),
+            Node::Binary(op @ (BinOp::And | BinOp::Or | BinOp::Implies | BinOp::Iff), a, b) => {
+                let a = self.add(arena, a, index);
+                Gate::Binary(op, a, self.add(arena, b, index))
+            }
+            Node::Ite(c, a, b) => {
+                let c = self.add(arena, c, index);
+                let a = self.add(arena, a, index);
+                Gate::Ite(c, a, self.add(arena, b, index))
+            }
+            _ if is_atom(arena, id) => Gate::Atom,
+            _ => Gate::Opaque,
+        };
+        let at = u32::try_from(self.gates.len()).expect("gate overflow");
+        self.gates.push(gate);
+        self.ids.push(id);
+        index.insert(id, at);
+        at
+    }
+
+    /// The view of the whole formula: the last gate's.
+    fn root(&self) -> View {
+        *self.views.last().expect("a formula has a gate")
+    }
+
+    /// Reduce every gate under the current assignment, in one pass. Each
+    /// gate applies the unit rules of the arena's smart constructors to its
+    /// operands' views (`and_id`, `or_id`, `implies_id`, `not_id`, `ite_id`,
+    /// and an `Iff` with a constant side becomes the other side or its
+    /// negation), so the root's view is the formula that substituting the
+    /// trail into it and simplifying would build.
+    fn evaluate(&mut self) {
+        use View::Const;
+        for g in 0..self.gates.len() {
+            let view = |i: u32| self.views[i as usize];
+            let live = View::Ref(g as u32, false);
+            let reduced = match self.gates[g] {
+                Gate::Atom => self.values[g].map_or(live, Const),
+                Gate::Const(b) => Const(b),
+                Gate::Opaque => live,
+                Gate::Not(a) => view(a).not(),
+                Gate::Binary(op, a, b) => match (op, view(a), view(b)) {
+                    (BinOp::And, Const(true), v) | (BinOp::And, v, Const(true)) => v,
+                    (BinOp::And, Const(false), _) | (BinOp::And, _, Const(false)) => Const(false),
+                    (BinOp::Or, Const(false), v) | (BinOp::Or, v, Const(false)) => v,
+                    (BinOp::Or, Const(true), _) | (BinOp::Or, _, Const(true)) => Const(true),
+                    (BinOp::Implies, Const(true), v) => v,
+                    (BinOp::Implies, Const(false), _) | (BinOp::Implies, _, Const(true)) => {
+                        Const(true)
+                    }
+                    (BinOp::Implies, v, Const(false)) => v.not(),
+                    (BinOp::Iff, Const(x), v) | (BinOp::Iff, v, Const(x)) => {
+                        if x {
+                            v
+                        } else {
+                            v.not()
+                        }
+                    }
+                    _ => live,
+                },
+                Gate::Ite(c, a, b) => match view(c) {
+                    Const(true) => view(a),
+                    Const(false) => view(b),
+                    _ => live,
+                },
+            };
+            let first = |i: u32| match view(i) {
+                Const(_) => None,
+                View::Ref(h, _) => self.first[h as usize],
+            };
+            let first_atom = match self.gates[g] {
+                _ if reduced != live => None,
+                Gate::Atom => Some(g as u32),
+                Gate::Binary(_, a, b) => first(a).or_else(|| first(b)),
+                Gate::Ite(c, a, b) => first(c).or_else(|| first(a)).or_else(|| first(b)),
+                _ => None,
+            };
+            self.views[g] = reduced;
+            self.first[g] = first_atom;
         }
     }
-    Some(literals)
+
+    /// Append the literals on the `And` spine of `view`, left to right, as
+    /// (atom gate, value) pairs.
+    fn literals_on_spine(&self, view: View, out: &mut Vec<(u32, bool)>) {
+        let View::Ref(g, negated) = view else {
+            return;
+        };
+        match self.gates[g as usize] {
+            Gate::Binary(BinOp::And, a, b) if !negated => {
+                self.literals_on_spine(self.views[a as usize], out);
+                self.literals_on_spine(self.views[b as usize], out);
+            }
+            Gate::Atom => out.push((g, !negated)),
+            _ => {}
+        }
+    }
+
+    /// The first undecided atom of the formula `view` stands for.
+    fn first_atom(&self, view: View) -> Option<u32> {
+        match view {
+            View::Const(_) => None,
+            View::Ref(g, _) => self.first[g as usize],
+        }
+    }
+
+    /// The formula `view` stands for, as a tree term.
+    fn term(&self, arena: &TermArena, view: View) -> Term {
+        let (g, negated) = match view {
+            View::Const(b) => return Term::Bool(b),
+            View::Ref(g, negated) => (g as usize, negated),
+        };
+        let operand = |i: u32| Box::new(self.term(arena, self.views[i as usize]));
+        let t = match self.gates[g] {
+            Gate::Binary(op, a, b) => Term::Binary(op, operand(a), operand(b)),
+            Gate::Ite(c, a, b) => Term::Ite(operand(c), operand(a), operand(b)),
+            _ => arena.term(self.ids[g]),
+        };
+        if negated {
+            Term::Unary(UnOp::Not, Box::new(t))
+        } else {
+            t
+        }
+    }
 }
 
 /// Is this interned term a boolean *atom* (a leaf of the boolean structure)?
@@ -294,106 +510,9 @@ pub fn is_atom(arena: &TermArena, id: TermId) -> bool {
     }
 }
 
-/// Find the first atom in the boolean structure of the formula.
-pub fn find_atom(arena: &TermArena, id: TermId) -> Option<TermId> {
-    if is_atom(arena, id) {
-        return Some(id);
-    }
-    match arena.node(id) {
-        Node::Unary(UnOp::Not, inner) => find_atom(arena, *inner),
-        Node::Binary(BinOp::And | BinOp::Or | BinOp::Implies | BinOp::Iff, a, b) => {
-            find_atom(arena, *a).or_else(|| find_atom(arena, *b))
-        }
-        Node::Ite(c, a, b) => {
-            let (c, a, b) = (*c, *a, *b);
-            find_atom(arena, c)
-                .or_else(|| find_atom(arena, a))
-                .or_else(|| find_atom(arena, b))
-        }
-        _ => None,
-    }
-}
-
-/// Substitute a truth value for every occurrence of each given atom in the
-/// boolean structure of the formula, re-running the shallow simplifications.
-/// One call rewrites the formula once, whatever the number of literals, and
-/// shared subformulas are processed once. The atoms must be distinct.
-pub fn assign_all(arena: &mut TermArena, t: TermId, literals: &[(TermId, bool)]) -> TermId {
-    // Seeding the memo with the literals makes each atom rewrite to its
-    // value wherever the traversal meets it.
-    let mut memo = FxHashMap::with_capacity_and_hasher(literals.len() * 4, Default::default());
-    for &(atom, value) in literals {
-        let constant = if value { arena.tt_id() } else { arena.ff_id() };
-        memo.insert(atom, constant);
-    }
-    assign_rec(arena, t, &mut memo)
-}
-
-fn assign_rec(arena: &mut TermArena, t: TermId, memo: &mut FxHashMap<TermId, TermId>) -> TermId {
-    if let Some(&r) = memo.get(&t) {
-        return r;
-    }
-    let out = match *arena.node(t) {
-        Node::Unary(UnOp::Not, inner) => {
-            let inner = assign_rec(arena, inner, memo);
-            arena.not_id(inner)
-        }
-        Node::Binary(BinOp::And, a, b) => {
-            let a = assign_rec(arena, a, memo);
-            let b = assign_rec(arena, b, memo);
-            arena.and_id(a, b)
-        }
-        Node::Binary(BinOp::Or, a, b) => {
-            let a = assign_rec(arena, a, memo);
-            let b = assign_rec(arena, b, memo);
-            arena.or_id(a, b)
-        }
-        Node::Binary(BinOp::Implies, a, b) => {
-            let a = assign_rec(arena, a, memo);
-            let b = assign_rec(arena, b, memo);
-            arena.implies_id(a, b)
-        }
-        Node::Binary(BinOp::Iff, a, b) => {
-            let a = assign_rec(arena, a, memo);
-            let b = assign_rec(arena, b, memo);
-            let as_bool = |arena: &TermArena, id: TermId| match arena.node(id) {
-                Node::Bool(x) => Some(*x),
-                _ => None,
-            };
-            match (as_bool(arena, a), as_bool(arena, b)) {
-                (Some(x), _) => {
-                    if x {
-                        b
-                    } else {
-                        arena.not_id(b)
-                    }
-                }
-                (_, Some(y)) => {
-                    if y {
-                        a
-                    } else {
-                        arena.not_id(a)
-                    }
-                }
-                _ => arena.binary_id(BinOp::Iff, a, b),
-            }
-        }
-        Node::Ite(c, a, b) => {
-            let c = assign_rec(arena, c, memo);
-            let a = assign_rec(arena, a, memo);
-            let b = assign_rec(arena, b, memo);
-            arena.ite_id(c, a, b)
-        }
-        _ => t,
-    };
-    memo.insert(t, out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resyn_logic::Term;
 
     /// A theory that accepts every assignment (pure SAT).
     struct TrivialTheory;
@@ -423,7 +542,7 @@ mod tests {
     fn solve_term<T: Theory>(t: &Term, theory: &T) -> (TermArena, DpllResult<T::Model>) {
         let mut arena = TermArena::new();
         let id = arena.intern(t);
-        let result = solve(&mut arena, id, theory, &DpllConfig::default());
+        let result = solve(&arena, id, theory, &DpllConfig::default());
         (arena, result)
     }
 
@@ -521,18 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn assign_replaces_only_the_given_atom() {
-        let mut arena = TermArena::new();
-        let f = Term::var("x")
-            .le(Term::int(3))
-            .and(Term::var("y").le(Term::int(4)));
-        let fid = arena.intern(&f);
-        let atom = arena.intern(&Term::var("x").le(Term::int(3)));
-        let g = assign_all(&mut arena, fid, &[(atom, true)]);
-        assert_eq!(arena.term(g), Term::var("y").le(Term::int(4)));
-    }
-
-    #[test]
     fn an_expired_budget_cancels_before_any_work() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -554,7 +661,7 @@ mod tests {
             budget: resyn_budget::Budget::with_timeout(std::time::Duration::ZERO),
             ..DpllConfig::default()
         };
-        let result = solve(&mut arena, id, &theory, &config);
+        let result = solve(&arena, id, &theory, &config);
         assert!(matches!(result, DpllResult::Cancelled), "{result:?}");
         assert_eq!(
             theory.0.load(Ordering::Relaxed),
@@ -584,21 +691,8 @@ mod tests {
             budget: Budget::unlimited().attach(token.clone()),
             ..DpllConfig::default()
         };
-        let result = solve(&mut arena, id, &CancellingTheory(token), &config);
+        let result = solve(&arena, id, &CancellingTheory(token), &config);
         assert!(matches!(result, DpllResult::Cancelled), "{result:?}");
-    }
-
-    #[test]
-    fn shared_atoms_are_recognized_by_id() {
-        // The same atom reached through two different subformulas is a single
-        // id: one decision assigns both occurrences.
-        let mut arena = TermArena::new();
-        let atom = Term::var("x").le(Term::int(0));
-        let f = atom.clone().or(Term::var("p")).and(atom.clone().not());
-        let fid = arena.intern(&f);
-        let aid = arena.intern(&atom);
-        let reduced = assign_all(&mut arena, fid, &[(aid, true)]);
-        assert!(arena.is_false(reduced));
     }
 
     fn solve_with<T: Theory>(
@@ -682,6 +776,186 @@ mod tests {
             }
             other => panic!("expected sat, got {other:?}"),
         }
+    }
+
+    /// A theory that records every trail it is asked about and answers as
+    /// `inner` does.
+    struct Recording<T> {
+        inner: T,
+        calls: std::cell::RefCell<Vec<String>>,
+    }
+    impl<T: Theory> Theory for Recording<T> {
+        type Model = T::Model;
+        fn check(&self, arena: &TermArena, literals: &[(TermId, bool)]) -> TheoryResult<T::Model> {
+            self.calls.borrow_mut().push(render(arena, literals));
+            self.inner.check(arena, literals)
+        }
+    }
+
+    /// Literals as text, in order: `p !q` is `p = true, q = false`.
+    fn render(arena: &TermArena, literals: &[(TermId, bool)]) -> String {
+        let literal = |&(atom, value): &(TermId, bool)| {
+            format!("{}{}", if value { "" } else { "!" }, arena.term(atom))
+        };
+        literals.iter().map(literal).collect::<Vec<_>>().join(" ")
+    }
+
+    /// Solve `f` and compare the verdict (with its exact trail) and every
+    /// theory call on the way with the expected text.
+    fn assert_search<T: Theory>(f: &Term, theory: T, verdict: &str, calls: &[&str]) {
+        let mut arena = TermArena::new();
+        let id = arena.intern(f);
+        let theory = Recording {
+            inner: theory,
+            calls: Default::default(),
+        };
+        let result = solve(&arena, id, &theory, &DpllConfig::default());
+        let got = match result {
+            DpllResult::Sat { assignment, .. } => format!("sat {}", render(&arena, &assignment)),
+            DpllResult::Unsat => "unsat".to_string(),
+            DpllResult::Unknown(msg) => format!("unknown: {msg}"),
+            DpllResult::Cancelled => "cancelled".to_string(),
+        };
+        assert_eq!(
+            (got.as_str(), theory.calls.into_inner()),
+            (verdict, calls.iter().map(|c| c.to_string()).collect()),
+            "search on {f}"
+        );
+    }
+
+    fn vars<const N: usize>(names: [&str; N]) -> [Term; N] {
+        names.map(Term::var)
+    }
+
+    // The search pins below were generated by the formula-rewriting search
+    // that the gate array replaced; each exercises one reduction rule.
+
+    #[test]
+    fn an_implication_into_false_forces_its_premise_false() {
+        // ¬q forces q = false, which turns a → q into ¬a.
+        let [a, b, q] = vars(["a", "b", "q"]);
+        let f = q.clone().not().and(a.clone().implies(q)).and(a.or(b));
+        assert_search(&f, TrivialTheory, "sat !q !a b", &["!q !a b"]);
+    }
+
+    #[test]
+    fn an_iff_with_a_decided_side_becomes_the_other_side() {
+        // r and ¬p are forced: p ⟺ (q ∧ r) becomes ¬q, and (s ∨ t) ⟺ r
+        // becomes s ∨ t, which needs a decision.
+        let [p, q, r, s, t] = vars(["p", "q", "r", "s", "t"]);
+        let f = p
+            .clone()
+            .iff(q.and(r.clone()))
+            .and(s.or(t).iff(r.clone()))
+            .and(r)
+            .and(p.not());
+        assert_search(
+            &f,
+            TrivialTheory,
+            "sat r !p !q s",
+            &["r !p !q", "r !p !q s"],
+        );
+    }
+
+    #[test]
+    fn an_ite_selects_a_branch_once_its_condition_is_decided() {
+        let [bad, p, s, u] = vars(["bad", "p", "s", "u"]);
+        let f = Term::ite(bad, p.clone().and(s), p.clone().not()).and(p.or(u));
+        assert_search(&f, RejectBad, "sat !bad !p u", &["bad p s", "!bad !p u"]);
+    }
+
+    #[test]
+    fn a_decided_implication_exposes_its_conclusion_conjunction() {
+        let [bad, p, q, r] = vars(["bad", "p", "q", "r"]);
+        let f = bad
+            .clone()
+            .implies(p.and(q.clone()))
+            .and(bad.or(r.clone()))
+            .and(q.implies(r));
+        assert_search(&f, RejectBad, "sat !bad r", &["bad p q r", "!bad r"]);
+    }
+
+    #[test]
+    fn a_rewrite_that_exposes_a_double_negation_forces_the_atom() {
+        // q = false turns ¬(¬p ∨ q) into p and ¬(r → q) into r.
+        let [p, q, r] = vars(["p", "q", "r"]);
+        let f = p
+            .not()
+            .or(q.clone())
+            .not()
+            .and(r.implies(q.clone()).not())
+            .and(q.not());
+        assert_search(&f, TrivialTheory, "sat !q p r", &["!q p r"]);
+    }
+
+    #[test]
+    fn literals_a_decision_exposes_on_the_spine_can_clash() {
+        let [d, p, e] = vars(["d", "p", "e"]);
+        let f = d
+            .clone()
+            .implies(p.clone())
+            .and(d.clone().implies(p.not()))
+            .and(d.or(e));
+        assert_search(&f, TrivialTheory, "sat !d e", &["!d e"]);
+    }
+
+    #[test]
+    fn a_negated_conjunction_propagates_once_one_side_is_decided() {
+        // q = false turns (bad ∧ b) → q into ¬(bad ∧ b).
+        let [bad, b, c, q] = vars(["bad", "b", "c", "q"]);
+        let f = bad
+            .clone()
+            .and(b)
+            .implies(q.clone())
+            .and(q.not())
+            .and(bad.or(c));
+        assert_search(
+            &f,
+            RejectBad,
+            "sat !q !bad c",
+            &["!q", "!q bad !b", "!q !bad c"],
+        );
+    }
+
+    #[test]
+    fn a_theory_conflict_on_every_branch_is_unsat() {
+        let [bad, p] = vars(["bad", "p"]);
+        let f = bad.clone().or(p.clone()).and(bad.or(p.not()));
+        assert_search(&f, RejectBad, "unsat", &["bad"]);
+    }
+
+    #[test]
+    fn a_formula_without_atoms_is_unknown_and_named() {
+        // Integers in boolean positions leave nothing to decide: after r and
+        // then s are assigned, the formula is still not a constant.
+        let [r, s] = vars(["r", "s"]);
+        let f = r
+            .clone()
+            .implies(Term::int(3).and(s.or(Term::int(4))))
+            .and(r);
+        assert_search(
+            &f,
+            TrivialTheory,
+            "unknown: cannot decompose formula: 3 ∧ 4",
+            &["r", "r s", "r !s"],
+        );
+    }
+
+    #[test]
+    fn shared_atoms_are_recognized_by_id() {
+        // The same atom reached through two different subformulas is a single
+        // id: forcing it false reduces the disjunction to p.
+        let atom = Term::var("x").le(Term::int(0));
+        let f = atom.clone().or(Term::var("p")).and(atom.not());
+        assert_search(&f, TrivialTheory, "sat !x <= 0 p", &["!x <= 0 p"]);
+    }
+
+    #[test]
+    fn a_decision_assigns_only_its_atom() {
+        let f = Term::var("x")
+            .le(Term::int(3))
+            .or(Term::var("y").le(Term::int(4)));
+        assert_search(&f, TrivialTheory, "sat x <= 3", &["x <= 3"]);
     }
 
     #[test]

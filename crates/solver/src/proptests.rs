@@ -14,8 +14,9 @@
 
 use proptest::prelude::*;
 
-use resyn_logic::{Model, Sort, SortingEnv, Term, Value};
+use resyn_logic::{Model, Sort, SortingEnv, Term, TermArena, TermId, Value};
 
+use crate::dpll::{self, DpllConfig, DpllResult, Theory, TheoryResult};
 use crate::lia::{LiaResult, LiaSolver, LinConstraint};
 use crate::linear::LinExpr;
 use crate::rational::Rat;
@@ -403,6 +404,89 @@ proptest! {
                 !matches!(Solver::new(env).check_valid(&premises, &conclusion), ValidityResult::Valid),
                 "the solver finds {conclusion} valid under {premises:?}"
             );
+        }
+    }
+}
+
+/// The boolean atoms of [`arb_boolean_formula`].
+const ATOMS: [&str; 5] = ["a0", "a1", "a2", "a3", "a4"];
+
+/// A formula over the boolean atoms `a0`–`a4` and the constants, built
+/// from every connective the DPLL search reduces. `arb_formula` has no
+/// `Iff` or boolean `Ite`: the solver's `normalize` and `lift_ites` remove
+/// both before the search, which meets an `Iff` only in set-congruence
+/// clauses.
+fn arb_boolean_formula() -> impl Strategy<Value = Term> {
+    let leaf = prop_oneof![
+        (0usize..5).prop_map(|i| Term::var(ATOMS[i])),
+        (0usize..5).prop_map(|i| Term::var(ATOMS[i])),
+        prop_oneof![Just(Term::tt()), Just(Term::ff())],
+    ];
+    leaf.prop_recursive(4, 24, 3, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.implies(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.iff(b)),
+            inner.clone().prop_map(Term::not),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, a, b)| Term::ite(c, a, b)),
+        ]
+    })
+}
+
+/// The theory of pure SAT: every trail is consistent.
+struct NoTheory;
+
+impl Theory for NoTheory {
+    type Model = ();
+    fn check(&self, _arena: &TermArena, _literals: &[(TermId, bool)]) -> TheoryResult<()> {
+        TheoryResult::Consistent(())
+    }
+}
+
+/// The point of `ATOMS` whose bits are `row`, overridden by `fixed`.
+fn boolean_point(row: u32, fixed: &[(String, bool)]) -> Model {
+    let mut point = Model::new();
+    for (i, atom) in ATOMS.iter().enumerate() {
+        point.insert(*atom, Value::Bool(row >> i & 1 == 1));
+    }
+    for (atom, value) in fixed {
+        point.insert(atom, Value::Bool(*value));
+    }
+    point
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The search on a boolean formula agrees with its truth table: `Sat`
+    /// iff some row satisfies it, and every completion of a `Sat` trail
+    /// over the atoms it leaves unassigned satisfies it.
+    #[test]
+    fn dpll_agrees_with_truth_tables(f in arb_boolean_formula()) {
+        let holds = |point: &Model| f.eval_bool(point).expect("a boolean formula");
+        let satisfiable = (0..1u32 << ATOMS.len()).any(|row| holds(&boolean_point(row, &[])));
+        let mut arena = TermArena::new();
+        let id = arena.intern(&f);
+        match dpll::solve(&arena, id, &NoTheory, &DpllConfig::default()) {
+            DpllResult::Sat { assignment, .. } => {
+                let trail: Vec<(String, bool)> = assignment
+                    .iter()
+                    .map(|&(atom, value)| (arena.term(atom).to_string(), value))
+                    .collect();
+                for (i, (atom, _)) in trail.iter().enumerate() {
+                    prop_assert!(
+                        trail[..i].iter().all(|(earlier, _)| earlier != atom),
+                        "{atom} is assigned twice in {trail:?}"
+                    );
+                }
+                for row in 0..1u32 << ATOMS.len() {
+                    let point = boolean_point(row, &trail);
+                    prop_assert!(holds(&point), "{point:?} completes {trail:?} but falsifies {f}");
+                }
+            }
+            DpllResult::Unsat => prop_assert!(!satisfiable, "claimed unsat, but {f} has a model"),
+            other => panic!("no search on five atoms gives up, but {f} gave {other:?}"),
         }
     }
 }

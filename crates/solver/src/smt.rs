@@ -358,7 +358,7 @@ impl Solver {
 
         // 8. DPLL(T) with the LIA oracle, over interned atoms.
         let theory = ArithTheory::new(&self.lia, &arena, formula);
-        match dpll::solve(&mut arena, formula, &theory, &self.dpll) {
+        match dpll::solve(&arena, formula, &theory, &self.dpll) {
             DpllResult::Unsat => SatResult::Unsat,
             DpllResult::Cancelled => SatResult::Cancelled,
             DpllResult::Unknown(msg) => SatResult::Unknown(msg),
